@@ -32,7 +32,6 @@ from .grids import (
     integrate,
     integrate_dlog,
     make_log_grid,
-    sample,
 )
 from .lpnorm import (
     ModularValue,

@@ -40,40 +40,35 @@ class ConfigError(ValueError):
 class ScenarioConfig:
     label: str
     exponent: ExponentFunction
-    exponent_spec: dict
-    x_min: float = 1e-12
-    n: int = 1201
-    a_depth: int = 36
-    delta: float | None = None
-    eps_depth: int = 13
-    necessity_depth: int = 33
-    norm_tol: float = 1e-10
-    criteria: tuple[str, ...] = ("A", "B", "C1", "C2", "C3", "C4", "C5")
-    families: tuple[str, ...] = ("power", "necessity", "dyadic")
-    out: str | None = None
-    format: str = "json"
-
-    def echo(self) -> dict:
-        """The fully-defaulted configuration, for report round-tripping."""
-        return {
-            "label": self.label,
-            "exponent": self.exponent_spec,
-            "grid": {"x_min": self.x_min, "n": self.n},
-            "a_depth": self.a_depth,
-            "delta": self.delta,
-            "eps_depth": self.eps_depth,
-            "necessity_depth": self.necessity_depth,
-            "tolerances": {"norm_tol": self.norm_tol},
-            "criteria": list(self.criteria),
-            "families": list(self.families),
-            "format": self.format,
-        }
+    x_min: float
+    n: int
+    a_depth: int
+    delta: float | None
+    eps_depth: int
+    necessity_depth: int
+    norm_tol: float
+    criteria: tuple[str, ...]
+    families: tuple[str, ...]
+    out: str | None
+    format: str
+    echo: dict  # the fully-defaulted configuration but ``out``, for reports
 
 
 def load_schema() -> dict:
     text = (resources.files("hardyvx") / "schema" /
             "config.schema.json").read_text(encoding="utf-8")
     return json.loads(text)
+
+
+def _with_defaults(raw: dict, schema: dict) -> dict:
+    """``raw`` with omitted properties filled from the schema's defaults."""
+    out = dict(raw)
+    for key, prop in schema["properties"].items():
+        if "properties" in prop:
+            out[key] = _with_defaults(raw.get(key, {}), prop)
+        elif "default" in prop:
+            out.setdefault(key, prop["default"])
+    return out
 
 
 def _build_exponent(spec: dict) -> ExponentFunction:
@@ -134,8 +129,6 @@ def parse_config(text: str) -> ScenarioConfig:
     if problems:
         raise ConfigError(problems)
 
-    grid = raw.get("grid", {})
-    tols = raw.get("tolerances", {})
     try:
         exponent = _build_exponent(raw["exponent"])
     except (ValueError, KeyError) as exc:
@@ -145,20 +138,22 @@ def parse_config(text: str) -> ScenarioConfig:
 
     label = raw.get("label") or raw["exponent"].get("catalog") \
         or raw["exponent"].get("family", "scenario")
+    cfg = _with_defaults(raw, schema)
+    cfg["label"] = label
+    out = cfg.pop("out", None)
     return ScenarioConfig(
         label=label,
         exponent=exponent,
-        exponent_spec=raw["exponent"],
-        x_min=grid.get("x_min", 1e-12),
-        n=grid.get("n", 1201),
-        a_depth=raw.get("a_depth", 36),
-        delta=raw.get("delta"),
-        eps_depth=raw.get("eps_depth", 13),
-        necessity_depth=raw.get("necessity_depth", 33),
-        norm_tol=tols.get("norm_tol", 1e-10),
-        criteria=tuple(raw.get("criteria",
-                               ["A", "B", "C1", "C2", "C3", "C4", "C5"])),
-        families=tuple(raw.get("families", ["power", "necessity", "dyadic"])),
-        out=raw.get("out"),
-        format=raw.get("format", "json"),
+        x_min=cfg["grid"]["x_min"],
+        n=cfg["grid"]["n"],
+        a_depth=cfg["a_depth"],
+        delta=cfg["delta"],
+        eps_depth=cfg["eps_depth"],
+        necessity_depth=cfg["necessity_depth"],
+        norm_tol=cfg["tolerances"]["norm_tol"],
+        criteria=tuple(cfg["criteria"]),
+        families=tuple(cfg["families"]),
+        out=out,
+        format=cfg["format"],
+        echo=cfg,
     )

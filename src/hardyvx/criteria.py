@@ -18,9 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponent import (
+    EXP_GUARD,
     ExponentFunction,
     classify_monotonicity,
     conjugate_reciprocal,
+    log_phi,
     monotone_prefix,
 )
 from .grids import LogGrid, SampledFunction, integrate_dlog
@@ -28,6 +30,7 @@ from .hardy import (
     OperatorNormResult,
     dyadic_indicator_family,
     necessity_family,
+    necessity_levels,
     operator_norm_lower_bound,
     power_family,
     random_step_family,
@@ -52,7 +55,8 @@ __all__ = [
 
 PLATEAU_THRESHOLD = 0.10
 GROWTH_THRESHOLD = 1.5
-_EXP_GUARD = 700.0
+# deepest dyadic level a = 2^-j of the C2, C4 and C5 scans
+A_DEPTH = 36
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ def _dyadic_block_sup(grid: LogGrid, xs: np.ndarray,
     """
     j = np.floor(-np.log2(xs)).astype(int)
     j = np.maximum(j, 1)
-    levels = np.arange(1, int(j.max()) + 1)
+    levels = np.arange(1, int(j.max(initial=0)) + 1)
     sups = np.full(levels.shape, -math.inf)
     for idx, lv in enumerate(levels):
         mask = j == lv
@@ -176,8 +180,8 @@ def default_a_list(grid: LogGrid, delta: float, depth: int) -> list[float]:
 
 
 def _phi_function(p: ExponentFunction, grid: LogGrid) -> SampledFunction:
-    logphi = (1.0 - 1.0 / p.eval(grid.points)) * (-grid.u)
-    return SampledFunction(grid, np.exp(np.minimum(logphi, _EXP_GUARD)),
+    logphi = log_phi(p.eval(grid.points), -grid.u)
+    return SampledFunction(grid, np.exp(np.minimum(logphi, EXP_GUARD)),
                            interp="powerlaw")
 
 
@@ -185,12 +189,12 @@ def criterion_C2(p: ExponentFunction, grid: LogGrid, a_list=None,
                  delta: float = 1.0) -> BoundednessVerdict:
     """r(a) = (integral_a^delta phi dx/x) / phi(a)."""
     if a_list is None:
-        a_list = default_a_list(grid, delta, 36)
+        a_list = default_a_list(grid, delta, A_DEPTH)
     phi_f = _phi_function(p, grid)
     levels, vals = [], []
     for a in a_list:
         num = integrate_dlog(phi_f, a, delta)
-        la = (1.0 - 1.0 / p.eval(a)) * math.log(1.0 / a)
+        la = log_phi(p.eval(a), math.log(1.0 / a))
         vals.append(num * math.exp(-la))
         levels.append(-math.log2(a))
     return classify_series(levels, vals)
@@ -200,17 +204,22 @@ def criterion_C4(p: ExponentFunction, grid: LogGrid, a_list=None,
                  delta: float = 1.0) -> BoundednessVerdict:
     """s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x, in log space."""
     if a_list is None:
-        a_list = default_a_list(grid, delta, 36)
+        a_list = default_a_list(grid, delta, A_DEPTH)
     pn = p.eval(grid.points)
-    logphi = (1.0 - 1.0 / pn) * (-grid.u)
+    logphi = log_phi(pn, -grid.u)
+    end = int(np.searchsorted(grid.u, math.log(delta), side="right")) + 1
     levels, vals = [], []
     for a in a_list:
-        la = (1.0 - 1.0 / p.eval(a)) * math.log(1.0 / a)
+        la = log_phi(p.eval(a), math.log(1.0 / a))
         expo = pn * (logphi - la)
-        if np.any(expo > _EXP_GUARD):
+        # only the nodes of cells meeting [a, delta] enter the integral;
+        # below a, expo grows like (p-1)*ln(a/x), so the rest is clamped
+        start = max(int(np.searchsorted(grid.u, math.log(a))) - 1, 0)
+        if np.any(expo[start:end] > EXP_GUARD):
             vals.append(math.inf)
         else:
-            w = SampledFunction(grid, np.exp(expo), interp="powerlaw")
+            w = SampledFunction(grid, np.exp(np.minimum(expo, EXP_GUARD)),
+                                interp="powerlaw")
             vals.append(integrate_dlog(w, a, delta))
         levels.append(-math.log2(a))
     return classify_series(levels, vals)
@@ -220,11 +229,11 @@ def criterion_C5(p: ExponentFunction, grid: LogGrid, a_list=None,
                  delta: float = 1.0, tol: float = 1e-10) -> BoundednessVerdict:
     """||x^-1|| over (a, delta) divided by a**(-1/p'(a))."""
     if a_list is None:
-        a_list = default_a_list(grid, delta, 36)
+        a_list = default_a_list(grid, delta, A_DEPTH)
     levels, vals = [], []
     for a in a_list:
         nv = norm_of_inverse_x(p, grid, a, delta, tol=tol)
-        la = (1.0 - 1.0 / p.eval(a)) * math.log(1.0 / a)
+        la = log_phi(p.eval(a), math.log(1.0 / a))
         vals.append(nv.value * math.exp(-la))
         levels.append(-math.log2(a))
     return classify_series(levels, vals)
@@ -254,7 +263,7 @@ def criterion_C3(p: ExponentFunction, grid: LogGrid, eps_list=None,
     mask = grid.points <= delta
     pts = grid.points[mask]
     u = grid.u[mask]
-    logphi = (1.0 - 1.0 / p.eval(pts)) * (-u)
+    logphi = log_phi(p.eval(pts), -u)
     if eps_list is None:
         _, p_plus, _ = p.bounds((0.0, delta))
         eps0 = 1.0 - 1.0 / p_plus
@@ -264,6 +273,11 @@ def criterion_C3(p: ExponentFunction, grid: LogGrid, eps_list=None,
 
     depths = np.linspace(math.log(grid.x_min) / depth_stops,
                          math.log(grid.x_min), depth_stops)
+    if u.size == 0 or u[-1] < depths[0]:
+        return None, math.inf, BoundednessVerdict(
+            "inconclusive", math.inf, (), math.nan,
+            (f"no grid node between the shallowest depth stop "
+             f"x={math.exp(depths[0]):.3g} and delta={delta:.3g}",))
     candidates = []
     states = []
     for eps in eps_list:
@@ -306,7 +320,7 @@ def dyadic_oscillation(p: ExponentFunction,
 
 def phi_doubling(p: ExponentFunction, grid: LogGrid) -> float:
     """sup of phi(y)/phi(x) over y in [x/2, 2x], x < 1/4."""
-    logphi = (1.0 - 1.0 / p.eval(grid.points)) * (-grid.u)
+    logphi = log_phi(p.eval(grid.points), -grid.u)
     window = int(round(math.log(2.0) / grid.h))
     scan = grid.points < 0.25
     best = 0.0
@@ -375,7 +389,7 @@ def _classes_conflict(a: str, b: str) -> bool:
 
 
 def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
-                      a_depth: int = 36, delta: float | None = None,
+                      a_depth: int = A_DEPTH, delta: float | None = None,
                       eps_depth: int = 13,
                       necessity_depth: int = 33, norm_tol: float = 1e-10,
                       criteria_names: tuple[str, ...] = ("A", "B", "C1", "C2",
@@ -432,7 +446,14 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
     if "power" in family_kinds:
         members += power_family(p, grid)
     if "necessity" in family_kinds:
-        members += necessity_family(p, grid, depth=necessity_depth)
+        necessity = necessity_family(p, grid, depth=necessity_depth)
+        members += necessity
+        resolved = {m.level for m in necessity}
+        left_out = [j for j in necessity_levels(grid, necessity_depth)
+                    if j not in resolved]
+        if left_out:
+            notes.append(f"necessity levels j={left_out} left out: the grid "
+                         "has fewer than 8 nodes in (2^-j-1, 2^-j)")
     if "dyadic" in family_kinds:
         members += dyadic_indicator_family(grid)
     if "random-step" in family_kinds:
@@ -440,7 +461,10 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
     c1 = operator_norm_lower_bound(p, members, tol=norm_tol)
     if "C1" in criteria_names:
         levels, series = c1.level_series()
-        verdicts["C1"] = classify_series(levels, series)
+        c1_notes = () if c1.quotients else (
+            "no test function gave a quotient: the family is empty or "
+            "every member was skipped",)
+        verdicts["C1"] = classify_series(levels, series, notes=c1_notes)
 
     # expected class and agreement
     expected: str | None = None

@@ -31,9 +31,12 @@ __all__ = [
     "MonotonicityClass",
     "conjugate_reciprocal",
     "phi",
+    "log_phi",
+    "exponent_pieces",
     "classify_monotonicity",
     "monotone_prefix",
     "ETA_FLOOR",
+    "EXP_GUARD",
 ]
 
 # Depth floor for the "+" log-perturbed family: values are held constant
@@ -41,7 +44,7 @@ __all__ = [
 ETA_FLOOR = 0.125
 
 # Largest exponent fed to exp() when evaluating powers in log space.
-_EXP_GUARD = 700.0
+EXP_GUARD = 700.0
 
 
 class DomainError(ValueError):
@@ -367,15 +370,38 @@ def conjugate_reciprocal(p: ExponentFunction, x) -> np.ndarray:
     return 1.0 - 1.0 / p.eval(x)
 
 
+def log_phi(p_x, ln_inv_x):
+    """ln phi(x) = (1 - 1/p(x)) * ln(1/x), from p(x) and ln(1/x); grid
+    callers pass -u so the nodes' exact log coordinates are reused."""
+    return (1.0 - 1.0 / p_x) * ln_inv_x
+
+
 def phi(p: ExponentFunction, t) -> np.ndarray:
     """Kernel phi(t) = t**(-1/p'(t)), computed in log space."""
     arr = _as_array(t)
     _check_domain(arr)
-    expo = (1.0 - 1.0 / p._eval(arr)) * (-np.log(arr))
-    if np.any(expo > _EXP_GUARD):
+    expo = log_phi(p._eval(arr), -np.log(arr))
+    if np.any(expo > EXP_GUARD):
         raise OverflowError("phi exceeds the representable range")
     out = np.exp(expo)
     return out if arr.shape else float(out)
+
+
+def exponent_pieces(p: ExponentFunction, x: np.ndarray, lo: float,
+                    hi: float):
+    """Split (lo, hi) at the jumps of p; yield (s, t, p at the nodes x) per
+    piece.  Across a jump of p at s or t, nodes beyond it carry the piece's
+    one-sided value, so cells straddling the jump integrate its branch."""
+    jumps = set(p.discontinuities())
+    edges = [lo] + sorted(d for d in jumps if lo < d < hi) + [hi]
+    p_x = p.eval(x)
+    for s, t in zip(edges, edges[1:]):
+        p_st = p_x
+        if s in jumps:
+            p_st = np.where(x < s, p.eval(s), p_st)
+        if t in jumps:
+            p_st = np.where(x >= t, p.eval(t * (1.0 - 1e-15)), p_st)
+        yield s, t, p_st
 
 
 def classify_monotonicity(p: ExponentFunction, eps: float,

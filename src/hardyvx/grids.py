@@ -20,7 +20,6 @@ __all__ = [
     "SampledFunction",
     "FunctionLike",
     "make_log_grid",
-    "sample",
     "as_segments",
     "scaled",
     "integrate_dlog",
@@ -138,13 +137,6 @@ def scaled(f: FunctionLike, c: float) -> FunctionLike:
     """Pointwise multiple c*f, preserving structure."""
     segs = [replace(s, values=s.values * c) for s in as_segments(f)]
     return segs[0] if isinstance(f, SampledFunction) else segs
-
-
-def sample(grid: LogGrid, fn, interp: str = "powerlaw",
-           support: tuple[float, float] | None = None) -> SampledFunction:
-    """Sample a callable on the grid."""
-    vals = np.asarray(fn(grid.points), dtype=float)
-    return SampledFunction(grid, vals, interp=interp, support=support)
 
 
 # ---------------------------------------------------------------------------

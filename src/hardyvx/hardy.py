@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exponent import ExponentFunction
+from .exponent import ExponentFunction, exponent_pieces
 from .grids import (
     DivergentHeadError,
     FunctionLike,
@@ -39,6 +38,7 @@ __all__ = [
     "power_family",
     "dyadic_indicator_family",
     "necessity_family",
+    "necessity_levels",
     "random_step_family",
     "ResolutionError",
 ]
@@ -48,13 +48,6 @@ logger = logging.getLogger(__name__)
 
 class ResolutionError(ValueError):
     """Too few grid points to resolve a test-function support."""
-
-
-def worker_count() -> int:
-    env = os.environ.get("HARDYVX_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +61,7 @@ def hardy_average(f: FunctionLike) -> SampledFunction:
     return SampledFunction(H.grid, vals, interp=interp)
 
 
-def _t_quadrature(t0: float, t1: float, v0: float, vals_fn, n_t: int) -> float:
+def _t_quadrature(t0: float, t1: float, vals_fn, n_t: int) -> float:
     """integral of v(t) dt over (t0, t1) on a fresh geometric t-grid."""
     ts = np.exp(np.linspace(math.log(t0), math.log(t1), n_t))
     vs = np.asarray(vals_fn(ts), dtype=float)
@@ -122,7 +115,7 @@ def hardy_average_scaled(f: FunctionLike, n_t: int = 257) -> SampledFunction:
                 x_lo = max(lo, grid.x_min) * (1.0 + 1e-12)
                 x_hi = hi * (1.0 - 1e-12)
                 acc += _t_quadrature(
-                    t_lo, t_hi, v0,
+                    t_lo, t_hi,
                     lambda ts: seg.evaluate(np.clip(ts * x, x_lo, x_hi)),
                     n_t)
             out[i] += acc
@@ -220,35 +213,31 @@ def necessity_test_function(p: ExponentFunction, grid: LogGrid,
     if inside < 8:
         raise ResolutionError(
             f"only {inside} grid points fall inside (a/2, a) for a={a:g}")
-    disc = set(p.discontinuities())
-    cuts = sorted(d for d in disc if a / 2.0 < d < a)
-    edges = [a / 2.0] + cuts + [a]
-    p_base = p.eval(grid.points)
     segs = []
-    for s, t in zip(edges, edges[1:]):
-        # same one-sided rule as the modular: only across an actual jump
-        # of p do out-of-segment nodes switch to the segment's branch
-        pn = p_base
-        if s in disc:
-            pn = np.where(grid.points < s, p.eval(s), pn)
-        if t in disc:
-            pn = np.where(grid.points >= t, p.eval(t * (1.0 - 1e-15)), pn)
+    for s, t, pn in exponent_pieces(p, grid.points, a / 2.0, a):
         vals = np.exp(-np.log(grid.points) / pn)
         segs.append(SampledFunction(grid, vals, interp="powerlaw",
                                     support=(s, t)))
     return segs
 
 
+def necessity_levels(grid: LogGrid, depth: int) -> list[int]:
+    """Levels j <= depth whose block (a/2, a), a = 2^-j, lies above x_min."""
+    return [j for j in range(1, depth + 1) if 2.0 ** -(j + 1) > grid.x_min]
+
+
 def necessity_family(p: ExponentFunction, grid: LogGrid,
                      depth: int = 30) -> list[FamilyMember]:
+    """Necessity test functions at the levels of ``necessity_levels``;
+    levels the grid cannot resolve are left out and logged."""
     members = []
-    for j in range(1, depth + 1):
-        a = 2.0 ** -j
-        if a / 2.0 <= grid.x_min:
-            break
-        members.append(FamilyMember(f"necessity:a=2^-{j}",
-                                    necessity_test_function(p, grid, a),
-                                    level=j))
+    for j in necessity_levels(grid, depth):
+        try:
+            f = necessity_test_function(p, grid, 2.0 ** -j)
+        except ResolutionError as exc:
+            logger.info("leaving out necessity level %d: %s", j, exc)
+            continue
+        members.append(FamilyMember(f"necessity:a=2^-{j}", f, level=j))
     return members
 
 
@@ -273,10 +262,11 @@ def random_step_family(grid: LogGrid, seed: int = 0, pieces: int = 6,
 
 @dataclass(frozen=True)
 class OperatorNormResult:
-    value: float
-    argmax: str
+    value: float  # nan when no member gave a quotient
+    argmax: str | None
     quotients: list  # (label, level, value, lo, hi)
     skipped: list
+    max_relative_modular_bias: float
 
     def level_series(self) -> tuple[list[int], list[float]]:
         """Max quotient per dyadic level, for trend classification."""
@@ -294,39 +284,29 @@ def operator_norm_lower_bound(p: ExponentFunction,
     """Max Rayleigh quotient over a test family.
 
     Members with infinite modular (or a divergent Hardy head) are skipped
-    and logged.  The reduction is a deterministic max with lexicographic
-    tie-break on (quotient, member index), independent of scheduling.
+    and logged.  The reduction is a deterministic max; ties go to the
+    earliest member.  An empty or fully skipped
+    family gives a nan value and no argmax.  The result also carries the
+    worst truncation_bias / value over every member whose modular was
+    evaluated, skipped members included.
     """
-    if not members:
-        raise ValueError("empty test family")
-
-    def one(member: FamilyMember):
+    quotients, skipped = [], []
+    worst_bias = 0.0
+    for member in members:
         try:
             mv = modular(member.f, p)
+            if mv.finite and mv.value > 0.0:
+                worst_bias = max(worst_bias, mv.truncation_bias / mv.value)
             if not mv.finite or math.isinf(mv.truncation_bias):
-                return ("skip", member.label, "infinite modular")
+                raise UnboundedNormError("infinite modular")
             q = rayleigh_quotient(member.f, p, tol=tol)
         except (DivergentHeadError, UnboundedNormError) as exc:
-            return ("skip", member.label, str(exc))
+            logger.info("skipping %s: %s", member.label, exc)
+            skipped.append(member.label)
+            continue
         lo, hi = q.bounds
-        return ("ok", member.label, member.level, q.value, lo, hi)
-
-    n_workers = worker_count()
-    if n_workers > 1 and len(members) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            results = list(ex.map(one, members))
-    else:
-        results = [one(m) for m in members]
-
-    quotients, skipped = [], []
-    for res in results:
-        if res[0] == "skip":
-            logger.info("skipping %s: %s", res[1], res[2])
-            skipped.append(res[1])
-        else:
-            quotients.append(res[1:])
-    if not quotients:
-        raise ValueError("no family member has a finite modular")
-    best = max(enumerate(quotients), key=lambda iq: (iq[1][2], -iq[0]))
-    return OperatorNormResult(best[1][2], best[1][0], quotients, skipped)
+        quotients.append((member.label, member.level, q.value, lo, hi))
+    value, argmax = math.nan, None
+    if quotients:
+        argmax, _, value, _, _ = max(quotients, key=lambda q: q[2])
+    return OperatorNormResult(value, argmax, quotients, skipped, worst_bias)

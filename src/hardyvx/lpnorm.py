@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponent import ExponentFunction
+from .exponent import EXP_GUARD, ExponentFunction, exponent_pieces
 from .grids import (
     FunctionLike,
     SampledFunction,
@@ -33,8 +33,6 @@ __all__ = [
     "bracket_check",
     "norm_of_inverse_x",
 ]
-
-_EXP_GUARD = 700.0
 
 
 class UnboundedNormError(ArithmeticError):
@@ -64,11 +62,6 @@ class NormValue:
         return self.value
 
 
-def _split_points(p: ExponentFunction, a: float, b: float) -> list[float]:
-    cuts = sorted(d for d in p.discontinuities() if a < d < b)
-    return [a] + cuts + [b]
-
-
 def modular(f: FunctionLike, p: ExponentFunction,
             interval: tuple[float, float] | None = None) -> ModularValue:
     """integral of |f(x)|**p(x) dx over ``interval`` (default (x_min, 1])."""
@@ -86,24 +79,12 @@ def modular(f: FunctionLike, p: ExponentFunction,
         if lo_eff >= hi_eff:
             continue
         absv = np.abs(seg.values)
-        pieces = _split_points(p, lo_eff, hi_eff)
-        disc = set(p.discontinuities())
-        p_base = p.eval(grid.points)
-        for s, t in zip(pieces, pieces[1:]):
-            # when a piece boundary is a jump of p, nodes beyond it must
-            # carry the one-sided exponent value so cells straddling the
-            # jump integrate the correct branch
-            p_nodes = p_base
-            if s in disc:
-                p_nodes = np.where(grid.points < s, p.eval(s), p_nodes)
-            if t in disc:
-                p_nodes = np.where(grid.points >= t,
-                                   p.eval(t * (1.0 - 1e-15)), p_nodes)
+        for s, t, p_nodes in exponent_pieces(p, grid.points, lo_eff, hi_eff):
             with np.errstate(divide="ignore", invalid="ignore"):
                 expo = np.where(absv > 0.0,
                                 p_nodes * np.log(np.maximum(absv, 1e-300)),
                                 -np.inf)
-            if np.any(expo > _EXP_GUARD):
+            if np.any(expo > EXP_GUARD):
                 return ModularValue(math.inf)
             w = np.where(np.isneginf(expo), 0.0, np.exp(expo))
             integrand = SampledFunction(grid, w, interp="powerlaw")

@@ -18,8 +18,6 @@ from . import __version__
 from .config import ScenarioConfig
 from .criteria import CriterionReport, equivalence_audit
 from .grids import make_log_grid
-from .hardy import power_family
-from .lpnorm import modular
 
 __all__ = ["RunReport", "run_scenario", "emit"]
 
@@ -28,6 +26,9 @@ __all__ = ["RunReport", "run_scenario", "emit"]
 class RunReport:
     config: dict
     report: CriterionReport
+    # worst relative modular truncation bias over the C1 members that were
+    # evaluated; only members supported down to 0 (the power family) have
+    # any, so it reads 0 when ``families`` leaves out "power"
     truncation: dict
     wall_clock_seconds: float
     timestamp: str
@@ -44,21 +45,6 @@ class RunReport:
         }
 
 
-def _truncation_summary(cfg: ScenarioConfig, grid) -> dict:
-    """Worst relative modular truncation bias over the power test family.
-
-    Members supported down to 0 are the only source of truncation; the
-    power family probes the strongest admissible singularities.
-    """
-    worst = 0.0
-    for member in power_family(cfg.exponent, grid):
-        mv = modular(member.f, cfg.exponent)
-        if mv.finite and mv.value > 0.0:
-            worst = max(worst, mv.truncation_bias / mv.value)
-    return {"grid_x_min": cfg.x_min,
-            "max_relative_modular_bias": worst}
-
-
 def run_scenario(cfg: ScenarioConfig) -> RunReport:
     t0 = time.perf_counter()
     grid = make_log_grid(cfg.x_min, cfg.n)
@@ -73,10 +59,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         family_kinds=cfg.families,
         exponent_id=cfg.label,
     )
-    truncation = _truncation_summary(cfg, grid)
+    truncation = {"grid_x_min": cfg.x_min,
+                  "max_relative_modular_bias":
+                      report.empirical_c1.max_relative_modular_bias}
     wall = time.perf_counter() - t0
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return RunReport(cfg.echo(), report, truncation, wall, stamp)
+    return RunReport(cfg.echo, report, truncation, wall, stamp)
 
 
 def _json_default(obj):

@@ -1,10 +1,15 @@
+import inspect
 import json
 
 import pytest
 
 from hardyvx.catalog import CATALOG, catalog_exponent
 from hardyvx.cli import main
-from hardyvx.config import ConfigError, parse_config
+from hardyvx.config import ConfigError, load_schema, parse_config
+from hardyvx.criteria import equivalence_audit
+from hardyvx.grids import make_log_grid
+from hardyvx.hardy import power_family
+from hardyvx.lpnorm import modular
 from hardyvx.report import emit, report_json, run_scenario
 
 
@@ -45,6 +50,22 @@ class TestParseConfig:
             parse_config('{"exponent":{"catalog":"constant-2"},'
                          '"grid":{"n":4},"a_depth":1}')
         assert len(exc.value.errors) >= 2
+
+    def test_schema_defaults_match_keyword_defaults(self):
+        props = load_schema()["properties"]
+        grid = inspect.signature(make_log_grid).parameters
+        audit = inspect.signature(equivalence_audit).parameters
+        for key in ("x_min", "n"):
+            assert props["grid"]["properties"][key]["default"] \
+                == grid[key].default
+        for key in ("a_depth", "delta", "eps_depth", "necessity_depth"):
+            assert props[key]["default"] == audit[key].default
+        assert props["tolerances"]["properties"]["norm_tol"]["default"] \
+            == audit["norm_tol"].default
+        assert tuple(props["criteria"]["default"]) \
+            == audit["criteria_names"].default
+        assert tuple(props["families"]["default"]) \
+            == audit["family_kinds"].default
 
     def test_every_family_constructible(self):
         specs = [
@@ -99,6 +120,18 @@ class TestRunAndEmit:
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2,
                                                             sort_keys=True)
 
+    def test_truncation_matches_power_family_reference(self, small_report):
+        cfg = parse_config(minimal("constant-2",
+                                   grid={"x_min": 1e-8, "n": 401}))
+        grid = make_log_grid(cfg.x_min, cfg.n)
+        worst = 0.0
+        for member in power_family(cfg.exponent, grid):
+            mv = modular(member.f, cfg.exponent)
+            if mv.finite and mv.value > 0.0:
+                worst = max(worst, mv.truncation_bias / mv.value)
+        assert worst > 0.0
+        assert small_report.truncation["max_relative_modular_bias"] == worst
+
     def test_empty_criteria_selection(self, tmp_path):
         cfg = parse_config(minimal(
             "constant-2", criteria=[], families=["dyadic"],
@@ -142,6 +175,32 @@ class TestMain:
         data = json.loads(capsys.readouterr().out)
         assert code == 0
         assert data["report"]["agreement"] is True
+
+
+@pytest.mark.parametrize("config, criterion, cls", [
+    # fewer than 8 nodes per octave: necessity levels are left out
+    ({"exponent": {"family": "constant", "p0": 2}, "grid": {"n": 300}},
+     "C1", "bounded"),
+    # the power family is empty for p0 = 200
+    ({"exponent": {"family": "constant", "p0": 200}, "families": ["power"],
+      "grid": {"x_min": 1e-8, "n": 401}}, "C1", "inconclusive"),
+    # no dyadic block of condition B lies on the grid
+    ({"exponent": {"family": "constant", "p0": 2},
+      "grid": {"x_min": 0.5, "n": 16}}, "B", "inconclusive"),
+    # the monotone prefix ends above every depth stop of C3
+    ({"exponent": {"family": "tabulated", "xs": [1e-9, 1e-3, 0.5, 1],
+                   "ps": [2, 4, 1.5, 3]},
+      "grid": {"x_min": 1e-12, "n": 401}}, "C3", "inconclusive"),
+    # C4's overflow guard must ignore nodes below a
+    ({"exponent": {"family": "constant", "p0": 60},
+      "grid": {"x_min": 1e-8, "n": 401}}, "C4", "bounded"),
+])
+def test_run_ends_in_a_report(tmp_path, capsys, config, criterion, cls):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path)]) in (0, 1, 2)
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["verdicts"][criterion]["class"] == cls
 
 
 def test_report_json_is_stable_text(tmp_path):

@@ -18,7 +18,6 @@ from hardyvx.hardy import (
     dyadic_indicator_family,
     power_family,
     random_step_family,
-    worker_count,
 )
 
 from conftest import power_function
@@ -106,20 +105,6 @@ class TestOperatorNorm:
         res = operator_norm_lower_bound(Constant(3.0), members)
         assert any("beta=0.49" in s for s in res.skipped)
         assert res.value > 1.0
-
-    def test_deterministic_across_thread_counts(self, grid, monkeypatch):
-        members = dyadic_indicator_family(grid, max_level=8)
-        monkeypatch.setenv("HARDYVX_THREADS", "1")
-        r1 = operator_norm_lower_bound(Constant(2.0), members)
-        monkeypatch.setenv("HARDYVX_THREADS", "4")
-        r4 = operator_norm_lower_bound(Constant(2.0), members)
-        assert r1.value == r4.value
-        assert r1.argmax == r4.argmax
-        assert r1.quotients == r4.quotients
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("HARDYVX_THREADS", "3")
-        assert worker_count() == 3
 
     def test_level_series(self, grid):
         members = dyadic_indicator_family(grid, max_level=6)
