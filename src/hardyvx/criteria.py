@@ -207,15 +207,13 @@ def criterion_C4(p: ExponentFunction, grid: LogGrid, a_list=None,
         a_list = default_a_list(grid, delta, A_DEPTH)
     pn = p.eval(grid.points)
     logphi = log_phi(pn, -grid.u)
-    end = int(np.searchsorted(grid.u, math.log(delta), side="right")) + 1
     levels, vals = [], []
     for a in a_list:
         la = log_phi(p.eval(a), math.log(1.0 / a))
         expo = pn * (logphi - la)
         # only the nodes of cells meeting [a, delta] enter the integral;
         # below a, expo grows like (p-1)*ln(a/x), so the rest is clamped
-        start = max(int(np.searchsorted(grid.u, math.log(a))) - 1, 0)
-        if np.any(expo[start:end] > EXP_GUARD):
+        if np.any(expo[grid.node_slice(a, delta)] > EXP_GUARD):
             vals.append(math.inf)
         else:
             w = SampledFunction(grid, np.exp(np.minimum(expo, EXP_GUARD)),
@@ -483,12 +481,14 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
             expected = "divergent"
             notes.append("p(0) = 1: boundedness is impossible for "
                          "nondecreasing exponents")
-        coincide = len(set(crit_classes)) <= 1
-        if not coincide:
+        # inconclusive criteria abstain; only bounded next to divergent
+        # is a disagreement
+        decided = set(crit_classes) - {"inconclusive"}
+        if len(decided) > 1:
             agreement = False
             notes.append(f"criterion classes disagree: {crit_classes}")
         else:
-            common = crit_classes[0] if crit_classes else "inconclusive"
+            common = decided.pop() if decided else "inconclusive"
             if expected is not None and common != expected:
                 agreement = False
                 notes.append(f"classes are {common}, expected {expected}")

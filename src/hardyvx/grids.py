@@ -2,9 +2,14 @@
 
 All integration happens in the coordinate u = ln x.  Cells carry either a
 log-linear interpolant (linear in (u, g)) or a power-law interpolant
-(linear in (u, ln g)); each cell is integrated in closed form, so pure
-power integrands are exact up to rounding.  The only truncation bias is
-the head extrapolation below x_min, a two-point power-law fit.
+(linear in (u, ln g)).  One vectorised kernel integrates every cell
+clipped to [a, b] in closed form: [ln a, ln b] is clipped into each cell,
+so cells outside get zero width, a partial cell evaluates its own
+interpolant at the clipped end, and an unclipped end keeps the stored
+node value.  ``integrate`` and ``integrate_dlog`` sum the kernel and
+``cumulative_integral`` takes its running sum, so pure power integrands
+are exact up to rounding.  The only truncation bias is the head
+extrapolation below x_min, a two-point power-law fit.
 """
 
 from __future__ import annotations
@@ -58,6 +63,14 @@ class LogGrid:
         """Index i with points[i] <= x (clipped to a valid cell start)."""
         i = int(np.searchsorted(self.points, x, side="right")) - 1
         return min(max(i, 0), self.n - 2)
+
+    def node_slice(self, a: float, b: float) -> slice:
+        """The nodes of the cells meeting [a, b], the only nodes an
+        integral over [a, b] reads."""
+        i0 = int(np.searchsorted(self.u, math.log(a), side="right")) - 1
+        i1 = int(np.searchsorted(self.u, math.log(b), side="left")) - 1
+        return slice(min(max(i0, 0), self.n - 2),
+                     min(max(i1, 0), self.n - 2) + 2)
 
 
 def make_log_grid(x_min: float = 1e-12, n: int = 1201) -> LogGrid:
@@ -143,7 +156,6 @@ def scaled(f: FunctionLike, c: float) -> FunctionLike:
 # interpolation and closed-form cell integrals
 
 _TINY = 1e-300
-_B_EPS = 1e-12
 
 
 def _power_cell(z, front, dt, diff, denom):
@@ -182,111 +194,47 @@ def _interp_values(grid: LogGrid, vals: np.ndarray, interp: str,
     return out
 
 
-def _cell_integral(s, t, gs, gt, b, interp: str, weight_x: bool,
-                   us=None) -> np.ndarray:
-    """Integral over [s,t] of g du (or e^u g du when weight_x).
+def _clipped_cells(g: SampledFunction, a: float, b: float,
+                   weight_x: bool) -> np.ndarray:
+    """Integral of g du (or e^u g du) over every grid cell clipped to
+    [a, b], respecting the cell interpolants but NOT the support (callers
+    clip to the support first).
 
-    (gs, gt) are endpoint values, b the power-law slope d ln g/du of the
-    underlying cell (ignored for loglinear).
+    [ln a, ln b] is clipped into each cell, so cells outside get zero
+    width and no cell's interpolant is used beyond that cell.
     """
-    dt = t - s
-    if interp == "powerlaw":
-        # the closed form (end - start)/exponent cancels catastrophically
-        # when the exponent is near zero, so small exponents switch to the
-        # stable expm1 form front * dt * expm1(z)/z
-        if weight_x:
-            b1 = b + 1.0
-            es, et = np.exp(s), np.exp(t)
-            z = b1 * dt
-            return _power_cell(z, es * gs, dt, et * gt - es * gs, b1)
-        z = b * dt
-        return _power_cell(z, gs, dt, gt - gs, b)
-    # loglinear
-    if not weight_x:
-        return 0.5 * dt * (gs + gt)
-    m = np.where(dt > 0, (gt - gs) / np.where(dt > 0, dt, 1.0), 0.0)
-    return np.exp(t) * (gt - m) - np.exp(s) * (gs - m)
-
-
-def _segment_cells(g: SampledFunction):
-    """Per-cell endpoint data (u0, u1, g0, g1, b, interp flags)."""
-    u = g.grid.u
-    vals = g.values
-    g0, g1 = vals[:-1], vals[1:]
+    u, vals = g.grid.u, g.values
+    u0, u1, g0, g1 = u[:-1], u[1:], vals[:-1], vals[1:]
+    h = u1 - u0
     pos = (g0 > 0.0) & (g1 > 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b = np.where(pos,
-                     np.log(np.maximum(g1, _TINY) / np.maximum(g0, _TINY))
-                     / np.diff(u),
-                     0.0)
-    interp_cell = np.where((g.interp == "powerlaw") & pos, True, False)
-    return u, g0, g1, b, interp_cell
+        slope = np.where(pos,
+                         np.log(np.maximum(g1, _TINY) / np.maximum(g0, _TINY))
+                         / h,
+                         0.0)
+    power = pos & (g.interp == "powerlaw")
 
+    def at(v):
+        # unclipped cell ends keep the stored node values
+        with np.errstate(over="ignore", invalid="ignore"):
+            inner = np.where(power, g0 * np.exp(slope * (v - u0)),
+                             g0 + (g1 - g0) * (v - u0) / h)
+        return np.where(v == u0, g0, np.where(v == u1, g1, inner))
 
-def _integral_over(g: SampledFunction, a: float, b_hi: float,
-                   weight_x: bool) -> float:
-    """Closed-form integral of g du (or e^u g du) over [a, b_hi] subset of
-    the grid range, respecting the cell interpolants but NOT the support
-    (callers clip to the support first)."""
-    grid = g.grid
-    if a > b_hi:
-        raise GridError("empty integration interval")
-    if a < grid.x_min * (1 - 1e-12) or b_hi > 1.0 + 1e-12:
-        raise GridError("integration bounds exit the grid")
-    if a == b_hi:
-        return 0.0
-    ua, ub = math.log(a), math.log(min(b_hi, 1.0))
-    u, g0, g1, bslope, cell_pow = _segment_cells(g)
-    ua = max(ua, float(u[0]))
-    ub = min(ub, float(u[-1]))
-    if ub <= ua:
-        return 0.0
-
-    # first node with u >= ua
-    i0 = int(np.searchsorted(u, ua, side="left"))
-    while i0 < len(u) and u[i0] < ua - 1e-15:
-        i0 += 1
-    i1 = int(np.searchsorted(u, ub, side="right")) - 1
-    while i1 >= 0 and u[i1] > ub + 1e-15:
-        i1 -= 1
-
-    def sub(cell: int, s: float, t: float) -> float:
-        h = u[cell + 1] - u[cell]
-        if cell_pow[cell]:
-            ts = (s - u[cell]) / h
-            tt = (t - u[cell]) / h
-            gs = g0[cell] * math.exp(bslope[cell] * ts * h)
-            gt = g0[cell] * math.exp(bslope[cell] * tt * h)
-            return float(_cell_integral(np.array(s), np.array(t),
-                                        np.array(gs), np.array(gt),
-                                        np.array(bslope[cell]),
-                                        "powerlaw", weight_x))
-        gs = g0[cell] + (g1[cell] - g0[cell]) * (s - u[cell]) / h
-        gt = g0[cell] + (g1[cell] - g0[cell]) * (t - u[cell]) / h
-        return float(_cell_integral(np.array(s), np.array(t),
-                                    np.array(gs), np.array(gt),
-                                    np.array(0.0), "loglinear", weight_x))
-
-    if i1 < i0:
-        # both bounds inside one cell
-        return sub(max(i0 - 1, 0), ua, ub)
-
-    total = 0.0
-    if u[i0] > ua + 1e-15:
-        total += sub(i0 - 1, ua, u[i0])
-    if i1 > i0:
-        cells = np.arange(i0, i1)
-        pw = cell_pow[cells]
-        vals_pow = _cell_integral(u[cells], u[cells + 1],
-                                  g0[cells], g1[cells], bslope[cells],
-                                  "powerlaw", weight_x)
-        vals_lin = _cell_integral(u[cells], u[cells + 1],
-                                  g0[cells], g1[cells], bslope[cells],
-                                  "loglinear", weight_x)
-        total += float(np.sum(np.where(pw, vals_pow, vals_lin)))
-    if ub > u[i1] + 1e-15:
-        total += sub(i1, u[i1], ub)
-    return total
+    s = np.clip(math.log(a), u0, u1)
+    t = np.clip(math.log(b), u0, u1)
+    gs, gt = at(s), at(t)
+    dt = t - s
+    if weight_x:
+        es, et = np.exp(s), np.exp(t)
+        b1 = slope + 1.0
+        power_cells = _power_cell(b1 * dt, es * gs, dt, et * gt - es * gs, b1)
+        m = np.where(dt > 0, (gt - gs) / np.where(dt > 0, dt, 1.0), 0.0)
+        linear_cells = et * (gt - m) - es * (gs - m)
+    else:
+        power_cells = _power_cell(slope * dt, gs, dt, gt - gs, slope)
+        linear_cells = 0.5 * dt * (gs + gt)
+    return np.where(power, power_cells, linear_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +249,7 @@ def integrate_dlog(g: SampledFunction, a: float, b: float) -> float:
     a, b = max(a, lo), min(b, hi)
     if a >= b:
         return 0.0
-    return _integral_over(g, a, b, weight_x=False)
+    return float(np.sum(_clipped_cells(g, a, b, weight_x=False)))
 
 
 def head_fit(g: SampledFunction) -> tuple[float, float]:
@@ -339,7 +287,7 @@ def integrate(g: SampledFunction, a: float, b: float) -> float:
     a, b = max(a, lo), min(b, hi)
     if a >= b:
         return head
-    return head + _integral_over(g, a, b, weight_x=True)
+    return head + float(np.sum(_clipped_cells(g, a, b, weight_x=True)))
 
 
 def cumulative_integral(f: FunctionLike) -> SampledFunction:
@@ -359,37 +307,9 @@ def cumulative_integral(f: FunctionLike) -> SampledFunction:
         if np.any(seg.values < 0.0):
             raise ValueError("cumulative_integral requires g >= 0")
         lo, hi = seg.effective_support()
-        head = 0.0
-        start = max(lo, grid.x_min)
-        if lo < grid.x_min:
-            head = head_integral(seg)
-        hi = min(hi, 1.0)
-        contrib = np.zeros(grid.n)
-        # cumulative over full cells, then correct the boundary cells
-        u, g0, g1, bslope, cell_pow = _segment_cells(seg)
-        vals_pow = _cell_integral(u[:-1], u[1:], g0, g1, bslope,
-                                  "powerlaw", True)
-        vals_lin = _cell_integral(u[:-1], u[1:], g0, g1, bslope,
-                                  "loglinear", True)
-        cum = np.concatenate([[0.0],
-                              np.cumsum(np.where(cell_pow, vals_pow,
-                                                 vals_lin))])
-
-        pts = grid.points
-        i_s = int(np.searchsorted(pts, start * (1 - 1e-14), side="left"))
-        i_s = min(i_s, grid.n - 1)
-        lead = (_integral_over(seg, start, float(pts[i_s]), True)
-                if pts[i_s] > start else 0.0)
-        inside = (pts > start) & (pts <= hi)
-        contrib[pts >= lo] = head
-        contrib[inside] = head + lead + (cum[inside] - cum[i_s])
-        if np.any(pts > hi):
-            tail_val = head + (lead + _integral_over(seg, float(pts[i_s]),
-                                                     hi, True)
-                               if hi > pts[i_s]
-                               else _integral_over(seg, start, hi, True))
-            contrib[pts > hi] = tail_val
-        total += contrib
+        head = head_integral(seg) if lo < grid.x_min else 0.0
+        cells = _clipped_cells(seg, max(lo, grid.x_min), min(hi, 1.0), True)
+        total += head + np.concatenate([[0.0], np.cumsum(cells)])
     if np.any(np.diff(total) < -1e-12 * max(1.0, float(total[-1]))):
         raise AssertionError("cumulative integral must be nondecreasing")
     total = np.maximum.accumulate(total)

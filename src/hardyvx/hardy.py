@@ -283,12 +283,12 @@ def operator_norm_lower_bound(p: ExponentFunction,
                               tol: float = 1e-10) -> OperatorNormResult:
     """Max Rayleigh quotient over a test family.
 
-    Members with infinite modular (or a divergent Hardy head) are skipped
-    and logged.  The reduction is a deterministic max; ties go to the
-    earliest member.  An empty or fully skipped
-    family gives a nan value and no argmax.  The result also carries the
-    worst truncation_bias / value over every member whose modular was
-    evaluated, skipped members included.
+    Members with infinite modular, a divergent Hardy head or a zero
+    norm on the grid are skipped and logged.  The reduction is a
+    deterministic max; ties go to the earliest member.  An empty or fully
+    skipped family gives a nan value and no argmax.  The result also
+    carries the worst truncation_bias / value over every member whose
+    modular was evaluated, skipped members included.
     """
     quotients, skipped = [], []
     worst_bias = 0.0
@@ -300,7 +300,8 @@ def operator_norm_lower_bound(p: ExponentFunction,
             if not mv.finite or math.isinf(mv.truncation_bias):
                 raise UnboundedNormError("infinite modular")
             q = rayleigh_quotient(member.f, p, tol=tol)
-        except (DivergentHeadError, UnboundedNormError) as exc:
+        except (DivergentHeadError, UnboundedNormError,
+                ZeroDivisionError) as exc:
             logger.info("skipping %s: %s", member.label, exc)
             skipped.append(member.label)
             continue

@@ -3,7 +3,10 @@
 The modular integrand |f(x)|**p(x) is always assembled in log space as
 exp(p(x) * ln|f(x)|), with |f| = 0 contributing 0.  Integration splits at
 exponent discontinuities and at segment support boundaries, so piecewise
-power data is integrated exactly.
+power data is integrated exactly.  The pieces, p at their nodes and
+ln|f| are prepared once per modular or norm; the modular of f/lambda is
+then exp(p(x) * (ln|f(x)| - ln lambda)) integrated piece by piece, so a
+norm bisection re-evaluates p nowhere.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ import numpy as np
 
 from .exponent import EXP_GUARD, ExponentFunction, exponent_pieces
 from .grids import (
+    DivergentHeadError,
     FunctionLike,
     SampledFunction,
     as_segments,
-    head_fit,
+    head_integral,
     integrate,
-    scaled,
 )
 
 __all__ = [
@@ -62,42 +65,70 @@ class NormValue:
         return self.value
 
 
-def modular(f: FunctionLike, p: ExponentFunction,
-            interval: tuple[float, float] | None = None) -> ModularValue:
-    """integral of |f(x)|**p(x) dx over ``interval`` (default (x_min, 1])."""
+@dataclass(frozen=True)
+class _Piece:
+    """One integration piece of a modular: [s, t], p at the nodes with
+    the piece's one-sided jump values, ln|f| at the nodes, and the node
+    slice its integral reads."""
+    s: float
+    t: float
+    p_nodes: np.ndarray
+    log_abs: np.ndarray  # -inf where f = 0
+    nodes: slice
+    head: bool  # the piece reaches x_min and f's support goes below it
+
+
+def _prepare(f: FunctionLike, p: ExponentFunction,
+             interval: tuple[float, float] | None):
+    """The grid and the pieces of the modular of f over ``interval``."""
     segs = as_segments(f)
     grid = segs[0].grid
     a, b = interval if interval is not None else (grid.x_min, 1.0)
     if not (grid.x_min * (1 - 1e-12) <= a < b <= 1.0 + 1e-12):
         raise ValueError("modular interval must lie inside [x_min, 1]")
-
-    total = 0.0
-    bias = 0.0
+    pieces = []
     for seg in segs:
         lo, hi = seg.effective_support()
         lo_eff, hi_eff = max(lo, a), min(hi, b)
         if lo_eff >= hi_eff:
             continue
-        absv = np.abs(seg.values)
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(seg.values))
+        head = lo < grid.x_min and a <= grid.x_min * (1 + 1e-12)
         for s, t, p_nodes in exponent_pieces(p, grid.points, lo_eff, hi_eff):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                expo = np.where(absv > 0.0,
-                                p_nodes * np.log(np.maximum(absv, 1e-300)),
-                                -np.inf)
-            if np.any(expo > EXP_GUARD):
-                return ModularValue(math.inf)
-            w = np.where(np.isneginf(expo), 0.0, np.exp(expo))
-            integrand = SampledFunction(grid, w, interp="powerlaw")
-            total += integrate(integrand, s, t)
-            # the head below x_min is the single source of truncation
-            # bias; estimate it with the same two-point power fit
-            if (s == lo_eff and lo < grid.x_min
-                    and a <= grid.x_min * (1 + 1e-12)):
-                v0, q = head_fit(integrand)
-                if v0 > 0.0:
-                    bias = (math.inf if q <= -1.0
-                            else bias + v0 * grid.x_min / (q + 1.0))
+            pieces.append(_Piece(s, t, p_nodes, log_abs, grid.node_slice(s, t),
+                                 head and s == lo_eff))
+    return grid, pieces
+
+
+def _modular_at(grid, pieces: list[_Piece], log_lam: float) -> ModularValue:
+    """The modular of f/lambda, lambda = exp(log_lam), from prepared
+    pieces."""
+    total = 0.0
+    bias = 0.0
+    for piece in pieces:
+        expo = piece.p_nodes * (piece.log_abs - log_lam)
+        if np.any(expo[piece.nodes] > EXP_GUARD):
+            return ModularValue(math.inf)
+        # nodes outside the piece's cells are clamped; the integral
+        # never reads them
+        w = np.exp(np.minimum(expo, EXP_GUARD))
+        integrand = SampledFunction(grid, w, interp="powerlaw")
+        total += integrate(integrand, piece.s, piece.t)
+        # the head below x_min is the single source of truncation
+        # bias; estimate it with the same two-point power fit
+        if piece.head:
+            try:
+                bias += head_integral(integrand)
+            except DivergentHeadError:
+                bias = math.inf
     return ModularValue(total, truncation_bias=bias)
+
+
+def modular(f: FunctionLike, p: ExponentFunction,
+            interval: tuple[float, float] | None = None) -> ModularValue:
+    """integral of |f(x)|**p(x) dx over ``interval`` (default (x_min, 1])."""
+    return _modular_at(*_prepare(f, p, interval), 0.0)
 
 
 def _sup_abs(segs: list[SampledFunction]) -> float:
@@ -122,8 +153,10 @@ def luxemburg_norm(f: FunctionLike, p: ExponentFunction,
     if sup == 0.0:
         return NormValue(0.0, 0.0, (0.0, 0.0))
 
+    grid, pieces = _prepare(segs, p, interval)
+
     def mod(lam: float) -> float:
-        return modular(scaled(segs, 1.0 / lam), p, interval).value
+        return _modular_at(grid, pieces, math.log(lam)).value
 
     lam_hi = max(1.0, sup)
     lam_lo = lam_hi * 2.0 ** -60

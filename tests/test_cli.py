@@ -169,12 +169,15 @@ class TestMain:
 
     def test_stdout_json_report(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(minimal("constant-2", grid={"x_min": 1e-8, "n": 401},
-                               a_depth=12, necessity_depth=12))
-        code = main(["run", "--config", str(cfg)])
-        data = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert data["report"]["agreement"] is True
+        # on the x_min = 0.5 grid only C3 decides (bounded) and C2, C4, C5
+        # are inconclusive, which is no disagreement
+        for grid in ({"x_min": 1e-8, "n": 401}, {"x_min": 0.5, "n": 16}):
+            cfg.write_text(minimal("constant-2", grid=grid, a_depth=12,
+                                   necessity_depth=12))
+            code = main(["run", "--config", str(cfg)])
+            data = json.loads(capsys.readouterr().out)
+            assert code == 0
+            assert data["report"]["agreement"] is True
 
 
 @pytest.mark.parametrize("config, criterion, cls", [
@@ -194,6 +197,10 @@ class TestMain:
     # C4's overflow guard must ignore nodes below a
     ({"exponent": {"family": "constant", "p0": 60},
       "grid": {"x_min": 1e-8, "n": 401}}, "C4", "bounded"),
+    # the modular's overflow guard must ignore nodes outside the piece,
+    # and C1 skips the dyadic indicators that have no node inside
+    ({"exponent": {"family": "constant", "p0": 2},
+      "grid": {"x_min": 1e-300, "n": 16}}, "C5", "bounded"),
 ])
 def test_run_ends_in_a_report(tmp_path, capsys, config, criterion, cls):
     path = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hardyvx import (
     DivergentHeadError,
+    SampledFunction,
     cumulative_integral,
     integrate,
     integrate_dlog,
@@ -73,6 +74,14 @@ class TestSupportsAndSegments:
             f = power_function(grid, -1.0, support=(a / 2.0, a))
             assert integrate(f, grid.x_min, 1.0) == pytest.approx(
                 math.log(2.0), rel=1e-12)
+
+    def test_steep_jump_outside_bounds(self, grid):
+        # a cell far below [a, b] jumps by 200 decades; clipping must
+        # keep its power law inside the cell so it contributes exactly 0
+        g = SampledFunction(grid, np.where(grid.points < 1e-6, 1.0, 1e200))
+        assert integrate(g, 0.5, 1.0) == pytest.approx(0.5e200, rel=1e-12)
+        assert integrate_dlog(g, 0.5, 1.0) == pytest.approx(
+            1e200 * math.log(2.0), rel=1e-12)
 
     def test_additivity_at_arbitrary_cut(self, grid):
         f = power_function(grid, -0.3)
