@@ -13,7 +13,7 @@ test is not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .hardy import (
     power_family,
     random_step_family,
 )
-from .lpnorm import norm_of_inverse_x
+from .lpnorm import norms_of_inverse_x
 
 __all__ = [
     "BoundednessVerdict",
@@ -66,6 +66,9 @@ class BoundednessVerdict:
     series: tuple  # ((parameter, value), ...)
     trend_slope: float
     notes: tuple[str, ...] = ()
+    # ((lo, hi), ...) per series entry where a certified interval is
+    # tracked (C1, C5), else (); CSV output only, not part of to_dict
+    bounds: tuple = ()
 
     def to_dict(self) -> dict:
         return {
@@ -228,13 +231,13 @@ def criterion_C5(p: ExponentFunction, grid: LogGrid, a_list=None,
     """||x^-1|| over (a, delta) divided by a**(-1/p'(a))."""
     if a_list is None:
         a_list = default_a_list(grid, delta, A_DEPTH)
-    levels, vals = [], []
-    for a in a_list:
-        nv = norm_of_inverse_x(p, grid, a, delta, tol=tol)
-        la = log_phi(p.eval(a), math.log(1.0 / a))
-        vals.append(nv.value * math.exp(-la))
+    levels, vals, bounds = [], [], []
+    for a, nv in zip(a_list, norms_of_inverse_x(p, grid, a_list, delta, tol)):
+        scale = math.exp(-log_phi(p.eval(a), math.log(1.0 / a)))
+        vals.append(nv.value * scale)
+        bounds.append((nv.bracket[0] * scale, nv.bracket[1] * scale))
         levels.append(-math.log2(a))
-    return classify_series(levels, vals)
+    return replace(classify_series(levels, vals), bounds=tuple(bounds))
 
 
 def almost_decreasing_constant(values: np.ndarray) -> float:
@@ -462,7 +465,9 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
         c1_notes = () if c1.quotients else (
             "no test function gave a quotient: the family is empty or "
             "every member was skipped",)
-        verdicts["C1"] = classify_series(levels, series, notes=c1_notes)
+        verdicts["C1"] = replace(
+            classify_series(levels, series, notes=c1_notes),
+            bounds=tuple(c1.level_bounds()))
 
     # expected class and agreement
     expected: str | None = None

@@ -2,20 +2,22 @@
 
 All integration happens in the coordinate u = ln x.  Cells carry either a
 log-linear interpolant (linear in (u, g)) or a power-law interpolant
-(linear in (u, ln g)).  One vectorised kernel integrates every cell
-clipped to [a, b] in closed form: [ln a, ln b] is clipped into each cell,
-so cells outside get zero width, a partial cell evaluates its own
-interpolant at the clipped end, and an unclipped end keeps the stored
-node value.  ``integrate`` and ``integrate_dlog`` sum the kernel and
-``cumulative_integral`` takes its running sum, so pure power integrands
-are exact up to rounding.  The only truncation bias is the head
-extrapolation below x_min, a two-point power-law fit.
+(linear in (u, ln g)).  One vectorised closed-form cell formula,
+``_cell_integrals``, takes cell arrays (ends, end values, clipped range);
+the quadrature operations feed it the cells of ``LogGrid.node_slice(a,
+b)`` with [ln a, ln b] clipped into each, so a partial cell evaluates its
+own interpolant at the clipped end and an unclipped end keeps the stored
+node value.  ``integrate`` and ``integrate_dlog`` sum the cells and
+``cumulative_integral`` takes their running sum, so pure power integrands
+are exact up to rounding.  The Luxemburg-norm solver in ``lpnorm`` feeds
+the same formula its own prepared cells.  The only truncation bias is the
+head extrapolation below x_min, a two-point power-law fit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -26,7 +28,6 @@ __all__ = [
     "FunctionLike",
     "make_log_grid",
     "as_segments",
-    "scaled",
     "integrate_dlog",
     "integrate",
     "cumulative_integral",
@@ -146,12 +147,6 @@ def as_segments(f: FunctionLike) -> list[SampledFunction]:
     return segs
 
 
-def scaled(f: FunctionLike, c: float) -> FunctionLike:
-    """Pointwise multiple c*f, preserving structure."""
-    segs = [replace(s, values=s.values * c) for s in as_segments(f)]
-    return segs[0] if isinstance(f, SampledFunction) else segs
-
-
 # ---------------------------------------------------------------------------
 # interpolation and closed-form cell integrals
 
@@ -194,17 +189,15 @@ def _interp_values(grid: LogGrid, vals: np.ndarray, interp: str,
     return out
 
 
-def _clipped_cells(g: SampledFunction, a: float, b: float,
-                   weight_x: bool) -> np.ndarray:
-    """Integral of g du (or e^u g du) over every grid cell clipped to
-    [a, b], respecting the cell interpolants but NOT the support (callers
-    clip to the support first).
+def _cell_integrals(u0, u1, g0, g1, s, t, powerlaw: bool = True,
+                    weight_x: bool = True) -> np.ndarray:
+    """Integral of g du (or e^u g du) over [s, t] inside each cell
+    [u0, u1] whose end values are g0, g1.
 
-    [ln a, ln b] is clipped into each cell, so cells outside get zero
-    width and no cell's interpolant is used beyond that cell.
+    A cell with both ends positive and ``powerlaw`` set is linear in
+    (u, ln g), any other cell linear in (u, g).  s == u0 or t == u1 keeps
+    the stored end value, so unclipped cells are exact up to rounding.
     """
-    u, vals = g.grid.u, g.values
-    u0, u1, g0, g1 = u[:-1], u[1:], vals[:-1], vals[1:]
     h = u1 - u0
     pos = (g0 > 0.0) & (g1 > 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -212,17 +205,14 @@ def _clipped_cells(g: SampledFunction, a: float, b: float,
                          np.log(np.maximum(g1, _TINY) / np.maximum(g0, _TINY))
                          / h,
                          0.0)
-    power = pos & (g.interp == "powerlaw")
+    power = pos & powerlaw
 
     def at(v):
-        # unclipped cell ends keep the stored node values
         with np.errstate(over="ignore", invalid="ignore"):
             inner = np.where(power, g0 * np.exp(slope * (v - u0)),
                              g0 + (g1 - g0) * (v - u0) / h)
         return np.where(v == u0, g0, np.where(v == u1, g1, inner))
 
-    s = np.clip(math.log(a), u0, u1)
-    t = np.clip(math.log(b), u0, u1)
     gs, gt = at(s), at(t)
     dt = t - s
     if weight_x:
@@ -235,6 +225,20 @@ def _clipped_cells(g: SampledFunction, a: float, b: float,
         power_cells = _power_cell(slope * dt, gs, dt, gt - gs, slope)
         linear_cells = 0.5 * dt * (gs + gt)
     return np.where(power, power_cells, linear_cells)
+
+
+def _clipped_cells(g: SampledFunction, a: float, b: float,
+                   weight_x: bool) -> np.ndarray:
+    """``_cell_integrals`` of g over the cells of ``node_slice(a, b)``,
+    each clipped to [a, b], respecting the cell interpolants but NOT the
+    support (callers clip to the support first)."""
+    nodes = g.grid.node_slice(a, b)
+    u, vals = g.grid.u[nodes], g.values[nodes]
+    u0, u1 = u[:-1], u[1:]
+    return _cell_integrals(u0, u1, vals[:-1], vals[1:],
+                           np.clip(math.log(a), u0, u1),
+                           np.clip(math.log(b), u0, u1),
+                           powerlaw=g.interp == "powerlaw", weight_x=weight_x)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +312,13 @@ def cumulative_integral(f: FunctionLike) -> SampledFunction:
             raise ValueError("cumulative_integral requires g >= 0")
         lo, hi = seg.effective_support()
         head = head_integral(seg) if lo < grid.x_min else 0.0
-        cells = _clipped_cells(seg, max(lo, grid.x_min), min(hi, 1.0), True)
-        total += head + np.concatenate([[0.0], np.cumsum(cells)])
+        a, b = max(lo, grid.x_min), min(hi, 1.0)
+        nodes = grid.node_slice(a, b)
+        running = np.zeros(grid.n)
+        running[nodes.start + 1:nodes.stop] = np.cumsum(
+            _clipped_cells(seg, a, b, True))
+        running[nodes.stop:] = running[nodes.stop - 1]
+        total += head + running
     if np.any(np.diff(total) < -1e-12 * max(1.0, float(total[-1]))):
         raise AssertionError("cumulative integral must be nondecreasing")
     total = np.maximum.accumulate(total)

@@ -24,7 +24,13 @@ from .grids import (
     cumulative_integral,
     head_fit,
 )
-from .lpnorm import NormValue, UnboundedNormError, luxemburg_norm, modular
+from .lpnorm import (
+    NormValue,
+    UnboundedNormError,
+    luxemburg_norm,  # bench/selftest.py reads hardy.luxemburg_norm
+    luxemburg_norms,
+    modular,
+)
 
 __all__ = [
     "hardy_average",
@@ -137,21 +143,48 @@ class QuotientResult:
 
     @property
     def bounds(self) -> tuple[float, float]:
-        """Interval bound propagated from both bisection brackets."""
+        """Interval bound propagated from both certified norm brackets."""
         nlo, nhi = self.numerator.bracket
         dlo, dhi = self.denominator.bracket
         return (nlo / dhi if dhi > 0 else 0.0,
                 nhi / dlo if dlo > 0 else math.inf)
 
 
+def _rayleigh_quotients(fs: list, p: ExponentFunction, tol: float) -> list:
+    """Rayleigh quotients of each f in ``fs``: every denominator in one
+    ``luxemburg_norms`` call, then every numerator in another.  A failing
+    f's slot holds its exception (ZeroDivisionError, DivergentHeadError
+    or UnboundedNormError), stored without its traceback."""
+    results = luxemburg_norms([(f, None) for f in fs], p, tol)
+    averages = {}
+    for i, den in enumerate(results):
+        if isinstance(den, UnboundedNormError):
+            continue
+        if den.value == 0.0:
+            results[i] = ZeroDivisionError(
+                "Rayleigh quotient of the zero function")
+            continue
+        try:
+            averages[i] = hardy_average(fs[i])
+        except DivergentHeadError as exc:
+            results[i] = exc.with_traceback(None)
+    numerators = luxemburg_norms([(h, None) for h in averages.values()],
+                                 p, tol)
+    for i, num in zip(averages, numerators):
+        den = results[i]
+        results[i] = (num if isinstance(num, UnboundedNormError)
+                      else QuotientResult(num.value / den.value, num, den))
+    return results
+
+
 def rayleigh_quotient(f: FunctionLike, p: ExponentFunction,
                       tol: float = 1e-10) -> QuotientResult:
-    """||x^-1 Hf|| / ||f|| in the Luxemburg norm over (x_min, 1]."""
-    den = luxemburg_norm(f, p, tol=tol)
-    if den.value == 0.0:
-        raise ZeroDivisionError("Rayleigh quotient of the zero function")
-    num = luxemburg_norm(hardy_average(f), p, tol=tol)
-    return QuotientResult(num.value / den.value, num, den)
+    """||x^-1 Hf|| / ||f|| in the Luxemburg norm over (x_min, 1]:
+    ``_rayleigh_quotients`` on one f, raising its exception if it fails."""
+    (result,) = _rayleigh_quotients([f], p, tol)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -268,14 +301,24 @@ class OperatorNormResult:
     skipped: list
     max_relative_modular_bias: float
 
+    def _level_maxima(self) -> dict:
+        """level -> (value, lo, hi) of the earliest member with the
+        level's largest quotient, by increasing level."""
+        best: dict[int, tuple] = {}
+        for _label, level, value, lo, hi in self.quotients:
+            if level is not None and (level not in best
+                                      or value > best[level][0]):
+                best[level] = (value, lo, hi)
+        return dict(sorted(best.items()))
+
     def level_series(self) -> tuple[list[int], list[float]]:
         """Max quotient per dyadic level, for trend classification."""
-        by_level: dict[int, float] = {}
-        for label, level, value, _lo, _hi in self.quotients:
-            if level is not None:
-                by_level[level] = max(by_level.get(level, 0.0), value)
-        levels = sorted(by_level)
-        return levels, [by_level[k] for k in levels]
+        best = self._level_maxima()
+        return list(best), [value for value, _, _ in best.values()]
+
+    def level_bounds(self) -> list[tuple[float, float]]:
+        """The certified (lo, hi) of each ``level_series`` value."""
+        return [(lo, hi) for _, lo, hi in self._level_maxima().values()]
 
 
 def operator_norm_lower_bound(p: ExponentFunction,
@@ -283,30 +326,35 @@ def operator_norm_lower_bound(p: ExponentFunction,
                               tol: float = 1e-10) -> OperatorNormResult:
     """Max Rayleigh quotient over a test family.
 
-    Members with infinite modular, a divergent Hardy head or a zero
-    norm on the grid are skipped and logged.  The reduction is a
+    The denominators of all members are solved in one lockstep batch,
+    then the numerators in another.  Members with infinite modular, a
+    divergent Hardy head, an unbounded norm or a zero norm on the grid
+    are skipped and logged, in member order.  The reduction is a
     deterministic max; ties go to the earliest member.  An empty or fully
     skipped family gives a nan value and no argmax.  The result also
     carries the worst truncation_bias / value over every member whose
     modular was evaluated, skipped members included.
     """
-    quotients, skipped = [], []
+    outcomes: list = [None] * len(members)  # QuotientResult or skip reason
     worst_bias = 0.0
-    for member in members:
-        try:
-            mv = modular(member.f, p)
-            if mv.finite and mv.value > 0.0:
-                worst_bias = max(worst_bias, mv.truncation_bias / mv.value)
-            if not mv.finite or math.isinf(mv.truncation_bias):
-                raise UnboundedNormError("infinite modular")
-            q = rayleigh_quotient(member.f, p, tol=tol)
-        except (DivergentHeadError, UnboundedNormError,
-                ZeroDivisionError) as exc:
-            logger.info("skipping %s: %s", member.label, exc)
+    for i, member in enumerate(members):
+        mv = modular(member.f, p)
+        if mv.finite and mv.value > 0.0:
+            worst_bias = max(worst_bias, mv.truncation_bias / mv.value)
+        if not mv.finite or math.isinf(mv.truncation_bias):
+            outcomes[i] = "infinite modular"
+    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    results = _rayleigh_quotients([members[i].f for i in live], p, tol)
+    for i, result in zip(live, results):
+        outcomes[i] = result
+    quotients, skipped = [], []
+    for member, result in zip(members, outcomes):
+        if not isinstance(result, QuotientResult):
+            logger.info("skipping %s: %s", member.label, result)
             skipped.append(member.label)
             continue
-        lo, hi = q.bounds
-        quotients.append((member.label, member.level, q.value, lo, hi))
+        lo, hi = result.bounds
+        quotients.append((member.label, member.level, result.value, lo, hi))
     value, argmax = math.nan, None
     if quotients:
         argmax, _, value, _, _ = max(quotients, key=lambda q: q[2])

@@ -80,8 +80,10 @@ def emit(report: RunReport, fmt: str, out_dir: str | Path) -> list[Path]:
     """Write the report; returns the paths written.
 
     JSON: one file with the full nested report.  CSV: one file per
-    criterion series with header ``a,value,lo,hi`` (lo/hi collapse to the
-    value when no interval bound is tracked for that series).
+    criterion series with header ``a,value,lo,hi``.  lo/hi are the
+    certified bracket of the quotient that sets each C1 level and the
+    norm bracket divided by phi(a) for C5; they collapse to the value on
+    the other series, which track no interval bound.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -97,8 +99,9 @@ def emit(report: RunReport, fmt: str, out_dir: str | Path) -> list[Path]:
                 continue
             path = out / f"{label}.{name}.csv"
             lines = ["a,value,lo,hi"]
-            for param, value in verdict.series:
-                lines.append(f"{param!r},{value!r},{value!r},{value!r}")
+            bounds = verdict.bounds or [(v, v) for _, v in verdict.series]
+            for (param, value), (lo, hi) in zip(verdict.series, bounds):
+                lines.append(f"{param!r},{value!r},{lo!r},{hi!r}")
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             written.append(path)
     else:

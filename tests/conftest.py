@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hardyvx import SampledFunction, make_log_grid
+from hardyvx.grids import as_segments
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +22,12 @@ def power_function(grid, beta, coeff=1.0, support=None):
     """c * x**beta sampled on the grid."""
     vals = coeff * grid.points ** beta
     return SampledFunction(grid, vals, interp="powerlaw", support=support)
+
+
+def scaled(f, c):
+    """Pointwise multiple c*f, preserving structure."""
+    segs = [replace(s, values=s.values * c) for s in as_segments(f)]
+    return segs[0] if isinstance(f, SampledFunction) else segs
 
 
 def random_piecewise_power(grid, rng, pieces=3, q_range=(-0.6, 0.6),

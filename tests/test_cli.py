@@ -107,6 +107,13 @@ class TestRunAndEmit:
         lines = c2.read_text().splitlines()
         assert lines[0] == "a,value,lo,hi"
         assert len(lines) >= 10
+        c1 = next(p for p in paths if p.name == "constant-2.C1.csv")
+        rows = [[float(x) for x in line.split(",")]
+                for line in c1.read_text().splitlines()[1:]]
+        assert rows
+        for _a, value, lo, hi in rows:
+            assert lo <= value <= hi
+            assert lo < hi
 
     def test_deterministic_modulo_timestamp(self):
         cfg_text = minimal("constant-2", grid={"x_min": 1e-8, "n": 401},

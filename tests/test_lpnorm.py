@@ -14,8 +14,14 @@ from hardyvx import (
     modular,
     norm_of_inverse_x,
 )
+from hardyvx.hardy import (
+    dyadic_indicator_family,
+    necessity_family,
+    power_family,
+)
+from hardyvx.lpnorm import UnboundedNormError, luxemburg_norms
 
-from conftest import power_function
+from conftest import power_function, random_piecewise_power, scaled
 
 
 class TestModular:
@@ -75,7 +81,6 @@ class TestLuxemburgNorm:
         assert luxemburg_norm(f, Constant(2.0)).value == 0.0
 
     def test_modular_at_norm_is_at_most_one(self, grid):
-        from hardyvx.grids import scaled
         f = power_function(grid, -0.3, coeff=2.5)
         p = Constant(1.7)
         nv = luxemburg_norm(f, p)
@@ -95,13 +100,70 @@ class TestLuxemburgNorm:
     @settings(max_examples=15, deadline=None)
     @given(st.floats(1.1, 4.0), st.floats(-0.5, 0.5))
     def test_property_modular_decreases_in_lambda(self, p0, q):
-        from hardyvx.grids import scaled
         grid = make_log_grid(1e-8, 241)
         f = power_function(grid, q, coeff=2.0)
         p = Constant(p0)
         vals = [modular(scaled([f], 1.0 / lam), p).value
                 for lam in (0.5, 1.0, 2.0, 8.0)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+class TestLockstepSolver:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.01, 0.9),
+           st.floats(1.0, 6.0), st.floats(1.0, 6.0))
+    def test_property_certified_bracket(self, seed, jump, p1, p2):
+        grid = make_log_grid(1e-8, 241)
+        segs, _ = random_piecewise_power(grid, np.random.default_rng(seed))
+        p = PiecewiseConstant((jump,), (p1, p2))
+        tol = 1e-10
+        nv = luxemburg_norm(segs, p, tol=tol)
+        lo, hi = nv.bracket
+        assert nv.value == hi
+        assert (hi - lo) / hi <= tol
+        assert modular(scaled(segs, 1.0 / hi), p).value <= 1.0
+        assert modular(scaled(segs, 1.0 / lo), p).value > 1.0
+
+    @pytest.mark.parametrize("coeff", [1.0, 1e13])
+    def test_tol_below_double_resolution_ends(self, coeff):
+        # no bracket is narrower than double resolution in lambda or in
+        # ln lambda; the solve stops there, keeps lo < hi certified and
+        # reports the width it reached
+        grid = make_log_grid(1e-8, 241)
+        p = PiecewiseConstant((0.1,), (2.0, 3.0))
+        f = power_function(grid, -0.3, coeff=coeff)
+        nv = luxemburg_norm(f, p, tol=1e-20)
+        lo, hi = nv.bracket
+        assert nv.value == hi
+        assert 0.0 < nv.tol == (hi - lo) / hi < 1e-13
+        assert modular(scaled([f], 1.0 / hi), p).value <= 1.0
+        assert modular(scaled([f], 1.0 / lo), p).value > 1.0
+
+    def test_batch_matches_single_jobs(self):
+        grid = make_log_grid(1e-8, 241)
+        p = PiecewiseConstant((0.01,), (1.5, 2.5))
+        # node values outside the support enter the boundary cell, so a
+        # spike there keeps the modular above 1 up to 2**200 sup|f|
+        spike = np.ones(grid.n)
+        i = grid.index_left(0.25)
+        spike[i] = 1e300
+        unbounded = SampledFunction(grid, spike,
+                                    support=(grid.points[i] * 1.0001, 0.5))
+        members = (power_family(p, grid)[::4]
+                   + necessity_family(p, grid, depth=12)[::3]
+                   + dyadic_indicator_family(grid)[::5])
+        jobs = [(m.f, None) for m in members]
+        jobs.insert(3, (unbounded, None))
+        jobs.append((power_function(grid, -0.3), (0.001, 0.5)))
+        batch = luxemburg_norms(jobs, p)
+        assert len(batch) == len(jobs)
+        for (f, interval), result in zip(jobs, batch):
+            if f is unbounded:
+                assert isinstance(result, UnboundedNormError)
+                with pytest.raises(UnboundedNormError):
+                    luxemburg_norm(f, p, interval)
+            else:
+                assert result == luxemburg_norm(f, p, interval)
 
 
 class TestBracket:
