@@ -6,12 +6,18 @@ Subcommands:
   audit-all  audit every catalog entry; exit nonzero if any agreement fails
 
 Exit codes: 0 = success/agreement, 1 = input error, 2 = audit inconsistency.
+
+``run`` and ``audit-all`` take ``-v`` (log level INFO) or ``--log-level
+LEVEL``, which send the ``hardyvx`` loggers to stderr, among them the
+reason for each skipped C1 test function; without either they print
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 from . import __version__
@@ -33,7 +39,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run one scenario from a JSON config")
+    logs = argparse.ArgumentParser(add_help=False)
+    level = logs.add_mutually_exclusive_group()
+    level.add_argument("-v", dest="log_level", action="store_const",
+                       const="INFO", help="log at level INFO to stderr")
+    level.add_argument("--log-level", type=str.upper,
+                       choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+                       help="log at LEVEL to stderr")
+
+    run = sub.add_parser("run", parents=[logs],
+                         help="run one scenario from a JSON config")
     run.add_argument("--config", required=True, help="path to JSON config")
     run.add_argument("--out", default=None,
                      help="output directory (default: config 'out' or '.')")
@@ -42,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("catalog", help="list built-in exponent functions")
 
-    audit = sub.add_parser("audit-all",
+    audit = sub.add_parser("audit-all", parents=[logs],
                            help="audit the whole built-in catalog")
     audit.add_argument("--out", default=None,
                        help="optional directory for per-entry JSON reports")
@@ -103,11 +118,22 @@ def _cmd_audit_all(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
     if args.command == "catalog":
         return _cmd_catalog()
-    return _cmd_audit_all(args)
+    command = _cmd_run if args.command == "run" else _cmd_audit_all
+    if args.log_level is None:
+        return command(args)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: "
+                                           "%(message)s"))
+    logger = logging.getLogger("hardyvx")
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level)
+    try:
+        return command(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(logging.NOTSET)
 
 
 if __name__ == "__main__":

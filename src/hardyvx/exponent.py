@@ -387,20 +387,26 @@ def phi(p: ExponentFunction, t) -> np.ndarray:
     return out if arr.shape else float(out)
 
 
-def exponent_pieces(p: ExponentFunction, x: np.ndarray, lo: float,
-                    hi: float):
+def exponent_pieces(p: ExponentFunction, x: np.ndarray, p_x: np.ndarray,
+                    lo: float, hi: float):
     """Split (lo, hi) at the jumps of p; yield (s, t, p at the nodes x) per
-    piece.  Across a jump of p at s or t, nodes beyond it carry the piece's
-    one-sided value, so cells straddling the jump integrate its branch."""
+    piece, given p_x = p at x.  Across a jump of p at s or t, nodes beyond
+    it carry the piece's one-sided value, so cells straddling the jump
+    integrate its branch."""
     jumps = set(p.discontinuities())
     edges = [lo] + sorted(d for d in jumps if lo < d < hi) + [hi]
-    p_x = p.eval(x)
+    # the one-sided values at every jump among the edges, in two calls
+    at = [d for d in edges if d in jumps]
+    above, below = {}, {}
+    if at:
+        above = dict(zip(at, p.eval(np.array(at)).tolist()))
+        below = dict(zip(at, p.eval(np.array(at) * (1.0 - 1e-15)).tolist()))
     for s, t in zip(edges, edges[1:]):
         p_st = p_x
         if s in jumps:
-            p_st = np.where(x < s, p.eval(s), p_st)
+            p_st = np.where(x < s, above[s], p_st)
         if t in jumps:
-            p_st = np.where(x >= t, p.eval(t * (1.0 - 1e-15)), p_st)
+            p_st = np.where(x >= t, below[t], p_st)
         yield s, t, p_st
 
 

@@ -3,15 +3,22 @@
 All integration happens in the coordinate u = ln x.  Cells carry either a
 log-linear interpolant (linear in (u, g)) or a power-law interpolant
 (linear in (u, ln g)).  One vectorised closed-form cell formula,
-``_cell_integrals``, takes cell arrays (ends, end values, clipped range);
-the quadrature operations feed it the cells of ``LogGrid.node_slice(a,
-b)`` with [ln a, ln b] clipped into each, so a partial cell evaluates its
-own interpolant at the clipped end and an unclipped end keeps the stored
-node value.  ``integrate`` and ``integrate_dlog`` sum the cells and
+``_cell_integrals``, takes nodes, node values and each cell's clipped
+range; the quadrature operations feed it the nodes of
+``LogGrid.node_slice(a, b)`` with [ln a, ln b] clipped into each cell, so
+a partial cell evaluates its own interpolant at the clipped end and an
+unclipped end keeps the stored node value.  A power-law cell is computed
+in log space by ``_exp_cells``: with E = ln g (+ u for dx) lerped to the
+clipped ends s and t, it is exp(max(E_s, E_t)) * (t - s) * (1 -
+e^-|E_t - E_s|) / |E_t - E_s|, two transcendentals per cell, exact as
+the cell flattens and with no overflow below the larger end.  A cell with
+a zero end, or a log-linear one, is linear in g (``_linear_cells``).
+``integrate`` and ``integrate_dlog`` sum the cells and
 ``cumulative_integral`` takes their running sum, so pure power integrands
 are exact up to rounding.  The Luxemburg-norm solver in ``lpnorm`` feeds
-the same formula its own prepared cells.  The only truncation bias is the
-head extrapolation below x_min, a two-point power-law fit.
+``_exp_cells`` the exponents of its own prepared cells.  The only
+truncation bias is the head extrapolation below x_min, a two-point
+power-law fit.
 """
 
 from __future__ import annotations
@@ -150,24 +157,9 @@ def as_segments(f: FunctionLike) -> list[SampledFunction]:
 # ---------------------------------------------------------------------------
 # interpolation and closed-form cell integrals
 
+# keeps the exponential cell's factor expm1(-|d|)/(-|d|) finite at d = 0;
+# it moves |d| only where |d| < 1e-284, where the factor is 1 anyway
 _TINY = 1e-300
-
-
-def _power_cell(z, front, dt, diff, denom):
-    """Integral of a power-law cell: front*dt*expm1(z)/z == diff/denom.
-
-    The expm1 form is exact as z -> 0 where the quotient form loses all
-    precision; the quotient form is used for |z| >= 0.5 where expm1 could
-    overflow and no cancellation occurs.
-    """
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < 0.5
-    zs = np.where(z == 0.0, 1.0, z)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        phi = np.where(z == 0.0, 1.0, np.expm1(np.where(small, z, 0.0)) / zs)
-        val_small = front * dt * phi
-        val_big = diff / np.where(small, 1.0, denom)
-    return np.where(small, val_small, val_big)
 
 
 def _interp_values(grid: LogGrid, vals: np.ndarray, interp: str,
@@ -189,42 +181,66 @@ def _interp_values(grid: LogGrid, vals: np.ndarray, interp: str,
     return out
 
 
-def _cell_integrals(u0, u1, g0, g1, s, t, powerlaw: bool = True,
+def _lerp(y0, y1, w):
+    """y0 + (y1 - y0) w, exactly y0 at w = 0 and y1 at w = 1."""
+    return y0 * (1.0 - w) + y1 * w
+
+
+def _exp_cells(e_s, e_t, dt):
+    """Integral of exp(E) over cells of width dt on which E is linear,
+    from e_s to e_t: exp(max) * dt * (1 - e^-|d|) / |d|, d = e_t - e_s.
+
+    This is the power-law cell in log space: two transcendentals per
+    cell, exact as d -> 0, and no overflow below exp(max)."""
+    x = -_TINY - np.abs(e_t - e_s)
+    return np.exp(np.maximum(e_s, e_t)) * dt * (np.expm1(x) / x)
+
+
+def _cell_integrals(u, g, s, t, powerlaw: bool = True,
                     weight_x: bool = True) -> np.ndarray:
-    """Integral of g du (or e^u g du) over [s, t] inside each cell
-    [u0, u1] whose end values are g0, g1.
+    """Integral of g du (or e^u g du) over [s[i], t[i]] inside each cell
+    [u[i], u[i+1]] of the nodes u, whose values are g.
 
     A cell with both ends positive and ``powerlaw`` set is linear in
-    (u, ln g), any other cell linear in (u, g).  s == u0 or t == u1 keeps
-    the stored end value, so unclipped cells are exact up to rounding.
+    (u, ln g): ``_exp_cells`` of E = ln g (+ u), taken once per node and
+    lerped to s and t.  Any other cell is linear in (u, g).  s == u[i] or
+    t == u[i+1] keeps the stored end value, so unclipped cells are exact
+    up to rounding.
     """
-    h = u1 - u0
-    pos = (g0 > 0.0) & (g1 > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        slope = np.where(pos,
-                         np.log(np.maximum(g1, _TINY) / np.maximum(g0, _TINY))
-                         / h,
-                         0.0)
-    power = pos & powerlaw
+    u0, u1, g0, g1 = u[:-1], u[1:], g[:-1], g[1:]
+    w_s, w_t = (s - u0) / (u1 - u0), (t - u0) / (u1 - u0)
+    positive = g > 0.0
+    power = positive[:-1] & positive[1:] & powerlaw
+    e = np.log(np.where(positive, g, 1.0)) + (u if weight_x else 0.0)
+    e0, e1 = e[:-1], e[1:]
+    cells = _exp_cells(_lerp(e0, e1, w_s), _lerp(e0, e1, w_t), t - s)
+    linear = ~power
+    if linear.any():
+        cells[linear] = _linear_cells(_lerp(g0, g1, w_s)[linear],
+                                      _lerp(g0, g1, w_t)[linear],
+                                      s[linear], t[linear], weight_x)
+    return cells
 
-    def at(v):
-        with np.errstate(over="ignore", invalid="ignore"):
-            inner = np.where(power, g0 * np.exp(slope * (v - u0)),
-                             g0 + (g1 - g0) * (v - u0) / h)
-        return np.where(v == u0, g0, np.where(v == u1, g1, inner))
 
-    gs, gt = at(s), at(t)
+def _linear_cells(g_s, g_t, s, t, weight_x: bool):
+    """Integral of g du (or e^u g du) over [s, t] where g is linear in u,
+    from g_s to g_t.
+
+    With the weight it is e^s dt (g_s A + g_t B), A and B the integrals
+    of (1 - r) e^(r dt) and r e^(r dt) over r in (0, 1): no cancellation
+    between the two ends, and a Taylor series where dt < 1e-2, below
+    which the closed forms lose digits."""
     dt = t - s
-    if weight_x:
-        es, et = np.exp(s), np.exp(t)
-        b1 = slope + 1.0
-        power_cells = _power_cell(b1 * dt, es * gs, dt, et * gt - es * gs, b1)
-        m = np.where(dt > 0, (gt - gs) / np.where(dt > 0, dt, 1.0), 0.0)
-        linear_cells = et * (gt - m) - es * (gs - m)
-    else:
-        power_cells = _power_cell(slope * dt, gs, dt, gt - gs, slope)
-        linear_cells = 0.5 * dt * (gs + gt)
-    return np.where(power, power_cells, linear_cells)
+    if not weight_x:
+        return 0.5 * dt * (g_s + g_t)
+    small = dt < 1e-2
+    x = np.where(small, 1.0, dt)
+    e = np.expm1(x)
+    a = np.where(small, 1/2 + dt * (1/6 + dt * (1/24 + dt * (
+        1/120 + dt * (1/720 + dt / 5040)))), (e - x) / (x * x))
+    b = np.where(small, 1/2 + dt * (1/3 + dt * (1/8 + dt * (
+        1/30 + dt * (1/144 + dt / 840)))), (x * e - e + x) / (x * x))
+    return np.exp(s) * dt * (g_s * a + g_t * b)
 
 
 def _clipped_cells(g: SampledFunction, a: float, b: float,
@@ -233,11 +249,10 @@ def _clipped_cells(g: SampledFunction, a: float, b: float,
     each clipped to [a, b], respecting the cell interpolants but NOT the
     support (callers clip to the support first)."""
     nodes = g.grid.node_slice(a, b)
-    u, vals = g.grid.u[nodes], g.values[nodes]
-    u0, u1 = u[:-1], u[1:]
-    return _cell_integrals(u0, u1, vals[:-1], vals[1:],
-                           np.clip(math.log(a), u0, u1),
-                           np.clip(math.log(b), u0, u1),
+    u = g.grid.u[nodes]
+    return _cell_integrals(u, g.values[nodes],
+                           np.clip(math.log(a), u[:-1], u[1:]),
+                           np.clip(math.log(b), u[:-1], u[1:]),
                            powerlaw=g.interp == "powerlaw", weight_x=weight_x)
 
 

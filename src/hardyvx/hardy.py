@@ -19,7 +19,7 @@ from .grids import (
     FunctionLike,
     LogGrid,
     SampledFunction,
-    _power_cell,
+    _cell_integrals,
     as_segments,
     cumulative_integral,
     head_fit,
@@ -27,6 +27,7 @@ from .grids import (
 from .lpnorm import (
     NormValue,
     UnboundedNormError,
+    _solve,
     luxemburg_norm,  # bench/selftest.py reads hardy.luxemburg_norm
     luxemburg_norms,
     modular,
@@ -69,20 +70,9 @@ def hardy_average(f: FunctionLike) -> SampledFunction:
 
 def _t_quadrature(t0: float, t1: float, vals_fn, n_t: int) -> float:
     """integral of v(t) dt over (t0, t1) on a fresh geometric t-grid."""
-    ts = np.exp(np.linspace(math.log(t0), math.log(t1), n_t))
-    vs = np.asarray(vals_fn(ts), dtype=float)
-    a, b = ts[:-1], ts[1:]
-    va, vb = vs[:-1], vs[1:]
-    pos = (va > 0.0) & (vb > 0.0)
-    h = np.log(b / a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(pos, np.log(np.maximum(vb, 1e-300)
-                                     / np.maximum(va, 1e-300)) / h, 0.0)
-        b1 = slope + 1.0
-        power_cell = _power_cell(b1 * h, a * va, h, b * vb - a * va, b1)
-    # trapezoid in t for cells touching zero
-    lin_cell = 0.5 * (b - a) * (va + vb)
-    return float(np.sum(np.where(pos, power_cell, lin_cell)))
+    u = np.linspace(math.log(t0), math.log(t1), n_t)
+    vs = np.asarray(vals_fn(np.exp(u)), dtype=float)
+    return float(np.sum(_cell_integrals(u, vs, u[:-1], u[1:])))
 
 
 def hardy_average_scaled(f: FunctionLike, n_t: int = 257) -> SampledFunction:
@@ -150,12 +140,13 @@ class QuotientResult:
                 nhi / dlo if dlo > 0 else math.inf)
 
 
-def _rayleigh_quotients(fs: list, p: ExponentFunction, tol: float) -> list:
-    """Rayleigh quotients of each f in ``fs``: every denominator in one
-    ``luxemburg_norms`` call, then every numerator in another.  A failing
+def _rayleigh_quotients(fs: list, denominators: list,
+                        p: ExponentFunction, tol: float) -> list:
+    """Rayleigh quotients of each f in ``fs`` given its solved denominator
+    ||f||: every numerator in one ``luxemburg_norms`` call.  A failing
     f's slot holds its exception (ZeroDivisionError, DivergentHeadError
     or UnboundedNormError), stored without its traceback."""
-    results = luxemburg_norms([(f, None) for f in fs], p, tol)
+    results = list(denominators)
     averages = {}
     for i, den in enumerate(results):
         if isinstance(den, UnboundedNormError):
@@ -180,8 +171,10 @@ def _rayleigh_quotients(fs: list, p: ExponentFunction, tol: float) -> list:
 def rayleigh_quotient(f: FunctionLike, p: ExponentFunction,
                       tol: float = 1e-10) -> QuotientResult:
     """||x^-1 Hf|| / ||f|| in the Luxemburg norm over (x_min, 1]:
-    ``_rayleigh_quotients`` on one f, raising its exception if it fails."""
-    (result,) = _rayleigh_quotients([f], p, tol)
+    ``_rayleigh_quotients`` on one f, raising its exception if it
+    fails."""
+    (result,) = _rayleigh_quotients([f], luxemburg_norms([(f, None)], p, tol),
+                                    p, tol)
     if isinstance(result, Exception):
         raise result
     return result
@@ -247,7 +240,8 @@ def necessity_test_function(p: ExponentFunction, grid: LogGrid,
         raise ResolutionError(
             f"only {inside} grid points fall inside (a/2, a) for a={a:g}")
     segs = []
-    for s, t, pn in exponent_pieces(p, grid.points, a / 2.0, a):
+    for s, t, pn in exponent_pieces(p, grid.points, p.eval(grid.points),
+                                    a / 2.0, a):
         vals = np.exp(-np.log(grid.points) / pn)
         segs.append(SampledFunction(grid, vals, interp="powerlaw",
                                     support=(s, t)))
@@ -326,8 +320,10 @@ def operator_norm_lower_bound(p: ExponentFunction,
                               tol: float = 1e-10) -> OperatorNormResult:
     """Max Rayleigh quotient over a test family.
 
-    The denominators of all members are solved in one lockstep batch,
-    then the numerators in another.  Members with infinite modular, a
+    Each member is prepared once: the cells its modular check prepares
+    also give its truncation bias and feed the denominator solve.  The
+    denominators of all members are solved in one lockstep batch, then
+    the numerators in another.  Members with infinite modular, a
     divergent Hardy head, an unbounded norm or a zero norm on the grid
     are skipped and logged, in member order.  The reduction is a
     deterministic max; ties go to the earliest member.  An empty or fully
@@ -337,14 +333,26 @@ def operator_norm_lower_bound(p: ExponentFunction,
     """
     outcomes: list = [None] * len(members)  # QuotientResult or skip reason
     worst_bias = 0.0
-    for i, member in enumerate(members):
-        mv = modular(member.f, p)
-        if mv.finite and mv.value > 0.0:
-            worst_bias = max(worst_bias, mv.truncation_bias / mv.value)
-        if not mv.finite or math.isinf(mv.truncation_bias):
-            outcomes[i] = "infinite modular"
-    live = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    results = _rayleigh_quotients([members[i].f for i in live], p, tol)
+    live = []
+
+    def checked():
+        """The cells of each member that passes its modular check, in
+        member order, prepared only as the solver takes them, so that one
+        group's cells are held at a time."""
+        nonlocal worst_bias
+        for i, member in enumerate(members):
+            mv = modular(member.f, p)
+            if mv.finite and mv.value > 0.0:
+                worst_bias = max(worst_bias, mv.truncation_bias / mv.value)
+            if not mv.finite or math.isinf(mv.truncation_bias):
+                outcomes[i] = "infinite modular"
+            else:
+                live.append(i)
+                yield mv.cells
+
+    denominators = _solve(checked(), tol)
+    results = _rayleigh_quotients([members[i].f for i in live], denominators,
+                                  p, tol)
     for i, result in zip(live, results):
         outcomes[i] = result
     quotients, skipped = [], []

@@ -4,12 +4,19 @@ The modular integrand |f(x)/lambda|**p(x) is always assembled in log
 space as exp(p(x) * (ln|f(x)| - sigma)), sigma = ln lambda, with |f| = 0
 contributing 0.  Integration splits at exponent discontinuities and at
 segment support boundaries, so piecewise power data is integrated
-exactly.  ``_prepare`` turns (f, p, interval) into sigma-independent cell
-arrays, the cells of each piece's node slice with the piece clipped into
-them and p and ln|f| at both cell ends; ``_evaluate`` integrates many
-such (cells, sigma) rows in one vectorised call of the grid's cell
-formula, so neither ``SampledFunction`` nor ``integrate`` appears in a
-norm solve.
+exactly.  ``_prepare`` turns (f, p at the nodes, interval) into
+sigma-independent cell rows, once per f: for each cell of each piece's
+node slice, with the piece clipped into it, the exponent E = p ln|f| + u
+- sigma p (u = ln x) at both clipped ends is a - sigma q, so the cell
+integral is the grid's log-space cell formula ``_exp_cells`` of two
+such values, two transcendentals per cell.  Cells where f vanishes at
+both ends integrate to 0 at every sigma and are dropped; the few cells
+with one zero end are linear in |f/lambda|**p, so each is a constant
+times its nonzero end, stored as a one-exponent cell.  ``_evaluate``
+integrates many such (cells, sigma) rows in one vectorised call, so
+neither ``SampledFunction`` nor ``integrate`` appears in a norm solve,
+and I is inf, without evaluation, for sigma below a row's guard, where a
+node's exponent p (ln|f| - sigma) would exceed EXP_GUARD.
 
 Every norm comes from one lockstep solver, ``luxemburg_norms``.
 I(e^sigma) is convex and decreasing in sigma, and so is ln I, so a
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +44,9 @@ from .grids import (
     FunctionLike,
     LogGrid,
     SampledFunction,
-    _cell_integrals,
+    _exp_cells,
+    _lerp,
+    _linear_cells,
     as_segments,
     head_integral,
 )
@@ -75,9 +84,32 @@ class UnboundedNormError(ArithmeticError):
 
 
 @dataclass(frozen=True)
+class _Cells:
+    """The prepared modular of one f.  ``rows`` holds, per kept cell,
+    a_s, q_s, a_t, q_t, dt and mean p, so that the cell's integral at
+    sigma is ``_exp_cells(a_s - sigma q_s, a_t - sigma q_t, dt)``.  I is
+    inf for sigma below ``guard``, where some node's exponent p (ln|f| -
+    sigma) exceeds EXP_GUARD.  ``sup`` is sup|f| on f's support, and
+    ``heads`` holds (p, f) at the nodes for each piece that reaches x_min
+    while f's support goes below it, for the head fit."""
+    grid: LogGrid
+    rows: np.ndarray  # shape (6, cells)
+    guard: float
+    sup: float
+    heads: list
+
+    @property
+    def size(self) -> int:
+        return self.rows.shape[1]
+
+
+@dataclass(frozen=True)
 class ModularValue:
     value: float  # may be math.inf
     truncation_bias: float = 0.0
+    # the prepared f, which the norm solver takes, so a caller that checks
+    # the modular and then solves the norm prepares f once
+    cells: _Cells | None = field(default=None, repr=False, compare=False)
 
     @property
     def finite(self) -> bool:
@@ -97,68 +129,102 @@ class NormValue:
         return self.value
 
 
-@dataclass(frozen=True)
-class _Cells:
-    """The cells of one modular, concatenated over its pieces' node
-    slices.  ``rows`` holds u0, u1, s, t (the piece clipped into the
-    cell), p0, p1 and ln|f| at both ends (-inf where f = 0).  ``heads``
-    holds (p, ln|f|) at every node for each piece that reaches x_min
-    while f's support goes below it, for the head fit."""
-    grid: LogGrid
-    rows: np.ndarray  # shape (8, cells)
-    heads: list
+def _piece_rows(u: np.ndarray, p: np.ndarray, f: np.ndarray, s: float,
+                t: float) -> tuple[np.ndarray, float]:
+    """The rows of the cells of one piece's node slice (nodes u, p and f
+    there), with [s, t] clipped into each cell, and the piece's guard.
 
-    @property
-    def size(self) -> int:
-        return self.rows.shape[1]
+    E = p ln|f| + u - sigma p is lerped to the clipped ends, which differ
+    from the nodes only in the first and the last cell.  Cells with f = 0
+    at both ends integrate to 0 at every sigma and are dropped.  On a cell
+    with one zero end |f/lambda|**p is linear in u, so its integral is
+    c |f/lambda|**p at the other end, c = ``_linear_cells`` of the 0-1
+    end pattern: the single exponent ln c + p ln|f| - sigma p, stored as a
+    cell of width 1."""
+    nz = f != 0.0
+    zeros = not nz.all()
+    if zeros:
+        hit = nz.nonzero()[0]
+        if not hit.size:
+            return np.empty((6, 0)), -math.inf
+        # trim the runs of zero cells at both ends of the slice; clipping
+        # [s, t] into a cell that is no longer first or last changes nothing
+        keep = slice(max(hit[0] - 1, 0), hit[-1] + 2)
+        u, p, f, nz = u[keep], p[keep], f[keep], nz[keep]
+    ln_f = np.log(np.abs(f), out=np.full(f.shape, -math.inf), where=nz)
+    guard = float((ln_f - EXP_GUARD / p).max())
+    cs, ct = u[:-1].copy(), u[1:].copy()
+    (u_0, u_1), (u_m, u_n) = u[:2].tolist(), u[-2:].tolist()
+    cs[0] = s_0 = min(max(math.log(s), u_0), u_1)
+    ct[-1] = t_n = min(max(math.log(t), u_m), u_n)
+    pl = p * ln_f  # -inf where f = 0, on cells that are replaced below
+    a = pl + u
+    rows = np.empty((6, u.size - 1))
+    rows[0], rows[1], rows[2], rows[3] = a[:-1], p[:-1], a[1:], p[1:]
+    rows[4] = ct - cs
+    rows[5] = 0.5 * (p[:-1] + p[1:])
+    w_s, w_t = (s_0 - u_0) / (u_1 - u_0), (t_n - u_m) / (u_n - u_m)
+    (a_0, a_1), (a_m, a_n) = a[:2].tolist(), a[-2:].tolist()
+    (p_0, p_1), (p_m, p_n) = p[:2].tolist(), p[-2:].tolist()
+    rows[0, 0], rows[1, 0] = _lerp(a_0, a_1, w_s), _lerp(p_0, p_1, w_s)
+    rows[2, -1], rows[3, -1] = _lerp(a_m, a_n, w_t), _lerp(p_m, p_n, w_t)
+    if not zeros:
+        return rows, guard
+    other = (~(nz[:-1] & nz[1:])).nonzero()[0]
+    left, right = nz[other], nz[other + 1]
+    u0, cs, ct = u[other], cs[other], ct[other]
+    h = u[other + 1] - u0
+    c = _linear_cells(_lerp(left, right, (cs - u0) / h),
+                      _lerp(left, right, (ct - u0) / h), cs, ct, True)
+    # c = 0 on a cell with f = 0 at both ends, or of zero width
+    empty = c <= 0.0
+    e = np.where(left, pl[other], pl[other + 1])
+    e += np.log(c, out=np.zeros_like(c), where=~empty)
+    q = np.where(left, p[other], p[other + 1])
+    rows[0, other], rows[1, other], rows[2, other], rows[3, other] = e, q, e, q
+    rows[4, other] = 1.0
+    return (np.delete(rows, other[empty], axis=1) if empty.any() else rows,
+            guard)
 
 
-def _prepare(f: FunctionLike, p: ExponentFunction,
+def _prepare(segs: list[SampledFunction], p: ExponentFunction,
+             p_nodes: np.ndarray,
              interval: tuple[float, float] | None) -> _Cells:
-    """The cells of the modular of f over ``interval``."""
-    segs = as_segments(f)
+    """The cells of the modular of f, given as segments, over
+    ``interval``; ``p_nodes`` is p at the grid's nodes."""
     grid = segs[0].grid
     a, b = interval if interval is not None else (grid.x_min, 1.0)
     if not (grid.x_min * (1 - 1e-12) <= a < b <= 1.0 + 1e-12):
         raise ValueError("modular interval must lie inside [x_min, 1]")
-    blocks, heads = [], []
+    blocks, heads, guard = [], [], -math.inf
     for seg in segs:
         lo, hi = seg.effective_support()
         lo_eff, hi_eff = max(lo, a), min(hi, b)
         if lo_eff >= hi_eff:
             continue
-        with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(seg.values))
         head = lo < grid.x_min and a <= grid.x_min * (1 + 1e-12)
-        for s, t, p_nodes in exponent_pieces(p, grid.points, lo_eff, hi_eff):
+        for s, t, p_st in exponent_pieces(p, grid.points, p_nodes, lo_eff,
+                                          hi_eff):
             nodes = grid.node_slice(s, t)
-            u, pn, ln_f = grid.u[nodes], p_nodes[nodes], log_abs[nodes]
-            u0, u1 = u[:-1], u[1:]
-            blocks.append(np.stack([
-                u0, u1, np.clip(math.log(s), u0, u1),
-                np.clip(math.log(t), u0, u1),
-                pn[:-1], pn[1:], ln_f[:-1], ln_f[1:]]))
+            rows, piece_guard = _piece_rows(grid.u[nodes], p_st[nodes],
+                                            seg.values[nodes], s, t)
+            blocks.append(rows)
+            guard = max(guard, piece_guard)
             if head and s == lo_eff:
-                heads.append((p_nodes, log_abs))
-    rows = np.concatenate(blocks, axis=1) if blocks else np.empty((8, 0))
-    return _Cells(grid, rows, heads)
+                heads.append((p_st, seg.values))
+    rows = np.concatenate(blocks, axis=1) if blocks else np.empty((6, 0))
+    return _Cells(grid, rows, guard, _sup_abs(segs), heads)
 
 
 def _evaluate(rows: np.ndarray, sigma, starts: np.ndarray):
     """The modular I of f/e^sigma and the Newton slope S (the sum of mean
     p times the cell integral, so dI/dsigma ~ -S) for each row of cells
-    starting at ``starts``; ``sigma`` is given per cell.  I is inf on a
-    row where a node's exponent exceeds EXP_GUARD."""
-    u0, u1, s, t, p0, p1, l0, l1 = rows
-    e0, e1 = p0 * (l0 - sigma), p1 * (l1 - sigma)
-    over = np.maximum.reduceat(np.maximum(e0, e1), starts) > EXP_GUARD
-    # overflowing rows are clamped here and reported as inf below
-    cells = _cell_integrals(u0, u1, np.exp(np.minimum(e0, EXP_GUARD)),
-                            np.exp(np.minimum(e1, EXP_GUARD)), s, t)
-    value = np.add.reduceat(cells, starts)
-    slope = np.add.reduceat(0.5 * (p0 + p1) * cells, starts)
-    value[over] = math.inf
-    return value, slope
+    starting at ``starts``; ``sigma`` is given per cell and lies at or
+    above each row's guard."""
+    a_s, q_s, a_t, q_t, dt, p_mean = rows
+    cells = _exp_cells(a_s - sigma * q_s, a_t - sigma * q_t, dt)
+    return (np.add.reduceat(cells, starts),
+            np.add.reduceat(p_mean * cells, starts))
 
 
 def modular(f: FunctionLike, p: ExponentFunction,
@@ -167,21 +233,23 @@ def modular(f: FunctionLike, p: ExponentFunction,
 
     The truncation bias is the head below x_min, estimated with the grid's
     two-point power fit of the integrand."""
-    cells = _prepare(f, p, interval)
-    if cells.size == 0:
-        return ModularValue(0.0)
-    value, _ = _evaluate(cells.rows, 0.0, np.zeros(1, dtype=np.intp))
-    value = float(value[0])
-    if math.isinf(value):
-        return ModularValue(math.inf)
+    segs = as_segments(f)
+    cells = _prepare(segs, p, p.eval(segs[0].grid.points), interval)
+    if cells.guard > 0.0:
+        return ModularValue(math.inf, cells=cells)
+    value = 0.0
+    if cells.size:
+        value = float(_evaluate(cells.rows, 0.0, np.zeros(1, np.intp))[0][0])
     bias = 0.0
-    for p_nodes, log_abs in cells.heads:
-        w = np.exp(np.minimum(p_nodes * log_abs, EXP_GUARD))
+    for p_nodes, values in cells.heads:
+        with np.errstate(divide="ignore"):
+            w = np.exp(np.minimum(p_nodes * np.log(np.abs(values)),
+                                  EXP_GUARD))
         try:
             bias += head_integral(SampledFunction(cells.grid, w))
         except DivergentHeadError:
             bias = math.inf
-    return ModularValue(value, truncation_bias=bias)
+    return ModularValue(value, bias, cells)
 
 
 def _sup_abs(segs: list[SampledFunction]) -> float:
@@ -189,9 +257,10 @@ def _sup_abs(segs: list[SampledFunction]) -> float:
     for seg in segs:
         lo, hi = seg.effective_support()
         pts = seg.grid.points
-        mask = (pts >= lo) & (pts <= hi)
-        if np.any(mask):
-            sup = max(sup, float(np.max(np.abs(seg.values[mask]))))
+        nodes = slice(pts.searchsorted(lo, "left"),
+                      pts.searchsorted(hi, "right"))
+        if nodes.start < nodes.stop:
+            sup = max(sup, float(abs(seg.values[nodes]).max()))
     return sup
 
 
@@ -212,9 +281,9 @@ class _Search:
     when the job ends.
     """
 
-    def __init__(self, rows: np.ndarray, sup: float, tol: float):
-        self.rows, self.tol = rows, tol
-        top = math.log(max(1.0, sup))
+    def __init__(self, cells: _Cells, tol: float):
+        self.cells, self.tol = cells, tol
+        top = math.log(max(1.0, cells.sup))
         self.floor = math.log(_LAM_MIN)
         self.ceiling = min(top + _MAX_DOUBLINGS * math.log(2.0), _SIGMA_MAX)
         self.lo, self.hi = self.floor, self.ceiling
@@ -223,10 +292,7 @@ class _Search:
         self.result = None
         # start at max(1, sup|f|), or past the smallest sigma at which no
         # node overflows EXP_GUARD, clear of that bound's rounding
-        _, _, _, _, p0, p1, l0, l1 = rows
-        guard = float(np.max(np.maximum(l0 - EXP_GUARD / p0,
-                                        l1 - EXP_GUARD / p1)))
-        guard += 1e-9 * (1.0 + abs(guard))
+        guard = cells.guard + 1e-9 * (1.0 + abs(cells.guard))
         self.points = [min(max(top, guard), self.ceiling)]
 
     def _inside(self, sigma: float) -> bool:
@@ -249,8 +315,9 @@ class _Search:
         self.result = NormValue(lam_hi, (lam_hi - lam_lo) / lam_hi,
                                 (lam_lo, lam_hi))
 
-    def update(self, values, slopes) -> None:
-        """Take I and S at ``points``; set ``result`` or the next points."""
+    def update(self, evaluated: list) -> None:
+        """Take (I, S) at ``points``; set ``result`` or the next points."""
+        values = [value for value, _ in evaluated]
         for sigma, value in zip(self.points, values):
             if not self._inside(sigma):
                 continue
@@ -287,7 +354,7 @@ class _Search:
                     return
             self.points = [self._bisection_point()]
             return
-        (sigma,), (value,), (slope,) = self.points, values, slopes
+        (sigma,), ((value, slope),) = self.points, evaluated
         if 0.0 < value < math.inf and slope > 0.0:
             step = math.log(value) * value / slope
             target = sigma + step
@@ -303,34 +370,71 @@ class _Search:
         self.points = [self._bisection_point()]
 
 
+def _evaluate_points(searches: list) -> list:
+    """(I, S) at every point of each search, all evaluated in one call,
+    except points below their search's guard, where I is inf."""
+    rows, sigmas, counts = [], [], []
+    for search in searches:
+        for sigma in search.points:
+            if sigma >= search.cells.guard:
+                rows.append(search.cells.rows)
+                sigmas.append(sigma)
+                counts.append(search.cells.size)
+    evaluated = iter(())
+    if rows:
+        values, slopes = _evaluate(np.concatenate(rows, axis=1),
+                                   np.repeat(sigmas, counts),
+                                   np.cumsum([0] + counts[:-1]))
+        evaluated = zip(values.tolist(), slopes.tolist())
+    return [[next(evaluated) if sigma >= search.cells.guard
+             else (math.inf, 0.0) for sigma in search.points]
+            for search in searches]
+
+
 def _solve_group(group: list, results: list) -> None:
     """Run the searches of ``group``, (job index, _Search) pairs, in
     lockstep: each iteration evaluates every open job's points in one
     call.  Results go to ``results`` at the job's index."""
     while group:
-        rows, sigmas, counts = [], [], []
-        for _, search in group:
-            for sigma in search.points:
-                rows.append(search.rows)
-                sigmas.append(sigma)
-                counts.append(search.rows.shape[1])
-        starts = np.cumsum([0] + counts[:-1])
-        values, slopes = _evaluate(np.concatenate(rows, axis=1),
-                                   np.repeat(sigmas, counts), starts)
-        i = 0
-        for k, search in group:
-            n = len(search.points)
-            search.update(values[i:i + n].tolist(), slopes[i:i + n].tolist())
-            i += n
+        points = _evaluate_points([search for _, search in group])
+        for (k, search), evaluated in zip(group, points):
+            search.update(evaluated)
             if search.result is not None:
                 results[k] = search.result
         group = [(k, search) for k, search in group if search.result is None]
 
 
+def _solve(prepared, tol: float) -> list:
+    """The Luxemburg norm of each prepared modular in the iterable
+    ``prepared``, in order (see ``luxemburg_norms``).  Modulars are taken
+    from it as groups of at most ``_GROUP_CELLS`` cells fill, so only one
+    group's cells need be held at a time."""
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    results: list = []
+    group, size = [], 0
+    for k, cells in enumerate(prepared):
+        results.append(None)
+        if cells.sup == 0.0:
+            results[k] = NormValue(0.0, 0.0, (0.0, 0.0))
+            continue
+        if cells.size == 0:
+            results[k] = _negligible(tol)
+            continue
+        if group and size + cells.size > _GROUP_CELLS:
+            _solve_group(group, results)
+            group, size = [], 0
+        group.append((k, _Search(cells, tol)))
+        size += cells.size
+    _solve_group(group, results)
+    return results
+
+
 def luxemburg_norms(jobs, p: ExponentFunction,
                     tol: float = 1e-10) -> list:
     """inf{lambda > 0 : modular(f/lambda) <= 1} for each (f, interval)
-    job, in order; interval None means (x_min, 1].
+    job, in order; interval None means (x_min, 1].  p is evaluated at the
+    grid's nodes once for all jobs on one grid.
 
     Each result is a NormValue with ``value == bracket[1]``, I(bracket[1])
     <= 1 < I(bracket[0]), bracket[0] < bracket[1], and relative bracket
@@ -342,27 +446,16 @@ def luxemburg_norms(jobs, p: ExponentFunction,
     UnboundedNormError in its slot (not
     raised), and its neighbours are unaffected.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    results: list = [None] * len(jobs)
-    group, size = [], 0
-    for k, (f, interval) in enumerate(jobs):
-        segs = as_segments(f)
-        sup = _sup_abs(segs)
-        if sup == 0.0:
-            results[k] = NormValue(0.0, 0.0, (0.0, 0.0))
-            continue
-        cells = _prepare(segs, p, interval)
-        if cells.size == 0:
-            results[k] = _negligible(tol)
-            continue
-        if group and size + cells.size > _GROUP_CELLS:
-            _solve_group(group, results)
-            group, size = [], 0
-        group.append((k, _Search(cells.rows, sup, tol)))
-        size += cells.size
-    _solve_group(group, results)
-    return results
+    def prepared():
+        grid = p_nodes = None
+        for f, interval in jobs:
+            segs = as_segments(f)
+            if segs[0].grid is not grid:
+                grid = segs[0].grid
+                p_nodes = p.eval(grid.points)
+            yield _prepare(segs, p, p_nodes, interval)
+
+    return _solve(prepared(), tol)
 
 
 def luxemburg_norm(f: FunctionLike, p: ExponentFunction,

@@ -168,6 +168,33 @@ class TestMain:
         assert main(["run", "--config", str(cfg)]) == 1
         assert "p0" in capsys.readouterr().err
 
+    def test_grid_n_past_the_cap_is_input_error(self, tmp_path, capsys):
+        # validated by the schema alone: no audit runs at this n
+        cap = load_schema()["properties"]["grid"]["properties"]["n"]["maximum"]
+        cfg = tmp_path / "big.json"
+        cfg.write_text(minimal(grid={"n": cap + 1}))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "grid" in err and "maximum" in err
+        assert "Traceback" not in err
+
+    def test_verbose_logs_skips_to_stderr_only(self, tmp_path, capsys):
+        # C1 skips the dyadic indicators that have no node inside
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"exponent": {"family": "constant",
+                                                "p0": 2},
+                                   "grid": {"x_min": 1e-300, "n": 16}}))
+        reports = []
+        for flags in ([], ["-v"]):
+            assert main(["run", *flags, "--config", str(cfg)]) == 0
+            out, err = capsys.readouterr()
+            reports.append(json.loads(out))
+            del reports[-1]["timestamp"], reports[-1]["wall_clock_seconds"]
+            skips = [line for line in err.splitlines()
+                     if "skipping dyadic:k=1:" in line]
+            assert len(skips) == (1 if flags else 0)
+        assert reports[0] == reports[1]
+
     def test_catalog_lists_everything(self, capsys):
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from hardyvx import (
     DivergentHeadError,
@@ -12,7 +13,7 @@ from hardyvx import (
     integrate_dlog,
     make_log_grid,
 )
-from hardyvx.grids import GridError, head_fit
+from hardyvx.grids import GridError, _cell_integrals, head_fit
 
 from conftest import power_function
 
@@ -120,3 +121,50 @@ class TestCumulativeIntegral:
         direct = integrate(f, 0.0, float(x))
         i = grid.index_left(float(x))
         assert F.values[i] == pytest.approx(direct, rel=1e-9, abs=1e-300)
+
+
+class TestCellKernel:
+    # cell ends and clipped ends on a dyadic lattice, so s - u0 and the
+    # clipped fractions are exact and quad sees the same cell as the kernel
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 64 * 60), st.integers(1, 2 * 4096),
+           st.integers(0, 4095), st.integers(1, 4096),
+           st.one_of(st.just(0.0), st.floats(-1e-6, 1e-6),
+                     st.floats(-0.6, 0.6), st.floats(-600.0, 600.0)),
+           st.floats(-30.0, 30.0), st.sampled_from(["none", "left", "right"]),
+           st.booleans())
+    def test_property_matches_quad(self, i0, ih, k0, width, z, top,
+                                   zero_end, weight_x):
+        # |z| = |ln g1 - ln g0| from 0 past 0.5 to 600; k0 = 0 and
+        # k0 + width >= 4096 are the unclipped ends
+        u0, h = -i0 / 64, ih / 4096
+        u1, w0 = u0 + h, k0 / 4096
+        s, t = u0 + w0 * h, u0 + min(k0 + width, 4096) / 4096 * h
+        l0, l1 = (top, top - z) if z > 0 else (top + z, top)
+        g0, g1 = math.exp(l0), math.exp(l1)
+        if zero_end == "left":
+            g0 = 0.0
+        elif zero_end == "right":
+            g1 = 0.0
+        got = _cell_integrals(np.array([u0, u1]), np.array([g0, g1]),
+                              np.array([s]), np.array([t]),
+                              weight_x=weight_x)[0]
+
+        def weight(r):
+            return math.exp(s + r) if weight_x else 1.0
+
+        if g0 > 0.0 and g1 > 0.0:
+            # ln g is linear across the cell; factor out its largest value
+            L0, L1 = math.log(g0), math.log(g1)
+
+            def log_g(r):
+                return L0 + (L1 - L0) * (w0 + r / h)
+
+            peak = max(log_g(0.0), log_g(t - s))
+            ref = quad(lambda r: math.exp(log_g(r) - peak) * weight(r),
+                       0.0, t - s, epsabs=0.0, epsrel=2e-14, limit=500)[0]
+            ref *= math.exp(peak)
+        else:
+            ref = quad(lambda r: (g0 + (g1 - g0) * (w0 + r / h)) * weight(r),
+                       0.0, t - s, epsabs=0.0, epsrel=2e-14, limit=500)[0]
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)

@@ -13,6 +13,7 @@ from hardyvx import (
     operator_norm_lower_bound,
     rayleigh_quotient,
 )
+from hardyvx import lpnorm
 from hardyvx.hardy import (
     ResolutionError,
     dyadic_indicator_family,
@@ -105,6 +106,23 @@ class TestOperatorNorm:
         res = operator_norm_lower_bound(Constant(3.0), members)
         assert any("beta=0.49" in s for s in res.skipped)
         assert res.value > 1.0
+
+    def test_each_member_prepared_once(self, grid, monkeypatch):
+        # one preparation per member serves its modular check, truncation
+        # bias and denominator, and one per numerator
+        calls = []
+        original = lpnorm._prepare
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lpnorm, "_prepare", counted)
+        p = LogPerturbed(2.0, 0.5, 1.0)
+        members = power_family(p, grid)
+        res = operator_norm_lower_bound(p, members)
+        assert not res.skipped and len(res.quotients) == len(members)
+        assert len(calls) == 2 * len(members)
 
     def test_level_series(self, grid):
         members = dyadic_indicator_family(grid, max_level=6)

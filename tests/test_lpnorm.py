@@ -14,8 +14,12 @@ from hardyvx import (
     modular,
     norm_of_inverse_x,
 )
+from hardyvx import lpnorm
+from hardyvx.exponent import ExponentFunction
+from hardyvx.grids import integrate
 from hardyvx.hardy import (
     dyadic_indicator_family,
+    hardy_average,
     necessity_family,
     power_family,
 )
@@ -164,6 +168,50 @@ class TestLockstepSolver:
                     luxemburg_norm(f, p, interval)
             else:
                 assert result == luxemburg_norm(f, p, interval)
+
+
+class TestPreparedCells:
+    def test_one_full_grid_p_eval_per_call(self, monkeypatch):
+        grid = make_log_grid(1e-8, 241)
+        p = PiecewiseConstant((0.01,), (1.5, 2.5))
+        jobs = [(m.f, None) for m in power_family(p, grid)
+                + dyadic_indicator_family(grid)]
+        sizes = []
+        original = ExponentFunction.eval
+
+        def counted(self, x):
+            sizes.append(np.size(x))
+            return original(self, x)
+
+        monkeypatch.setattr(ExponentFunction, "eval", counted)
+        luxemburg_norms(jobs, p)
+        assert len(jobs) > 20 and sizes.count(grid.n) == 1
+
+    @pytest.mark.parametrize("p", [Constant(2.5),
+                                   PiecewiseConstant((0.01,), (1.5, 2.5))])
+    def test_dropped_zero_cells_keep_the_modular(self, p):
+        # the Hardy average of a dyadic indicator is 0 below the block:
+        # those cells are dropped, the one cell with a zero end is kept
+        grid = make_log_grid(1e-8, 241)
+        member = dyadic_indicator_family(grid)[10]
+        h = hardy_average(member.f)
+        mv = modular(h, p)
+        assert 0 < mv.cells.size < grid.n // 2
+        below, above = (SampledFunction(grid, h.values ** p.eval(x))
+                        for x in (grid.x_min, 1.0))
+        reference = (integrate(below, grid.x_min, 0.01)
+                     + integrate(above, 0.01, 1.0))
+        assert mv.value == pytest.approx(reference, rel=1e-12)
+
+    def test_points_past_the_guard_are_inf_unevaluated(self, grid):
+        # an exponent 10 p past EXP_GUARD would overflow exp() and so raise
+        # the RuntimeWarning the suite turns into an error
+        cells = modular(power_function(grid, -0.3), Constant(3.0)).cells
+        search = lpnorm._Search(cells, 1e-10)
+        search.points = [cells.guard - 10.0, cells.guard + 1.0]
+        ((past, inside),) = lpnorm._evaluate_points([search])
+        assert past == (math.inf, 0.0)
+        assert 0.0 < inside[0] < math.inf and inside[1] > 0.0
 
 
 class TestBracket:
