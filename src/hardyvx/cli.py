@@ -7,10 +7,9 @@ Subcommands:
 
 Exit codes: 0 = success/agreement, 1 = input error, 2 = audit inconsistency.
 
-``run`` and ``audit-all`` take ``-v`` (log level INFO) or ``--log-level
-LEVEL``, which send the ``hardyvx`` loggers to stderr, among them the
-reason for each skipped C1 test function; without either they print
-nothing.
+``run`` and ``audit-all`` take ``-v``, which sends the ``hardyvx``
+loggers' INFO lines to stderr, among them the reason for each skipped C1
+test function; without it they print nothing.
 """
 
 from __future__ import annotations
@@ -40,12 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     logs = argparse.ArgumentParser(add_help=False)
-    level = logs.add_mutually_exclusive_group()
-    level.add_argument("-v", dest="log_level", action="store_const",
-                       const="INFO", help="log at level INFO to stderr")
-    level.add_argument("--log-level", type=str.upper,
-                       choices=("DEBUG", "INFO", "WARNING", "ERROR"),
-                       help="log at LEVEL to stderr")
+    logs.add_argument("-v", dest="verbose", action="store_true",
+                      help="log at level INFO to stderr")
 
     run = sub.add_parser("run", parents=[logs],
                          help="run one scenario from a JSON config")
@@ -121,14 +116,14 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "catalog":
         return _cmd_catalog()
     command = _cmd_run if args.command == "run" else _cmd_audit_all
-    if args.log_level is None:
+    if not args.verbose:
         return command(args)
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: "
                                            "%(message)s"))
     logger = logging.getLogger("hardyvx")
     logger.addHandler(handler)
-    logger.setLevel(args.log_level)
+    logger.setLevel(logging.INFO)
     try:
         return command(args)
     finally:

@@ -203,7 +203,8 @@ def _cell_integrals(u, g, s, t, powerlaw: bool = True,
 
     A cell with both ends positive and ``powerlaw`` set is linear in
     (u, ln g): ``_exp_cells`` of E = ln g (+ u), taken once per node and
-    lerped to s and t.  Any other cell is linear in (u, g).  s == u[i] or
+    lerped to s and t.  Any other cell is linear in (u, g), and each cell
+    is evaluated by its own formula only.  s == u[i] or
     t == u[i+1] keeps the stored end value, so unclipped cells are exact
     up to rounding.
     """
@@ -211,14 +212,21 @@ def _cell_integrals(u, g, s, t, powerlaw: bool = True,
     w_s, w_t = (s - u0) / (u1 - u0), (t - u0) / (u1 - u0)
     positive = g > 0.0
     power = positive[:-1] & positive[1:] & powerlaw
-    e = np.log(np.where(positive, g, 1.0)) + (u if weight_x else 0.0)
-    e0, e1 = e[:-1], e[1:]
-    cells = _exp_cells(_lerp(e0, e1, w_s), _lerp(e0, e1, w_t), t - s)
-    linear = ~power
-    if linear.any():
-        cells[linear] = _linear_cells(_lerp(g0, g1, w_s)[linear],
-                                      _lerp(g0, g1, w_t)[linear],
-                                      s[linear], t[linear], weight_x)
+    # a slice, which copies nothing, indexes a kind that fills the call,
+    # as the power cells fill most calls
+    n_power = np.count_nonzero(power)
+    cells = np.empty(power.shape)
+    if n_power:
+        k = power if n_power < power.size else slice(None)
+        e = np.log(np.where(positive, g, 1.0)) + (u if weight_x else 0.0)
+        e0, e1 = e[:-1][k], e[1:][k]
+        cells[k] = _exp_cells(_lerp(e0, e1, w_s[k]), _lerp(e0, e1, w_t[k]),
+                              t[k] - s[k])
+    if n_power < power.size:
+        k = ~power if n_power else slice(None)
+        cells[k] = _linear_cells(_lerp(g0[k], g1[k], w_s[k]),
+                                 _lerp(g0[k], g1[k], w_t[k]),
+                                 s[k], t[k], weight_x)
     return cells
 
 

@@ -27,10 +27,10 @@ from .grids import (
 from .lpnorm import (
     NormValue,
     UnboundedNormError,
-    _solve,
+    checked_norms,
     luxemburg_norm,  # bench/selftest.py reads hardy.luxemburg_norm
     luxemburg_norms,
-    modular,
+    modular,  # bench/selftest.py reads hardy.modular
 )
 
 __all__ = [
@@ -320,8 +320,8 @@ def operator_norm_lower_bound(p: ExponentFunction,
                               tol: float = 1e-10) -> OperatorNormResult:
     """Max Rayleigh quotient over a test family.
 
-    Each member is prepared once: the cells its modular check prepares
-    also give its truncation bias and feed the denominator solve.  The
+    Each member is prepared once: ``checked_norms`` gives its modular,
+    whose truncation bias is recorded, and its denominator.  The
     denominators of all members are solved in one lockstep batch, then
     the numerators in another.  Members with infinite modular, a
     divergent Hardy head, an unbounded norm or a zero norm on the grid
@@ -333,24 +333,16 @@ def operator_norm_lower_bound(p: ExponentFunction,
     """
     outcomes: list = [None] * len(members)  # QuotientResult or skip reason
     worst_bias = 0.0
-    live = []
-
-    def checked():
-        """The cells of each member that passes its modular check, in
-        member order, prepared only as the solver takes them, so that one
-        group's cells are held at a time."""
-        nonlocal worst_bias
-        for i, member in enumerate(members):
-            mv = modular(member.f, p)
-            if mv.finite and mv.value > 0.0:
-                worst_bias = max(worst_bias, mv.truncation_bias / mv.value)
-            if not mv.finite or math.isinf(mv.truncation_bias):
-                outcomes[i] = "infinite modular"
-            else:
-                live.append(i)
-                yield mv.cells
-
-    denominators = _solve(checked(), tol)
+    live, denominators = [], []
+    for i, (mv, den) in enumerate(checked_norms([m.f for m in members], p,
+                                                tol)):
+        if mv.finite and mv.value > 0.0:
+            worst_bias = max(worst_bias, mv.truncation_bias / mv.value)
+        if den is None:
+            outcomes[i] = "infinite modular"
+        else:
+            live.append(i)
+            denominators.append(den)
     results = _rayleigh_quotients([members[i].f for i in live], denominators,
                                   p, tol)
     for i, result in zip(live, results):

@@ -59,6 +59,7 @@ __all__ = [
     "modular",
     "luxemburg_norm",
     "luxemburg_norms",
+    "checked_norms",
     "bracket_check",
     "norm_of_inverse_x",
     "norms_of_inverse_x",
@@ -107,8 +108,8 @@ class _Cells:
 class ModularValue:
     value: float  # may be math.inf
     truncation_bias: float = 0.0
-    # the prepared f, which the norm solver takes, so a caller that checks
-    # the modular and then solves the norm prepares f once
+    # the prepared f, which ``checked_norms`` solves, so that a checked
+    # f is prepared once
     cells: _Cells | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -456,6 +457,29 @@ def luxemburg_norms(jobs, p: ExponentFunction,
             yield _prepare(segs, p, p_nodes, interval)
 
     return _solve(prepared(), tol)
+
+
+def checked_norms(fs: list, p: ExponentFunction,
+                  tol: float = 1e-10) -> list:
+    """(``modular(f, p)``, without its cells, and ||f||) for each f in
+    ``fs``, in order.  The norm is None where the modular or its head
+    below x_min is infinite, so f is not in L^p(.); otherwise it is as in
+    ``luxemburg_norms``.  Each f is prepared once, by its modular, and
+    the solver takes the prepared cells as its groups fill, so only one
+    group's are held at a time."""
+    checked = []  # (modular without its cells, whether f is in L^p(.))
+
+    def finite():
+        for f in fs:
+            mv = modular(f, p)
+            member = mv.finite and not math.isinf(mv.truncation_bias)
+            checked.append((ModularValue(mv.value, mv.truncation_bias),
+                            member))
+            if member:
+                yield mv.cells
+
+    norms = iter(_solve(finite(), tol))
+    return [(mv, next(norms) if member else None) for mv, member in checked]
 
 
 def luxemburg_norm(f: FunctionLike, p: ExponentFunction,

@@ -23,7 +23,7 @@ from hardyvx.hardy import (
     necessity_family,
     power_family,
 )
-from hardyvx.lpnorm import UnboundedNormError, luxemburg_norms
+from hardyvx.lpnorm import UnboundedNormError, checked_norms, luxemburg_norms
 
 from conftest import power_function, random_piecewise_power, scaled
 
@@ -202,6 +202,18 @@ class TestPreparedCells:
         reference = (integrate(below, grid.x_min, 0.01)
                      + integrate(above, 0.01, 1.0))
         assert mv.value == pytest.approx(reference, rel=1e-12)
+
+    def test_checked_norms_skip_functions_outside_the_space(self, grid):
+        # x^-0.6 has |f|^2 = x^-1.2, whose head below x_min diverges
+        p = Constant(2.0)
+        fs = [power_function(grid, -0.2), power_function(grid, -0.6),
+              power_function(grid, 0.5, coeff=3.0)]
+        checked = checked_norms(fs, p)
+        assert [norm is None for _, norm in checked] == [False, True, False]
+        for f, (mv, norm) in zip(fs, checked):
+            assert mv == modular(f, p) and mv.cells is None
+            if norm is not None:
+                assert norm == luxemburg_norm(f, p)
 
     def test_points_past_the_guard_are_inf_unevaluated(self, grid):
         # an exponent 10 p past EXP_GUARD would overflow exp() and so raise
