@@ -20,10 +20,12 @@ import numpy as np
 from .exponent import (
     EXP_GUARD,
     ExponentFunction,
+    ExponentLike,
     classify_monotonicity,
     conjugate_reciprocal,
     log_phi,
     monotone_prefix,
+    on_grid,
 )
 from .grids import LogGrid, SampledFunction, integrate_dlog
 from .hardy import (
@@ -113,7 +115,7 @@ def classify_series(params, values, plateau: float = PLATEAU_THRESHOLD,
 # ---------------------------------------------------------------------------
 # dyadic-block scanning helpers
 
-def _dyadic_block_sup(grid: LogGrid, xs: np.ndarray,
+def _dyadic_block_sup(xs: np.ndarray,
                       vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sup of vals per dyadic block (2^-j-1, 2^-j], deepest blocks last...
 
@@ -146,7 +148,7 @@ def condition_A(p: ExponentFunction, grid: LogGrid) -> BoundednessVerdict:
     p0 = p.limit_at_origin()
     xs = _scan_points(grid, grid.x_min)
     vals = np.abs(p.eval(xs) - p0) * (-np.log(xs))
-    levels, sups = _dyadic_block_sup(grid, xs, vals)
+    levels, sups = _dyadic_block_sup(xs, vals)
     notes = ("p(0) approximate",) if p.origin_approximate else ()
     return classify_series(levels, sups, notes=notes)
 
@@ -156,7 +158,7 @@ def condition_B(p: ExponentFunction, grid: LogGrid) -> BoundednessVerdict:
     margin against p(0)*(p(0)-1)."""
     xs = _scan_points(grid, 2.0 * grid.x_min)
     vals = (p.eval(xs) - p.eval(xs / 2.0)) * (-np.log(xs))
-    levels, sups = _dyadic_block_sup(grid, xs, vals)
+    levels, sups = _dyadic_block_sup(xs, vals)
     verdict = classify_series(levels, sups)
     p0 = p.limit_at_origin()
     margin = p0 * (p0 - 1.0)
@@ -164,9 +166,7 @@ def condition_B(p: ExponentFunction, grid: LogGrid) -> BoundednessVerdict:
         ok = verdict.sup_value < margin
         note = (f"sufficiency margin B={verdict.sup_value:.4g} "
                 f"{'<' if ok else '>='} p(0)(p(0)-1)={margin:.4g}",)
-        verdict = BoundednessVerdict(verdict.cls, verdict.sup_value,
-                                     verdict.series, verdict.trend_slope,
-                                     verdict.notes + note)
+        verdict = replace(verdict, notes=verdict.notes + note)
     return verdict
 
 
@@ -182,38 +182,36 @@ def default_a_list(grid: LogGrid, delta: float, depth: int) -> list[float]:
     return out
 
 
-def _phi_function(p: ExponentFunction, grid: LogGrid) -> SampledFunction:
-    logphi = log_phi(p.eval(grid.points), -grid.u)
-    return SampledFunction(grid, np.exp(np.minimum(logphi, EXP_GUARD)),
-                           interp="powerlaw")
-
-
-def criterion_C2(p: ExponentFunction, grid: LogGrid, a_list=None,
-                 delta: float = 1.0) -> BoundednessVerdict:
-    """r(a) = (integral_a^delta phi dx/x) / phi(a)."""
+def _scales(p: ExponentLike, grid: LogGrid, a_list, delta: float):
+    """(p on the grid, the scales a, by default the dyadic scan, their
+    levels -log2 a, ln phi(a) from one evaluation of p at all a)."""
+    p = on_grid(p, grid)
     if a_list is None:
         a_list = default_a_list(grid, delta, A_DEPTH)
-    phi_f = _phi_function(p, grid)
-    levels, vals = [], []
-    for a in a_list:
+    ln_phi_a = log_phi(p.p.eval(a_list), -np.log(a_list)).tolist()
+    return p, a_list, [-math.log2(a) for a in a_list], ln_phi_a
+
+
+def criterion_C2(p: ExponentLike, grid: LogGrid, a_list=None,
+                 delta: float = 1.0) -> BoundednessVerdict:
+    """r(a) = (integral_a^delta phi dx/x) / phi(a)."""
+    p, a_list, levels, ln_phi_a = _scales(p, grid, a_list, delta)
+    phi_f = SampledFunction(grid, np.exp(np.minimum(p.ln_phi, EXP_GUARD)),
+                            interp="powerlaw")
+    vals = []
+    for a, la in zip(a_list, ln_phi_a):
         num = integrate_dlog(phi_f, a, delta)
-        la = log_phi(p.eval(a), math.log(1.0 / a))
         vals.append(num * math.exp(-la))
-        levels.append(-math.log2(a))
     return classify_series(levels, vals)
 
 
-def criterion_C4(p: ExponentFunction, grid: LogGrid, a_list=None,
+def criterion_C4(p: ExponentLike, grid: LogGrid, a_list=None,
                  delta: float = 1.0) -> BoundednessVerdict:
     """s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x, in log space."""
-    if a_list is None:
-        a_list = default_a_list(grid, delta, A_DEPTH)
-    pn = p.eval(grid.points)
-    logphi = log_phi(pn, -grid.u)
-    levels, vals = [], []
-    for a in a_list:
-        la = log_phi(p.eval(a), math.log(1.0 / a))
-        expo = pn * (logphi - la)
+    p, a_list, levels, ln_phi_a = _scales(p, grid, a_list, delta)
+    vals = []
+    for a, la in zip(a_list, ln_phi_a):
+        expo = p.p_nodes * (p.ln_phi - la)
         # only the nodes of cells meeting [a, delta] enter the integral;
         # below a, expo grows like (p-1)*ln(a/x), so the rest is clamped
         if np.any(expo[grid.node_slice(a, delta)] > EXP_GUARD):
@@ -222,21 +220,19 @@ def criterion_C4(p: ExponentFunction, grid: LogGrid, a_list=None,
             w = SampledFunction(grid, np.exp(np.minimum(expo, EXP_GUARD)),
                                 interp="powerlaw")
             vals.append(integrate_dlog(w, a, delta))
-        levels.append(-math.log2(a))
     return classify_series(levels, vals)
 
 
-def criterion_C5(p: ExponentFunction, grid: LogGrid, a_list=None,
+def criterion_C5(p: ExponentLike, grid: LogGrid, a_list=None,
                  delta: float = 1.0, tol: float = 1e-10) -> BoundednessVerdict:
     """||x^-1|| over (a, delta) divided by a**(-1/p'(a))."""
-    if a_list is None:
-        a_list = default_a_list(grid, delta, A_DEPTH)
-    levels, vals, bounds = [], [], []
-    for a, nv in zip(a_list, norms_of_inverse_x(p, grid, a_list, delta, tol)):
-        scale = math.exp(-log_phi(p.eval(a), math.log(1.0 / a)))
+    p, a_list, levels, ln_phi_a = _scales(p, grid, a_list, delta)
+    norms = norms_of_inverse_x(p, grid, a_list, delta, tol)
+    vals, bounds = [], []
+    for la, nv in zip(ln_phi_a, norms):
+        scale = math.exp(-la)
         vals.append(nv.value * scale)
         bounds.append((nv.bracket[0] * scale, nv.bracket[1] * scale))
-        levels.append(-math.log2(a))
     return replace(classify_series(levels, vals), bounds=tuple(bounds))
 
 
@@ -249,7 +245,7 @@ def almost_decreasing_constant(values: np.ndarray) -> float:
     return float(np.max(suffix_max / v))
 
 
-def criterion_C3(p: ExponentFunction, grid: LogGrid, eps_list=None,
+def criterion_C3(p: ExponentLike, grid: LogGrid, eps_list=None,
                  delta: float = 1.0, eps_depth: int = 13,
                  depth_stops: int = 12) -> tuple[float | None, float,
                                                  BoundednessVerdict]:
@@ -261,12 +257,12 @@ def criterion_C3(p: ExponentFunction, grid: LogGrid, eps_list=None,
     artifact C(eps) ~ x_min**(-eps), which passes any fixed threshold as
     eps -> 0 although no fixed eps works asymptotically.
     """
+    p = on_grid(p, grid)
     mask = grid.points <= delta
-    pts = grid.points[mask]
     u = grid.u[mask]
-    logphi = log_phi(p.eval(pts), -u)
+    logphi = p.ln_phi[mask]
     if eps_list is None:
-        _, p_plus, _ = p.bounds((0.0, delta))
+        _, p_plus, _ = p.p.bounds((0.0, delta))
         eps0 = 1.0 - 1.0 / p_plus
         if eps0 < 1e-6:
             eps0 = 0.5
@@ -280,7 +276,6 @@ def criterion_C3(p: ExponentFunction, grid: LogGrid, eps_list=None,
             (f"no grid node between the shallowest depth stop "
              f"x={math.exp(depths[0]):.3g} and delta={delta:.3g}",))
     candidates = []
-    states = []
     for eps in eps_list:
         logv = eps * u + logphi
         ln_c = []
@@ -291,7 +286,6 @@ def criterion_C3(p: ExponentFunction, grid: LogGrid, eps_list=None,
         full = ln_c[-1]
         half = ln_c[depth_stops // 2 - 1]
         growing = (full - half) > PLATEAU_THRESHOLD * full + 1e-9
-        states.append("growing" if growing else "stable")
         if not growing:
             candidates.append((math.exp(full), eps))
     if candidates:
@@ -300,11 +294,9 @@ def criterion_C3(p: ExponentFunction, grid: LogGrid, eps_list=None,
             "bounded", const, ((best_eps, const),), 0.0,
             (f"witness eps={best_eps:.6g}",))
         return best_eps, const, verdict
-    cls = "divergent" if all(s == "growing" for s in states) else "inconclusive"
-    worst = math.inf
-    verdict = BoundednessVerdict(cls, worst, (), math.nan,
-                                 ("no depth-stable eps found",))
-    return None, worst, verdict
+    # every eps is growing: a stable one would be a candidate
+    return None, math.inf, BoundednessVerdict(
+        "divergent", math.inf, (), math.nan, ("no depth-stable eps found",))
 
 
 def dyadic_oscillation(p: ExponentFunction,
@@ -314,14 +306,14 @@ def dyadic_oscillation(p: ExponentFunction,
     xs = _scan_points(grid, grid.x_min, 0.25)
     osc = np.abs(conjugate_reciprocal(p, 2.0 * xs)
                  - conjugate_reciprocal(p, xs)) * (-np.log(xs))
-    levels, sups = _dyadic_block_sup(grid, xs, osc)
+    levels, sups = _dyadic_block_sup(xs, osc)
     verdict = classify_series(levels, sups)
     return verdict.sup_value, verdict
 
 
-def phi_doubling(p: ExponentFunction, grid: LogGrid) -> float:
+def phi_doubling(p: ExponentLike, grid: LogGrid) -> float:
     """sup of phi(y)/phi(x) over y in [x/2, 2x], x < 1/4."""
-    logphi = log_phi(p.eval(grid.points), -grid.u)
+    logphi = on_grid(p, grid).ln_phi
     window = int(round(math.log(2.0) / grid.h))
     scan = grid.points < 0.25
     best = 0.0
@@ -401,7 +393,7 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
     """Run all criteria on one exponent and cross-check their verdicts."""
     notes: list[str] = []
     p0 = p.limit_at_origin()
-    p_minus, p_plus, exact_bounds = p.bounds((0.0, 1.0), grid)
+    p_minus, p_plus, exact_bounds = p.bounds((0.0, 1.0))
     if not exact_bounds:
         notes.append("p bounds are grid approximations")
     if p_minus <= 1.0 + 1e-9:
@@ -421,6 +413,7 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
                              "criterion integrals cut there")
 
     a_list = default_a_list(grid, delta, a_depth)
+    gp = on_grid(p, grid)
     verdicts: dict[str, BoundednessVerdict] = {}
 
     if "A" in criteria_names:
@@ -428,26 +421,26 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
     if "B" in criteria_names:
         verdicts["B"] = condition_B(p, grid)
     if "C2" in criteria_names:
-        verdicts["C2"] = criterion_C2(p, grid, a_list, delta)
+        verdicts["C2"] = criterion_C2(gp, grid, a_list, delta)
     c3_best_eps, c3_constant = None, math.inf
     if "C3" in criteria_names:
-        c3_best_eps, c3_constant, v3 = criterion_C3(p, grid, delta=delta,
+        c3_best_eps, c3_constant, v3 = criterion_C3(gp, grid, delta=delta,
                                                     eps_depth=eps_depth)
         verdicts["C3"] = v3
     if "C4" in criteria_names:
-        verdicts["C4"] = criterion_C4(p, grid, a_list, delta)
+        verdicts["C4"] = criterion_C4(gp, grid, a_list, delta)
     if "C5" in criteria_names:
-        verdicts["C5"] = criterion_C5(p, grid, a_list, delta, tol=norm_tol)
+        verdicts["C5"] = criterion_C5(gp, grid, a_list, delta, tol=norm_tol)
 
     osc_sup, osc_verdict = dyadic_oscillation(p, grid)
     verdicts["oscillation"] = osc_verdict
-    doubling = phi_doubling(p, grid)
+    doubling = phi_doubling(gp, grid)
 
     members = []
     if "power" in family_kinds:
         members += power_family(p, grid)
     if "necessity" in family_kinds:
-        necessity = necessity_family(p, grid, depth=necessity_depth)
+        necessity = necessity_family(gp, grid, depth=necessity_depth)
         members += necessity
         resolved = {m.level for m in necessity}
         left_out = [j for j in necessity_levels(grid, necessity_depth)
@@ -459,7 +452,7 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
         members += dyadic_indicator_family(grid)
     if "random-step" in family_kinds:
         members += random_step_family(grid)
-    c1 = operator_norm_lower_bound(p, members, tol=norm_tol)
+    c1 = operator_norm_lower_bound(gp, members, tol=norm_tol)
     if "C1" in criteria_names:
         levels, series = c1.level_series()
         c1_notes = () if c1.quotients else (

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
+
+from .grids import LogGrid
 
 __all__ = [
     "ExponentFunction",
@@ -32,7 +34,9 @@ __all__ = [
     "conjugate_reciprocal",
     "phi",
     "log_phi",
-    "exponent_pieces",
+    "GridExponent",
+    "ExponentLike",
+    "on_grid",
     "classify_monotonicity",
     "monotone_prefix",
     "ETA_FLOOR",
@@ -102,8 +106,8 @@ class ExponentFunction:
     def is_constant(self) -> bool:
         return False
 
-    def bounds(self, interval: tuple[float, float],
-               grid=None) -> tuple[float, float, bool]:
+    def bounds(self,
+               interval: tuple[float, float]) -> tuple[float, float, bool]:
         """(p_minus, p_plus, exact) on ``interval`` (subset of (0,1])."""
         a, b = interval
         if not (0.0 <= a < b <= 1.0):
@@ -222,8 +226,24 @@ def _check_breaks(breaks: Sequence[float]) -> tuple[float, ...]:
     return bs
 
 
+class _Piecewise(ExponentFunction):
+    def limit_at_origin(self):
+        return self.values[0]
+
+    def monotonicity(self):
+        v = self.values
+        if all(b >= a for a, b in zip(v, v[1:])):
+            return "nondecreasing"
+        if all(b <= a for a, b in zip(v, v[1:])):
+            return "nonincreasing"
+        return None
+
+    def is_constant(self):
+        return len(set(self.values)) == 1
+
+
 @dataclass(frozen=True)
-class PiecewiseConstant(ExponentFunction):
+class PiecewiseConstant(_Piecewise):
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
 
@@ -239,26 +259,12 @@ class PiecewiseConstant(ExponentFunction):
         idx = np.searchsorted(np.asarray(self.breakpoints), x, side="right")
         return np.asarray(self.values, dtype=float)[idx]
 
-    def limit_at_origin(self):
-        return self.values[0]
-
     def discontinuities(self):
         return list(self.breakpoints)
 
-    def monotonicity(self):
-        v = self.values
-        if all(b >= a for a, b in zip(v, v[1:])):
-            return "nondecreasing"
-        if all(b <= a for a, b in zip(v, v[1:])):
-            return "nonincreasing"
-        return None
-
-    def is_constant(self):
-        return len(set(self.values)) == 1
-
 
 @dataclass(frozen=True)
-class PiecewiseLinear(ExponentFunction):
+class PiecewiseLinear(_Piecewise):
     """Linear interpolation through (breakpoints, values), held constant
     outside [breakpoints[0], breakpoints[-1]]."""
 
@@ -277,20 +283,6 @@ class PiecewiseLinear(ExponentFunction):
 
     def _eval(self, x):
         return np.interp(x, self.breakpoints, self.values)
-
-    def limit_at_origin(self):
-        return self.values[0]
-
-    def monotonicity(self):
-        v = self.values
-        if all(b >= a for a, b in zip(v, v[1:])):
-            return "nondecreasing"
-        if all(b <= a for a, b in zip(v, v[1:])):
-            return "nonincreasing"
-        return None
-
-    def is_constant(self):
-        return len(set(self.values)) == 1
 
 
 @dataclass(frozen=True)
@@ -387,27 +379,49 @@ def phi(p: ExponentFunction, t) -> np.ndarray:
     return out if arr.shape else float(out)
 
 
-def exponent_pieces(p: ExponentFunction, x: np.ndarray, p_x: np.ndarray,
-                    lo: float, hi: float):
-    """Split (lo, hi) at the jumps of p; yield (s, t, p at the nodes x) per
-    piece, given p_x = p at x.  Across a jump of p at s or t, nodes beyond
-    it carry the piece's one-sided value, so cells straddling the jump
-    integrate its branch."""
-    jumps = set(p.discontinuities())
-    edges = [lo] + sorted(d for d in jumps if lo < d < hi) + [hi]
-    # the one-sided values at every jump among the edges, in two calls
-    at = [d for d in edges if d in jumps]
-    above, below = {}, {}
-    if at:
-        above = dict(zip(at, p.eval(np.array(at)).tolist()))
-        below = dict(zip(at, p.eval(np.array(at) * (1.0 - 1e-15)).tolist()))
-    for s, t in zip(edges, edges[1:]):
-        p_st = p_x
-        if s in jumps:
-            p_st = np.where(x < s, above[s], p_st)
-        if t in jumps:
-            p_st = np.where(x >= t, below[t], p_st)
-        yield s, t, p_st
+@dataclass(frozen=True, eq=False)
+class GridExponent:
+    """p sampled on one grid, as ``on_grid`` builds it: p and ln phi at
+    the nodes, and (p just below, p at) each jump of p."""
+
+    p: ExponentFunction
+    grid: LogGrid
+    p_nodes: np.ndarray
+    ln_phi: np.ndarray
+    jumps: dict  # jump d -> (p just below d, p at d)
+
+    def pieces(self, lo: float, hi: float):
+        """Split (lo, hi) at the jumps of p; yield (s, t, p at the nodes)
+        per piece.  Across a jump of p at s or t, nodes beyond it carry
+        the piece's one-sided value, so cells straddling the jump
+        integrate its branch."""
+        edges = [lo] + sorted(d for d in self.jumps if lo < d < hi) + [hi]
+        for s, t in zip(edges, edges[1:]):
+            p_st = self.p_nodes
+            if s in self.jumps:
+                p_st = np.where(self.grid.points < s, self.jumps[s][1], p_st)
+            if t in self.jumps:
+                p_st = np.where(self.grid.points >= t, self.jumps[t][0], p_st)
+            yield s, t, p_st
+
+
+ExponentLike = Union[ExponentFunction, GridExponent]
+
+
+def on_grid(p: ExponentLike, grid: LogGrid) -> GridExponent:
+    """p sampled on ``grid``: p itself when it already is, so each
+    (p, grid) is sampled once however many callers pass it on."""
+    if isinstance(p, GridExponent):
+        if p.grid is grid:
+            return p
+        p = p.p
+    p_nodes = p.eval(grid.points)
+    at = np.array(p.discontinuities())
+    sides = ()
+    if at.size:
+        sides = zip(p.eval(at * (1.0 - 1e-15)).tolist(), p.eval(at).tolist())
+    return GridExponent(p, grid, p_nodes, log_phi(p_nodes, -grid.u),
+                        dict(zip(at.tolist(), sides)))
 
 
 def classify_monotonicity(p: ExponentFunction, eps: float,

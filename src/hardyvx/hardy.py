@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponent import ExponentFunction, exponent_pieces
+from .exponent import ExponentFunction, ExponentLike, on_grid
 from .grids import (
     DivergentHeadError,
     FunctionLike,
@@ -141,7 +141,7 @@ class QuotientResult:
 
 
 def _rayleigh_quotients(fs: list, denominators: list,
-                        p: ExponentFunction, tol: float) -> list:
+                        p: ExponentLike, tol: float) -> list:
     """Rayleigh quotients of each f in ``fs`` given its solved denominator
     ||f||: every numerator in one ``luxemburg_norms`` call.  A failing
     f's slot holds its exception (ZeroDivisionError, DivergentHeadError
@@ -168,7 +168,7 @@ def _rayleigh_quotients(fs: list, denominators: list,
     return results
 
 
-def rayleigh_quotient(f: FunctionLike, p: ExponentFunction,
+def rayleigh_quotient(f: FunctionLike, p: ExponentLike,
                       tol: float = 1e-10) -> QuotientResult:
     """||x^-1 Hf|| / ||f|| in the Luxemburg norm over (x_min, 1]:
     ``_rayleigh_quotients`` on one f, raising its exception if it
@@ -201,8 +201,6 @@ def power_family(p: ExponentFunction, grid: LogGrid,
         betas.append(round(beta_max, 10))
     members = []
     for beta in betas:
-        if beta <= 0.0 or beta >= 1.0:
-            continue
         f = SampledFunction(grid, grid.points ** (-beta), interp="powerlaw")
         members.append(FamilyMember(f"power:beta={beta:g}", f))
     return members
@@ -224,7 +222,7 @@ def dyadic_indicator_family(grid: LogGrid,
     return members
 
 
-def necessity_test_function(p: ExponentFunction, grid: LogGrid,
+def necessity_test_function(p: ExponentLike, grid: LogGrid,
                             a: float) -> list[SampledFunction]:
     """f0(x) = x**(-1/p(x)) on (a/2, a), zero elsewhere.
 
@@ -240,8 +238,7 @@ def necessity_test_function(p: ExponentFunction, grid: LogGrid,
         raise ResolutionError(
             f"only {inside} grid points fall inside (a/2, a) for a={a:g}")
     segs = []
-    for s, t, pn in exponent_pieces(p, grid.points, p.eval(grid.points),
-                                    a / 2.0, a):
+    for s, t, pn in on_grid(p, grid).pieces(a / 2.0, a):
         vals = np.exp(-np.log(grid.points) / pn)
         segs.append(SampledFunction(grid, vals, interp="powerlaw",
                                     support=(s, t)))
@@ -253,10 +250,11 @@ def necessity_levels(grid: LogGrid, depth: int) -> list[int]:
     return [j for j in range(1, depth + 1) if 2.0 ** -(j + 1) > grid.x_min]
 
 
-def necessity_family(p: ExponentFunction, grid: LogGrid,
+def necessity_family(p: ExponentLike, grid: LogGrid,
                      depth: int = 30) -> list[FamilyMember]:
     """Necessity test functions at the levels of ``necessity_levels``;
     levels the grid cannot resolve are left out and logged."""
+    p = on_grid(p, grid)
     members = []
     for j in necessity_levels(grid, depth):
         try:
@@ -270,11 +268,16 @@ def necessity_family(p: ExponentFunction, grid: LogGrid,
 
 def random_step_family(grid: LogGrid, seed: int = 0, pieces: int = 6,
                        count: int = 8) -> list[FamilyMember]:
-    """Random positive step functions on dyadic-scale partitions."""
+    """Random positive step functions on dyadic-scale partitions; none,
+    logged, when the grid has fewer dyadic levels than the cuts."""
+    depth = int(math.log2(1.0 / grid.x_min)) - 1
+    if depth < pieces:
+        logger.info("leaving out the random-step family: %d dyadic levels "
+                    "for %d cuts", max(depth - 1, 0), pieces - 1)
+        return []
     rng = np.random.default_rng(seed)
     members = []
     for m in range(count):
-        depth = int(math.log2(1.0 / grid.x_min)) - 1
         cuts = np.sort(rng.choice(np.arange(1, depth), size=pieces - 1,
                                   replace=False))
         edges = [grid.x_min * 2.0] + [2.0 ** -int(c) for c in cuts[::-1]] + [1.0]
@@ -315,7 +318,7 @@ class OperatorNormResult:
         return [(lo, hi) for _, lo, hi in self._level_maxima().values()]
 
 
-def operator_norm_lower_bound(p: ExponentFunction,
+def operator_norm_lower_bound(p: ExponentLike,
                               members: list[FamilyMember],
                               tol: float = 1e-10) -> OperatorNormResult:
     """Max Rayleigh quotient over a test family.

@@ -4,7 +4,7 @@ The modular integrand |f(x)/lambda|**p(x) is always assembled in log
 space as exp(p(x) * (ln|f(x)| - sigma)), sigma = ln lambda, with |f| = 0
 contributing 0.  Integration splits at exponent discontinuities and at
 segment support boundaries, so piecewise power data is integrated
-exactly.  ``_prepare`` turns (f, p at the nodes, interval) into
+exactly.  ``_prepare`` turns (f, p sampled on f's grid, interval) into
 sigma-independent cell rows, once per f: for each cell of each piece's
 node slice, with the piece clipped into it, the exponent E = p ln|f| + u
 - sigma p (u = ln x) at both clipped ends is a - sigma q, so the cell
@@ -38,11 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exponent import EXP_GUARD, ExponentFunction, exponent_pieces
+from .exponent import EXP_GUARD, ExponentLike, GridExponent, on_grid
 from .grids import (
     DivergentHeadError,
     FunctionLike,
-    LogGrid,
     SampledFunction,
     _exp_cells,
     _lerp,
@@ -93,7 +92,6 @@ class _Cells:
     sigma) exceeds EXP_GUARD.  ``sup`` is sup|f| on f's support, and
     ``heads`` holds (p, f) at the nodes for each piece that reaches x_min
     while f's support goes below it, for the head fit."""
-    grid: LogGrid
     rows: np.ndarray  # shape (6, cells)
     guard: float
     sup: float
@@ -188,11 +186,10 @@ def _piece_rows(u: np.ndarray, p: np.ndarray, f: np.ndarray, s: float,
             guard)
 
 
-def _prepare(segs: list[SampledFunction], p: ExponentFunction,
-             p_nodes: np.ndarray,
+def _prepare(segs: list[SampledFunction], p: GridExponent,
              interval: tuple[float, float] | None) -> _Cells:
     """The cells of the modular of f, given as segments, over
-    ``interval``; ``p_nodes`` is p at the grid's nodes."""
+    ``interval``; p is sampled on f's grid."""
     grid = segs[0].grid
     a, b = interval if interval is not None else (grid.x_min, 1.0)
     if not (grid.x_min * (1 - 1e-12) <= a < b <= 1.0 + 1e-12):
@@ -204,8 +201,7 @@ def _prepare(segs: list[SampledFunction], p: ExponentFunction,
         if lo_eff >= hi_eff:
             continue
         head = lo < grid.x_min and a <= grid.x_min * (1 + 1e-12)
-        for s, t, p_st in exponent_pieces(p, grid.points, p_nodes, lo_eff,
-                                          hi_eff):
+        for s, t, p_st in p.pieces(lo_eff, hi_eff):
             nodes = grid.node_slice(s, t)
             rows, piece_guard = _piece_rows(grid.u[nodes], p_st[nodes],
                                             seg.values[nodes], s, t)
@@ -214,7 +210,7 @@ def _prepare(segs: list[SampledFunction], p: ExponentFunction,
             if head and s == lo_eff:
                 heads.append((p_st, seg.values))
     rows = np.concatenate(blocks, axis=1) if blocks else np.empty((6, 0))
-    return _Cells(grid, rows, guard, _sup_abs(segs), heads)
+    return _Cells(rows, guard, _sup_abs(segs), heads)
 
 
 def _evaluate(rows: np.ndarray, sigma, starts: np.ndarray):
@@ -228,14 +224,14 @@ def _evaluate(rows: np.ndarray, sigma, starts: np.ndarray):
             np.add.reduceat(p_mean * cells, starts))
 
 
-def modular(f: FunctionLike, p: ExponentFunction,
+def modular(f: FunctionLike, p: ExponentLike,
             interval: tuple[float, float] | None = None) -> ModularValue:
     """integral of |f(x)|**p(x) dx over ``interval`` (default (x_min, 1]).
 
     The truncation bias is the head below x_min, estimated with the grid's
     two-point power fit of the integrand."""
     segs = as_segments(f)
-    cells = _prepare(segs, p, p.eval(segs[0].grid.points), interval)
+    cells = _prepare(segs, on_grid(p, segs[0].grid), interval)
     if cells.guard > 0.0:
         return ModularValue(math.inf, cells=cells)
     value = 0.0
@@ -247,7 +243,7 @@ def modular(f: FunctionLike, p: ExponentFunction,
             w = np.exp(np.minimum(p_nodes * np.log(np.abs(values)),
                                   EXP_GUARD))
         try:
-            bias += head_integral(SampledFunction(cells.grid, w))
+            bias += head_integral(SampledFunction(segs[0].grid, w))
         except DivergentHeadError:
             bias = math.inf
     return ModularValue(value, bias, cells)
@@ -431,11 +427,10 @@ def _solve(prepared, tol: float) -> list:
     return results
 
 
-def luxemburg_norms(jobs, p: ExponentFunction,
-                    tol: float = 1e-10) -> list:
+def luxemburg_norms(jobs, p: ExponentLike, tol: float = 1e-10) -> list:
     """inf{lambda > 0 : modular(f/lambda) <= 1} for each (f, interval)
-    job, in order; interval None means (x_min, 1].  p is evaluated at the
-    grid's nodes once for all jobs on one grid.
+    job, in order; interval None means (x_min, 1].  p is sampled once for
+    all jobs on one grid.
 
     Each result is a NormValue with ``value == bracket[1]``, I(bracket[1])
     <= 1 < I(bracket[0]), bracket[0] < bracket[1], and relative bracket
@@ -448,19 +443,16 @@ def luxemburg_norms(jobs, p: ExponentFunction,
     raised), and its neighbours are unaffected.
     """
     def prepared():
-        grid = p_nodes = None
+        gp = p
         for f, interval in jobs:
             segs = as_segments(f)
-            if segs[0].grid is not grid:
-                grid = segs[0].grid
-                p_nodes = p.eval(grid.points)
-            yield _prepare(segs, p, p_nodes, interval)
+            gp = on_grid(gp, segs[0].grid)
+            yield _prepare(segs, gp, interval)
 
     return _solve(prepared(), tol)
 
 
-def checked_norms(fs: list, p: ExponentFunction,
-                  tol: float = 1e-10) -> list:
+def checked_norms(fs: list, p: ExponentLike, tol: float = 1e-10) -> list:
     """(``modular(f, p)``, without its cells, and ||f||) for each f in
     ``fs``, in order.  The norm is None where the modular or its head
     below x_min is infinite, so f is not in L^p(.); otherwise it is as in
@@ -470,8 +462,10 @@ def checked_norms(fs: list, p: ExponentFunction,
     checked = []  # (modular without its cells, whether f is in L^p(.))
 
     def finite():
+        gp = p
         for f in fs:
-            mv = modular(f, p)
+            gp = on_grid(gp, as_segments(f)[0].grid)
+            mv = modular(f, gp)
             member = mv.finite and not math.isinf(mv.truncation_bias)
             checked.append((ModularValue(mv.value, mv.truncation_bias),
                             member))
@@ -482,7 +476,7 @@ def checked_norms(fs: list, p: ExponentFunction,
     return [(mv, next(norms) if member else None) for mv, member in checked]
 
 
-def luxemburg_norm(f: FunctionLike, p: ExponentFunction,
+def luxemburg_norm(f: FunctionLike, p: ExponentLike,
                    interval: tuple[float, float] | None = None,
                    tol: float = 1e-10) -> NormValue:
     """inf{lambda > 0 : modular(f/lambda) <= 1}: ``luxemburg_norms`` on
@@ -504,7 +498,7 @@ class BracketReport:
     slack_upper: float  # norm**(inner exponent) - modular
 
 
-def bracket_check(f: FunctionLike, p: ExponentFunction,
+def bracket_check(f: FunctionLike, p: ExponentLike,
                   interval: tuple[float, float] | None = None,
                   tol: float = 1e-9) -> BracketReport:
     """Verify the modular-vs-norm sandwich; failure means a numerics bug.
@@ -515,9 +509,10 @@ def bracket_check(f: FunctionLike, p: ExponentFunction,
     segs = as_segments(f)
     grid = segs[0].grid
     a, b = interval if interval is not None else (grid.x_min, 1.0)
+    p = on_grid(p, grid)
     nv = luxemburg_norm(segs, p, (a, b))
     mv = modular(segs, p, (a, b))
-    p_minus, p_plus, _ = p.bounds((a, b))
+    p_minus, p_plus, _ = p.p.bounds((a, b))
     n = nv.value
     if n <= 1.0:
         low, high = n ** p_plus, n ** p_minus
@@ -531,7 +526,7 @@ def bracket_check(f: FunctionLike, p: ExponentFunction,
                          slack_lower, slack_upper)
 
 
-def norms_of_inverse_x(p: ExponentFunction, grid, a_list,
+def norms_of_inverse_x(p: ExponentLike, grid, a_list,
                        delta: float = 1.0,
                        tol: float = 1e-10) -> list[NormValue]:
     """Luxemburg norms of x -> 1/x over (a, delta) for each a, solved
@@ -550,7 +545,7 @@ def norms_of_inverse_x(p: ExponentFunction, grid, a_list,
     return results
 
 
-def norm_of_inverse_x(p: ExponentFunction, grid, a: float,
+def norm_of_inverse_x(p: ExponentLike, grid, a: float,
                       delta: float = 1.0, tol: float = 1e-10) -> NormValue:
     """Luxemburg norm of x -> 1/x over (a, delta)."""
     return norms_of_inverse_x(p, grid, [a], delta, tol)[0]

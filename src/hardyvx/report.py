@@ -67,13 +67,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     return RunReport(cfg.echo, report, truncation, wall, stamp)
 
 
-def _json_default(obj):
-    raise TypeError(f"not JSON-serializable: {obj!r}")
-
-
 def report_json(report: RunReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2,
-                      allow_nan=True, default=_json_default) + "\n"
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def emit(report: RunReport, fmt: str, out_dir: str | Path) -> list[Path]:

@@ -235,6 +235,11 @@ class TestMain:
     # and C1 skips the dyadic indicators that have no node inside
     ({"exponent": {"family": "constant", "p0": 2},
       "grid": {"x_min": 1e-300, "n": 16}}, "C5", "bounded"),
+    # too few dyadic levels above x_min for a random-step member's cuts:
+    # the family is left out, so C1 has no quotient
+    ({"exponent": {"family": "constant", "p0": 2},
+      "grid": {"x_min": 0.01, "n": 16}, "families": ["random-step"]},
+     "C1", "inconclusive"),
 ])
 def test_run_ends_in_a_report(tmp_path, capsys, config, criterion, cls):
     path = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ import pytest
 
 from hardyvx import (
     Constant,
+    ExponentFunction,
     LogPerturbed,
     PiecewiseConstant,
     almost_decreasing_constant,
@@ -19,7 +20,8 @@ from hardyvx import (
     phi_doubling,
 )
 from hardyvx.catalog import catalog_exponent
-from hardyvx.criteria import classify_series
+from hardyvx.criteria import _scales, classify_series
+from hardyvx.exponent import log_phi
 
 
 class TestClassifier:
@@ -109,6 +111,19 @@ class TestIntegralCriteria:
             assert value == pytest.approx(math.sqrt(1.0 - 2.0 ** -level),
                                           rel=1e-6)
 
+    @pytest.mark.parametrize("p", [
+        LogPerturbed(2.0, 1.0, 0.5),
+        PiecewiseConstant((2.0 ** -10, 0.3), (2.0, 2.5, 3.0))])
+    def test_scales_match_the_scalar_loop(self, grid, p):
+        # ln phi(a) from one vector evaluation of p at every scale a
+        # against the per-a scalar formula it replaced
+        _, a_list, levels, ln_phi_a = _scales(p, grid, None, 1.0)
+        assert len(a_list) == len(levels) == len(ln_phi_a) > 30
+        for a, level, la in zip(a_list, levels, ln_phi_a):
+            assert level == -math.log2(a)
+            assert la == pytest.approx(log_phi(p.eval(a), math.log(1.0 / a)),
+                                       rel=4.5e-16, abs=0.0)
+
     def test_C3_constant_two_witness(self, grid):
         best_eps, const, v = criterion_C3(Constant(2.0), grid)
         assert v.cls == "bounded"
@@ -175,3 +190,22 @@ class TestAudit:
         rep = equivalence_audit(Constant(1.0), grid, exponent_id="p-one")
         assert rep.expected_class == "divergent"
         assert rep.agreement
+
+    def test_one_full_grid_p_eval_per_audit(self, coarse_grid, monkeypatch):
+        # p at the nodes, its jump sides and ln phi are sampled once and
+        # shared by C2-C5, the doubling check and every C1 family
+        sizes = []
+        original = ExponentFunction.eval
+
+        def counted(self, x):
+            sizes.append(np.size(x))
+            return original(self, x)
+
+        monkeypatch.setattr(ExponentFunction, "eval", counted)
+        p = PiecewiseConstant((1e-4, 0.1), (2.0, 2.5, 3.0))
+        rep = equivalence_audit(p, coarse_grid, family_kinds=(
+            "power", "necessity", "dyadic", "random-step"))
+        assert set(rep.verdicts) >= {"A", "B", "C1", "C2", "C3", "C4", "C5"}
+        labels = {q[0].split(":")[0] for q in rep.empirical_c1.quotients}
+        assert labels == {"power", "necessity", "dyadic", "step"}
+        assert sizes.count(coarse_grid.n) == 1
