@@ -27,7 +27,7 @@ from .exponent import (
     monotone_prefix,
     on_grid,
 )
-from .grids import LogGrid, SampledFunction, integrate_dlog
+from .grids import GridError, LogGrid, _cell_integrals, _exp_cells, _lerp
 from .hardy import (
     OperatorNormResult,
     dyadic_indicator_family,
@@ -120,18 +120,19 @@ def _dyadic_block_sup(xs: np.ndarray,
     """Sup of vals per dyadic block (2^-j-1, 2^-j], deepest blocks last...
 
     Blocks are returned ordered from j=1 (near 1/2) down toward x_min, so
-    the series runs toward the origin like every other criterion series.
+    the series runs toward the origin like every other criterion series;
+    blocks whose sup is -inf or nan are left out.  The points are sorted
+    by block and every block's sup is one ``np.maximum.reduceat``.
     """
-    j = np.floor(-np.log2(xs)).astype(int)
-    j = np.maximum(j, 1)
-    levels = np.arange(1, int(j.max(initial=0)) + 1)
-    sups = np.full(levels.shape, -math.inf)
-    for idx, lv in enumerate(levels):
-        mask = j == lv
-        if np.any(mask):
-            sups[idx] = float(np.max(vals[mask]))
+    j = np.maximum(np.floor(-np.log2(xs)).astype(int), 1)
+    if not j.size:
+        return j, np.asarray(vals, dtype=float)[:0]
+    order = j.argsort(kind="stable")
+    j = j[order]
+    starts = np.flatnonzero(np.diff(j, prepend=0))
+    sups = np.maximum.reduceat(vals[order], starts)
     keep = sups > -math.inf
-    return levels[keep], sups[keep]
+    return j[starts][keep], sups[keep]
 
 
 def _scan_points(grid: LogGrid, lo: float, hi: float = 0.5) -> np.ndarray:
@@ -192,35 +193,85 @@ def _scales(p: ExponentLike, grid: LogGrid, a_list, delta: float):
     return p, a_list, [-math.log2(a) for a in a_list], ln_phi_a
 
 
+def _scan_cells(grid: LogGrid, a_list, delta: float):
+    """The cells of the integrals over [a, delta] for every scale a, as
+    ``integrate_dlog`` takes them: the first cell of each scale's node
+    slice, the common last cell, and each cell's [ln a, ln delta] clipped
+    into it, for all scales in one vector call."""
+    if not all(grid.x_min * (1 - 1e-12) <= a < delta <= 1.0 + 1e-12
+               for a in a_list):
+        raise GridError("bounds must satisfy x_min <= a < b <= 1")
+    ln_a = np.array([math.log(a) for a in a_list])
+    ln_d = math.log(delta)
+    top = grid.n - 2
+    first = np.clip(grid.u.searchsorted(ln_a, "right") - 1, 0, top)
+    last = min(max(int(grid.u.searchsorted(ln_d, "left")) - 1, 0), top)
+    return ln_a, ln_d, first, last
+
+
 def criterion_C2(p: ExponentLike, grid: LogGrid, a_list=None,
                  delta: float = 1.0) -> BoundednessVerdict:
-    """r(a) = (integral_a^delta phi dx/x) / phi(a)."""
+    """r(a) = (integral_a^delta phi dx/x) / phi(a).
+
+    One pass integrates phi over every cell from the deepest scale's
+    first cell to delta, one more each scale's first cell clipped at a;
+    each scale's cells are then summed by one ``reduceat``."""
     p, a_list, levels, ln_phi_a = _scales(p, grid, a_list, delta)
-    phi_f = SampledFunction(grid, np.exp(np.minimum(p.ln_phi, EXP_GUARD)),
-                            interp="powerlaw")
-    vals = []
-    for a, la in zip(a_list, ln_phi_a):
-        num = integrate_dlog(phi_f, a, delta)
-        vals.append(num * math.exp(-la))
-    return classify_series(levels, vals)
+    if len(a_list) == 0:
+        return classify_series(levels, [])
+    ln_a, ln_d, first, last = _scan_cells(grid, a_list, delta)
+    phi = np.exp(np.minimum(p.ln_phi, EXP_GUARD))
+    u = grid.u
+    lo = int(first.min())
+    cells = _cell_integrals(u[lo:last + 2], phi[lo:last + 2], u[lo:last + 1],
+                            np.clip(ln_d, u[lo:last + 1], u[lo + 1:last + 2]),
+                            weight_x=False)
+    # scale k sums cells first[k] - lo to the end, the first one clipped
+    lengths = cells.size - (first - lo)
+    ends = lengths.cumsum()
+    offsets = ends - lengths
+    per_scale = cells[np.arange(ends[-1])
+                      + np.repeat(first - lo - offsets, lengths)]
+    u_0, u_1 = u[first], u[first + 1]
+    per_scale[offsets] = _cell_integrals(u, phi, np.clip(ln_a, u_0, u_1),
+                                         np.clip(ln_d, u_0, u_1),
+                                         weight_x=False, left=first)
+    return classify_series(levels, [
+        num * math.exp(-la) for num, la in zip(
+            np.add.reduceat(per_scale, offsets).tolist(), ln_phi_a)])
 
 
 def criterion_C4(p: ExponentLike, grid: LogGrid, a_list=None,
                  delta: float = 1.0) -> BoundednessVerdict:
-    """s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x, in log space."""
+    """s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x, in log space.
+
+    Each scale's exponent p(x) (ln phi(x) - ln phi(a)) is taken at the
+    nodes of its cells meeting [a, delta] only; all scales' nodes are laid
+    end to end and their cells integrated in one pass.  A scale where a
+    node's exponent exceeds EXP_GUARD gets inf."""
     p, a_list, levels, ln_phi_a = _scales(p, grid, a_list, delta)
-    vals = []
-    for a, la in zip(a_list, ln_phi_a):
-        expo = p.p_nodes * (p.ln_phi - la)
-        # only the nodes of cells meeting [a, delta] enter the integral;
-        # below a, expo grows like (p-1)*ln(a/x), so the rest is clamped
-        if np.any(expo[grid.node_slice(a, delta)] > EXP_GUARD):
-            vals.append(math.inf)
-        else:
-            w = SampledFunction(grid, np.exp(np.minimum(expo, EXP_GUARD)),
-                                interp="powerlaw")
-            vals.append(integrate_dlog(w, a, delta))
-    return classify_series(levels, vals)
+    if len(a_list) == 0:
+        return classify_series(levels, [])
+    ln_a, ln_d, first, last = _scan_cells(grid, a_list, delta)
+    lengths = last + 2 - first
+    ends = lengths.cumsum()
+    offsets = ends - lengths
+    idx = np.arange(ends[-1]) + np.repeat(first - offsets, lengths)
+    expo = p.p_nodes[idx] * (p.ln_phi[idx] - np.repeat(ln_phi_a, lengths))
+    overflow = np.maximum.reduceat(expo, offsets) > EXP_GUARD
+    np.minimum(expo, EXP_GUARD, out=expo)
+    u = grid.u[idx]
+    u_0, u_1 = u[:-1], u[1:]
+    s = np.clip(np.repeat(ln_a, lengths)[:-1], u_0, u_1)
+    t = np.clip(ln_d, u_0, u_1)
+    h = u_1 - u_0
+    e_0, e_1 = expo[:-1], expo[1:]
+    cells = _exp_cells(_lerp(e_0, e_1, (s - u_0) / h),
+                       _lerp(e_0, e_1, (t - u_0) / h), t - s)
+    cells[ends[:-1] - 1] = 0.0  # the pairs that join two scales
+    vals = np.add.reduceat(cells, offsets)
+    vals[overflow] = math.inf
+    return classify_series(levels, vals.tolist())
 
 
 def criterion_C5(p: ExponentLike, grid: LogGrid, a_list=None,
@@ -275,16 +326,15 @@ def criterion_C3(p: ExponentLike, grid: LogGrid, eps_list=None,
             "inconclusive", math.inf, (), math.nan,
             (f"no grid node between the shallowest depth stop "
              f"x={math.exp(depths[0]):.3g} and delta={delta:.3g}",))
+    # ln C of the suffix from node i is the largest drop below a later
+    # running max: one suffix max of v, then one of the drops, per eps
+    logv = np.asarray(eps_list, dtype=float)[:, None] * u + logphi
+    drop = np.maximum.accumulate(logv[:, ::-1], axis=1)[:, ::-1] - logv
+    ln_c = np.maximum.accumulate(drop[:, ::-1], axis=1)[:, ::-1]
+    stops = u.searchsorted(depths, "left")
     candidates = []
-    for eps in eps_list:
-        logv = eps * u + logphi
-        ln_c = []
-        for ud in depths:
-            sub = logv[u >= ud]
-            suffix = np.maximum.accumulate(sub[::-1])[::-1]
-            ln_c.append(float(np.max(suffix - sub)))
-        full = ln_c[-1]
-        half = ln_c[depth_stops // 2 - 1]
+    for eps, full, half in zip(eps_list, ln_c[:, stops[-1]].tolist(),
+                               ln_c[:, stops[depth_stops // 2 - 1]].tolist()):
         growing = (full - half) > PLATEAU_THRESHOLD * full + 1e-9
         if not growing:
             candidates.append((math.exp(full), eps))
@@ -312,22 +362,22 @@ def dyadic_oscillation(p: ExponentFunction,
 
 
 def phi_doubling(p: ExponentLike, grid: LogGrid) -> float:
-    """sup of phi(y)/phi(x) over y in [x/2, 2x], x < 1/4."""
+    """sup of phi(y)/phi(x) over y in [x/2, 2x], x < 1/4: the largest
+    ln phi over each node's window of offsets with |ln(y/x)| <= ln 2,
+    less its own, in one (nodes x offsets) pass."""
     logphi = on_grid(p, grid).ln_phi
     window = int(round(math.log(2.0) / grid.h))
-    scan = grid.points < 0.25
-    best = 0.0
-    for off in range(-window, window + 1):
-        if off == 0:
-            continue
-        i = np.arange(grid.n)
-        j = i + off
-        valid = (j >= 0) & (j < grid.n) & scan
-        # keep |ln(y/x)| <= ln 2 exactly
-        valid &= np.abs(off * grid.h) <= math.log(2.0) + 1e-12
-        if np.any(valid):
-            best = max(best, float(np.max(logphi[j[valid]] - logphi[i[valid]])))
-    return math.exp(best)
+    # keep |ln(y/x)| <= ln 2 exactly
+    reach = max((off for off in range(window + 1)
+                 if abs(off * grid.h) <= math.log(2.0) + 1e-12), default=0)
+    scan = int(np.count_nonzero(grid.points < 0.25))
+    if not reach or not scan:
+        return 1.0
+    pad = np.full(reach, -math.inf)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((pad, logphi, pad)), 2 * reach + 1)[:scan]
+    return math.exp(max(0.0, float((windows.max(axis=1)
+                                    - logphi[:scan]).max())))
 
 
 # ---------------------------------------------------------------------------

@@ -390,19 +390,28 @@ class GridExponent:
     ln_phi: np.ndarray
     jumps: dict  # jump d -> (p just below d, p at d)
 
-    def pieces(self, lo: float, hi: float):
-        """Split (lo, hi) at the jumps of p; yield (s, t, p at the nodes)
-        per piece.  Across a jump of p at s or t, nodes beyond it carry
-        the piece's one-sided value, so cells straddling the jump
-        integrate its branch."""
+    def pieces(self, lo: float, hi: float) -> list[tuple[float, float]]:
+        """Split (lo, hi) at the jumps of p: the (s, t) of each piece."""
         edges = [lo] + sorted(d for d in self.jumps if lo < d < hi) + [hi]
-        for s, t in zip(edges, edges[1:]):
-            p_st = self.p_nodes
-            if s in self.jumps:
-                p_st = np.where(self.grid.points < s, self.jumps[s][1], p_st)
-            if t in self.jumps:
-                p_st = np.where(self.grid.points >= t, self.jumps[t][0], p_st)
-            yield s, t, p_st
+        return list(zip(edges, edges[1:]))
+
+    def p_at(self, nodes: slice, s: float, t: float) -> np.ndarray:
+        """p at the grid nodes ``nodes`` (a slice with a start) for the
+        piece (s, t).  Across a jump of p at s or t, nodes beyond it carry
+        the piece's one-sided value, so cells straddling the jump
+        integrate its branch; only the nodes of the slice are touched."""
+        p_st = self.p_nodes[nodes]
+        if s in self.jumps:
+            k = int(self.grid.points.searchsorted(s, "left")) - nodes.start
+            if k > 0:
+                p_st = p_st.copy()
+                p_st[:k] = self.jumps[s][1]
+        if t in self.jumps:
+            k = int(self.grid.points.searchsorted(t, "left")) - nodes.start
+            if k < p_st.size:
+                p_st = p_st.copy()
+                p_st[max(k, 0):] = self.jumps[t][0]
+        return p_st
 
 
 ExponentLike = Union[ExponentFunction, GridExponent]

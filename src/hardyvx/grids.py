@@ -15,8 +15,10 @@ the cell flattens and with no overflow below the larger end.  A cell with
 a zero end, or a log-linear one, is linear in g (``_linear_cells``).
 ``integrate`` and ``integrate_dlog`` sum the cells and
 ``cumulative_integral`` takes their running sum, so pure power integrands
-are exact up to rounding.  The Luxemburg-norm solver in ``lpnorm`` feeds
-``_exp_cells`` the exponents of its own prepared cells.  The only
+are exact up to rounding; ``_cumulative_integrals`` does so for a batch
+of functions in one pass, the node slices of all their segments laid end
+to end.  The Luxemburg-norm solver in ``lpnorm`` feeds ``_exp_cells`` the
+exponents of its own prepared cells.  The only
 truncation bias is the head extrapolation below x_min, a two-point
 power-law fit.
 """
@@ -75,8 +77,8 @@ class LogGrid:
     def node_slice(self, a: float, b: float) -> slice:
         """The nodes of the cells meeting [a, b], the only nodes an
         integral over [a, b] reads."""
-        i0 = int(np.searchsorted(self.u, math.log(a), side="right")) - 1
-        i1 = int(np.searchsorted(self.u, math.log(b), side="left")) - 1
+        i0 = int(self.u.searchsorted(math.log(a), "right")) - 1
+        i1 = int(self.u.searchsorted(math.log(b), "left")) - 1
         return slice(min(max(i0, 0), self.n - 2),
                      min(max(i1, 0), self.n - 2) + 2)
 
@@ -196,22 +198,26 @@ def _exp_cells(e_s, e_t, dt):
     return np.exp(np.maximum(e_s, e_t)) * dt * (np.expm1(x) / x)
 
 
-def _cell_integrals(u, g, s, t, powerlaw: bool = True,
-                    weight_x: bool = True) -> np.ndarray:
+def _cell_integrals(u, g, s, t, powerlaw=True, weight_x: bool = True,
+                    left=None) -> np.ndarray:
     """Integral of g du (or e^u g du) over [s[i], t[i]] inside each cell
-    [u[i], u[i+1]] of the nodes u, whose values are g.
+    [u[i], u[i+1]] of the nodes u, whose values are g; with ``left``, the
+    cells are [u[left[i]], u[left[i] + 1]], so the nodes may hold several
+    slices back to back.
 
-    A cell with both ends positive and ``powerlaw`` set is linear in
-    (u, ln g): ``_exp_cells`` of E = ln g (+ u), taken once per node and
-    lerped to s and t.  Any other cell is linear in (u, g), and each cell
-    is evaluated by its own formula only.  s == u[i] or
-    t == u[i+1] keeps the stored end value, so unclipped cells are exact
-    up to rounding.
+    A cell with both ends positive and ``powerlaw`` set (per cell, or for
+    all) is linear in (u, ln g): ``_exp_cells`` of E = ln g (+ u), taken
+    once per node and lerped to s and t.  Any other cell is linear in
+    (u, g), and each cell is evaluated by its own formula only.  s ==
+    u[i] or t == u[i+1] keeps the stored end value, so unclipped cells
+    are exact up to rounding.
     """
-    u0, u1, g0, g1 = u[:-1], u[1:], g[:-1], g[1:]
+    i, j = (slice(None, -1), slice(1, None)) if left is None else (left,
+                                                                   left + 1)
+    u0, u1, g0, g1 = u[i], u[j], g[i], g[j]
     w_s, w_t = (s - u0) / (u1 - u0), (t - u0) / (u1 - u0)
     positive = g > 0.0
-    power = positive[:-1] & positive[1:] & powerlaw
+    power = positive[i] & positive[j] & powerlaw
     # a slice, which copies nothing, indexes a kind that fills the call,
     # as the power cells fill most calls
     n_power = np.count_nonzero(power)
@@ -219,7 +225,7 @@ def _cell_integrals(u, g, s, t, powerlaw: bool = True,
     if n_power:
         k = power if n_power < power.size else slice(None)
         e = np.log(np.where(positive, g, 1.0)) + (u if weight_x else 0.0)
-        e0, e1 = e[:-1][k], e[1:][k]
+        e0, e1 = e[i][k], e[j][k]
         cells[k] = _exp_cells(_lerp(e0, e1, w_s[k]), _lerp(e0, e1, w_t[k]),
                               t[k] - s[k])
     if n_power < power.size:
@@ -281,22 +287,32 @@ def integrate_dlog(g: SampledFunction, a: float, b: float) -> float:
 
 def head_fit(g: SampledFunction) -> tuple[float, float]:
     """Two-point power-law fit v = c * x**q from the first two samples."""
-    v0, v1 = g.values[0], g.values[1]
+    return _head_fit(g.values[0], g.values[1], g.grid)
+
+
+def _head_fit(v0, v1, grid: LogGrid) -> tuple[float, float]:
+    """``head_fit`` from the values v0, v1 at the grid's first two nodes."""
     if v0 <= 0.0 or v1 <= 0.0:
         return 0.0, 0.0
-    q = math.log(v1 / v0) / (g.grid.u[1] - g.grid.u[0])
+    q = math.log(v1 / v0) / (grid.u[1] - grid.u[0])
     return v0, q
 
 
 def head_integral(g: SampledFunction) -> float:
     """Integral of the fitted power over (0, x_min) w.r.t. dx."""
-    v0, q = head_fit(g)
+    return _head_integral(g.values[0], g.values[1], g.grid)
+
+
+def _head_integral(v0, v1, grid: LogGrid) -> float:
+    """``head_integral`` from the values v0, v1 at the grid's first two
+    nodes, the only ones the fit reads."""
+    v0, q = _head_fit(v0, v1, grid)
     if v0 == 0.0:
         return 0.0
     if q <= -1.0:
         raise DivergentHeadError(
             f"fitted head exponent {q:.3f} <= -1: integral diverges at 0")
-    return v0 * g.grid.x_min / (q + 1.0)
+    return v0 * grid.x_min / (q + 1.0)
 
 
 def integrate(g: SampledFunction, a: float, b: float) -> float:
@@ -318,31 +334,89 @@ def integrate(g: SampledFunction, a: float, b: float) -> float:
 
 
 def cumulative_integral(f: FunctionLike) -> SampledFunction:
-    """x -> integral_0^x f, as a sampled function on f's grid.
+    """x -> integral_0^x f, as a sampled function on f's grid:
+    ``_cumulative_integrals`` of f alone, raising its DivergentHeadError.
 
     Accepts a single segment or a list of disjoint segments.  Segments
     whose support reaches below x_min contribute the closed-form head of
     their two-point power-law fit.
     """
-    segs = as_segments(f)
-    grid = segs[0].grid
-    total = np.zeros(grid.n)
-    for seg in segs:
-        if seg.grid is not grid and not np.array_equal(seg.grid.points,
-                                                       grid.points):
-            raise GridError("all segments must share one grid")
-        if np.any(seg.values < 0.0):
-            raise ValueError("cumulative_integral requires g >= 0")
-        lo, hi = seg.effective_support()
-        head = head_integral(seg) if lo < grid.x_min else 0.0
-        a, b = max(lo, grid.x_min), min(hi, 1.0)
-        nodes = grid.node_slice(a, b)
-        running = np.zeros(grid.n)
-        running[nodes.start + 1:nodes.stop] = np.cumsum(
-            _clipped_cells(seg, a, b, True))
-        running[nodes.stop:] = running[nodes.stop - 1]
-        total += head + running
-    if np.any(np.diff(total) < -1e-12 * max(1.0, float(total[-1]))):
+    (result,) = _cumulative_integrals([f])
+    if isinstance(result, DivergentHeadError):
+        raise result
+    return result
+
+
+def _cumulative_integrals(fs: list) -> list:
+    """``cumulative_integral`` of each function in ``fs``, all on one
+    grid, in one pass: the cells of every segment's node slice, laid end
+    to end, are integrated in one ``_cell_integrals`` call, placed at
+    their grid positions in one row per segment, and summed by
+    ``np.cumsum(axis=1)``, which keeps each row's summation order.  A
+    function whose head below x_min diverges gets its DivergentHeadError
+    in its slot (not raised), and its neighbours are unaffected.
+    """
+    grid = as_segments(fs[0])[0].grid
+    results: list = [None] * len(fs)
+    segs, heads, first = [], [], []  # first: each function's first segment
+    for k, f in enumerate(fs):
+        mine, my_heads = as_segments(f), []
+        try:
+            for seg in mine:
+                if seg.grid is not grid and not np.array_equal(
+                        seg.grid.points, grid.points):
+                    raise GridError("all segments must share one grid")
+                if np.any(seg.values < 0.0):
+                    raise ValueError("cumulative_integral requires g >= 0")
+                lo, _ = seg.effective_support()
+                my_heads.append(head_integral(seg) if lo < grid.x_min
+                                else 0.0)
+        except DivergentHeadError as exc:
+            results[k] = exc.with_traceback(None)
+            continue
+        first.append((k, len(segs), len(mine)))
+        segs += mine
+        heads += my_heads
+    if not segs:
+        return results
+    ln_a, ln_b = np.array([(math.log(max(lo, grid.x_min)),
+                            math.log(min(hi, 1.0)))
+                           for lo, hi in (seg.effective_support()
+                                          for seg in segs)]).T
+    top = grid.n - 2
+    starts = np.clip(grid.u.searchsorted(ln_a, "right") - 1, 0, top)
+    lengths = (np.clip(grid.u.searchsorted(ln_b, "left") - 1, 0, top) + 2
+               - starts)
+    ends = lengths.cumsum()
+    idx = np.arange(ends[-1]) + np.repeat(starts + lengths - ends, lengths)
+    # every node but each slice's last starts a cell
+    pairs = np.ones(idx.size - 1, bool)
+    pairs[ends[:-1] - 1] = False
+    left = pairs.nonzero()[0]
+    u = grid.u[idx]
+    u0, u1 = u[left], u[left + 1]
+    cells_per = lengths - 1
+    cells = _cell_integrals(
+        u, np.concatenate([seg.values[a:b] for seg, a, b in zip(
+            segs, starts.tolist(), (starts + lengths).tolist())]),
+        np.clip(np.repeat(ln_a, cells_per), u0, u1),
+        np.clip(np.repeat(ln_b, cells_per), u0, u1),
+        np.repeat([seg.interp == "powerlaw" for seg in segs], cells_per),
+        True, left)
+    running = np.zeros((len(segs), grid.n))
+    running[np.repeat(np.arange(len(segs)), cells_per), idx[left] + 1] = cells
+    np.cumsum(running, axis=1, out=running)
+    running += np.array(heads)[:, None]
+    # each function's total adds its segments in order
+    total = running[[j for _, j, _ in first]]
+    for m in range(1, max(count for _, _, count in first)):
+        more = [i for i, (_, _, count) in enumerate(first) if count > m]
+        total[more] += running[[first[i][1] + m for i in more]]
+    if np.any(np.diff(total, axis=1)
+              < -1e-12 * np.maximum(1.0, total[:, -1:])):
         raise AssertionError("cumulative integral must be nondecreasing")
-    total = np.maximum.accumulate(total)
-    return SampledFunction(grid, total, interp="loglinear", support=None)
+    total = np.maximum.accumulate(total, axis=1)
+    for (k, _, _), values in zip(first, total):
+        results[k] = SampledFunction(grid, values, interp="loglinear",
+                                     support=None)
+    return results

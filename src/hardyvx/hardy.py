@@ -20,10 +20,11 @@ from .grids import (
     LogGrid,
     SampledFunction,
     _cell_integrals,
+    _cumulative_integrals,
     as_segments,
-    cumulative_integral,
     head_fit,
 )
+from . import lpnorm
 from .lpnorm import (
     NormValue,
     UnboundedNormError,
@@ -61,11 +62,25 @@ class ResolutionError(ValueError):
 # the operator
 
 def hardy_average(f: FunctionLike) -> SampledFunction:
-    """x -> (1/x) * integral_0^x f, sampled on f's grid."""
-    H = cumulative_integral(f)
-    vals = H.values / H.grid.points
-    interp = "powerlaw" if np.all(vals > 0.0) else "loglinear"
-    return SampledFunction(H.grid, vals, interp=interp)
+    """x -> (1/x) * integral_0^x f, sampled on f's grid:
+    ``_hardy_averages`` of f alone, raising its DivergentHeadError."""
+    (result,) = _hardy_averages([f])
+    if isinstance(result, DivergentHeadError):
+        raise result
+    return result
+
+
+def _hardy_averages(fs: list) -> list:
+    """``hardy_average`` of each function in ``fs``, all on one grid,
+    from one ``_cumulative_integrals`` pass; a function whose head below
+    x_min diverges gets its DivergentHeadError in its slot."""
+    results = _cumulative_integrals(fs)
+    for k, H in enumerate(results):
+        if isinstance(H, SampledFunction):
+            vals = H.values / H.grid.points
+            interp = "powerlaw" if np.all(vals > 0.0) else "loglinear"
+            results[k] = SampledFunction(H.grid, vals, interp=interp)
+    return results
 
 
 def _t_quadrature(t0: float, t1: float, vals_fn, n_t: int) -> float:
@@ -143,11 +158,13 @@ class QuotientResult:
 def _rayleigh_quotients(fs: list, denominators: list,
                         p: ExponentLike, tol: float) -> list:
     """Rayleigh quotients of each f in ``fs`` given its solved denominator
-    ||f||: every numerator in one ``luxemburg_norms`` call.  A failing
-    f's slot holds its exception (ZeroDivisionError, DivergentHeadError
-    or UnboundedNormError), stored without its traceback."""
+    ||f||: every numerator in one ``luxemburg_norms`` call, which takes
+    the Hardy averages as they are computed, in chunks of at most
+    ``lpnorm._GROUP_CELLS`` grid values.  A failing f's slot holds its
+    exception (ZeroDivisionError, DivergentHeadError or
+    UnboundedNormError), stored without its traceback."""
     results = list(denominators)
-    averages = {}
+    live = []
     for i, den in enumerate(results):
         if isinstance(den, UnboundedNormError):
             continue
@@ -155,13 +172,33 @@ def _rayleigh_quotients(fs: list, denominators: list,
             results[i] = ZeroDivisionError(
                 "Rayleigh quotient of the zero function")
             continue
-        try:
-            averages[i] = hardy_average(fs[i])
-        except DivergentHeadError as exc:
-            results[i] = exc.with_traceback(None)
-    numerators = luxemburg_norms([(h, None) for h in averages.values()],
-                                 p, tol)
-    for i, num in zip(averages, numerators):
+        live.append(i)
+    averaged = []  # the indices of the averages handed to the solver
+
+    def chunks():
+        chunk, size = [], 0
+        for i in live:
+            segs = as_segments(fs[i])
+            n = len(segs) * segs[0].grid.n
+            if chunk and size + n > lpnorm._GROUP_CELLS:
+                yield chunk
+                chunk, size = [], 0
+            chunk.append(i)
+            size += n
+        if chunk:
+            yield chunk
+
+    def numerators():
+        for chunk in chunks():
+            for i, h in zip(chunk, _hardy_averages([fs[i] for i in chunk])):
+                if isinstance(h, DivergentHeadError):
+                    results[i] = h
+                else:
+                    averaged.append(i)
+                    yield h, None
+
+    numerators = luxemburg_norms(numerators(), p, tol)
+    for i, num in zip(averaged, numerators):
         den = results[i]
         results[i] = (num if isinstance(num, UnboundedNormError)
                       else QuotientResult(num.value / den.value, num, den))
@@ -237,9 +274,10 @@ def necessity_test_function(p: ExponentLike, grid: LogGrid,
     if inside < 8:
         raise ResolutionError(
             f"only {inside} grid points fall inside (a/2, a) for a={a:g}")
+    p = on_grid(p, grid)
     segs = []
-    for s, t, pn in on_grid(p, grid).pieces(a / 2.0, a):
-        vals = np.exp(-np.log(grid.points) / pn)
+    for s, t in p.pieces(a / 2.0, a):
+        vals = np.exp(-np.log(grid.points) / p.p_at(slice(0, grid.n), s, t))
         segs.append(SampledFunction(grid, vals, interp="powerlaw",
                                     support=(s, t)))
     return segs

@@ -4,10 +4,12 @@ The modular integrand |f(x)/lambda|**p(x) is always assembled in log
 space as exp(p(x) * (ln|f(x)| - sigma)), sigma = ln lambda, with |f| = 0
 contributing 0.  Integration splits at exponent discontinuities and at
 segment support boundaries, so piecewise power data is integrated
-exactly.  ``_prepare`` turns (f, p sampled on f's grid, interval) into
-sigma-independent cell rows, once per f: for each cell of each piece's
-node slice, with the piece clipped into it, the exponent E = p ln|f| + u
-- sigma p (u = ln x) at both clipped ends is a - sigma q, so the cell
+exactly.  ``_prepare`` turns (f, interval) jobs into sigma-independent
+cell rows, once per f and a batch of jobs at a time, in one vectorised
+pass over the node slices of every (job, segment, piece of p) laid end
+to end: for each cell of a piece's node slice, with the piece clipped
+into it, the exponent E = p ln|f| + u - sigma p (u = ln x) at both
+clipped ends is a - sigma q, so the cell
 integral is the grid's log-space cell formula ``_exp_cells`` of two
 such values, two transcendentals per cell.  Cells where f vanishes at
 both ends integrate to 0 at every sigma and are dropped; the few cells
@@ -26,15 +28,18 @@ on each cell); it only steers, because each job keeps its own certified
 bracket, takes a bisection step whenever a Newton step would leave it or
 I is inf or 0, and ends with two evaluations at lambda * (1 -+ tol/4)
 that certify I(hi) <= 1 < I(lo), or else with plain bisection.  Jobs are
-solved in order in groups of at most ``_GROUP_CELLS`` cells (a larger job
-alone), each group evaluating all its jobs' current points in one call.
+prepared in batches of at most ``_GROUP_CELLS`` nodes and solved in order
+in groups of at most as many cells (a larger job alone), each group
+evaluating all its jobs' current points together.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,10 +49,10 @@ from .grids import (
     FunctionLike,
     SampledFunction,
     _exp_cells,
+    _head_integral,
     _lerp,
     _linear_cells,
     as_segments,
-    head_integral,
 )
 
 __all__ = [
@@ -64,10 +69,11 @@ __all__ = [
     "norms_of_inverse_x",
 ]
 
-# cells per lockstep group: large enough to amortise numpy's per-call
-# cost over many jobs, small enough that the evaluation's temporaries
-# stay a small share of peak memory; grouping never changes a result
-_GROUP_CELLS = 2048
+# nodes per preparation batch, and cells per lockstep group: large enough
+# to amortise numpy's per-call cost over many jobs, small enough that the
+# temporaries stay a small share of peak memory; batches and groups never
+# change a result
+_GROUP_CELLS = 8192
 # Newton steps before a job falls back to bisection
 _MAX_NEWTON = 50
 # the search range of lambda: at or below _LAM_MIN f counts as negligible,
@@ -83,15 +89,15 @@ class UnboundedNormError(ArithmeticError):
     """The modular stays above 1 for every lambda in the search range."""
 
 
-@dataclass(frozen=True)
-class _Cells:
+class _Cells(NamedTuple):
     """The prepared modular of one f.  ``rows`` holds, per kept cell,
     a_s, q_s, a_t, q_t, dt and mean p, so that the cell's integral at
     sigma is ``_exp_cells(a_s - sigma q_s, a_t - sigma q_t, dt)``.  I is
     inf for sigma below ``guard``, where some node's exponent p (ln|f| -
-    sigma) exceeds EXP_GUARD.  ``sup`` is sup|f| on f's support, and
-    ``heads`` holds (p, f) at the nodes for each piece that reaches x_min
-    while f's support goes below it, for the head fit."""
+    sigma) exceeds EXP_GUARD.  ``sup`` is sup|f| over the nodes in f's
+    support that the cells read, and ``heads`` holds, for each piece that
+    reaches x_min while f's support goes below it, |f|**p at the grid's
+    first two nodes, for the head fit."""
     rows: np.ndarray  # shape (6, cells)
     guard: float
     sup: float
@@ -128,89 +134,171 @@ class NormValue:
         return self.value
 
 
-def _piece_rows(u: np.ndarray, p: np.ndarray, f: np.ndarray, s: float,
-                t: float) -> tuple[np.ndarray, float]:
-    """The rows of the cells of one piece's node slice (nodes u, p and f
-    there), with [s, t] clipped into each cell, and the piece's guard.
-
-    E = p ln|f| + u - sigma p is lerped to the clipped ends, which differ
-    from the nodes only in the first and the last cell.  Cells with f = 0
-    at both ends integrate to 0 at every sigma and are dropped.  On a cell
-    with one zero end |f/lambda|**p is linear in u, so its integral is
-    c |f/lambda|**p at the other end, c = ``_linear_cells`` of the 0-1
-    end pattern: the single exponent ln c + p ln|f| - sigma p, stored as a
-    cell of width 1."""
-    nz = f != 0.0
-    zeros = not nz.all()
-    if zeros:
-        hit = nz.nonzero()[0]
-        if not hit.size:
-            return np.empty((6, 0)), -math.inf
-        # trim the runs of zero cells at both ends of the slice; clipping
-        # [s, t] into a cell that is no longer first or last changes nothing
-        keep = slice(max(hit[0] - 1, 0), hit[-1] + 2)
-        u, p, f, nz = u[keep], p[keep], f[keep], nz[keep]
-    ln_f = np.log(np.abs(f), out=np.full(f.shape, -math.inf), where=nz)
-    guard = float((ln_f - EXP_GUARD / p).max())
-    cs, ct = u[:-1].copy(), u[1:].copy()
-    (u_0, u_1), (u_m, u_n) = u[:2].tolist(), u[-2:].tolist()
-    cs[0] = s_0 = min(max(math.log(s), u_0), u_1)
-    ct[-1] = t_n = min(max(math.log(t), u_m), u_n)
-    pl = p * ln_f  # -inf where f = 0, on cells that are replaced below
-    a = pl + u
-    rows = np.empty((6, u.size - 1))
-    rows[0], rows[1], rows[2], rows[3] = a[:-1], p[:-1], a[1:], p[1:]
-    rows[4] = ct - cs
-    rows[5] = 0.5 * (p[:-1] + p[1:])
-    w_s, w_t = (s_0 - u_0) / (u_1 - u_0), (t_n - u_m) / (u_n - u_m)
-    (a_0, a_1), (a_m, a_n) = a[:2].tolist(), a[-2:].tolist()
-    (p_0, p_1), (p_m, p_n) = p[:2].tolist(), p[-2:].tolist()
-    rows[0, 0], rows[1, 0] = _lerp(a_0, a_1, w_s), _lerp(p_0, p_1, w_s)
-    rows[2, -1], rows[3, -1] = _lerp(a_m, a_n, w_t), _lerp(p_m, p_n, w_t)
-    if not zeros:
-        return rows, guard
-    other = (~(nz[:-1] & nz[1:])).nonzero()[0]
-    left, right = nz[other], nz[other + 1]
-    u0, cs, ct = u[other], cs[other], ct[other]
-    h = u[other + 1] - u0
-    c = _linear_cells(_lerp(left, right, (cs - u0) / h),
-                      _lerp(left, right, (ct - u0) / h), cs, ct, True)
-    # c = 0 on a cell with f = 0 at both ends, or of zero width
-    empty = c <= 0.0
-    e = np.where(left, pl[other], pl[other + 1])
-    e += np.log(c, out=np.zeros_like(c), where=~empty)
-    q = np.where(left, p[other], p[other + 1])
-    rows[0, other], rows[1, other], rows[2, other], rows[3, other] = e, q, e, q
-    rows[4, other] = 1.0
-    return (np.delete(rows, other[empty], axis=1) if empty.any() else rows,
-            guard)
-
-
-def _prepare(segs: list[SampledFunction], p: GridExponent,
-             interval: tuple[float, float] | None) -> _Cells:
-    """The cells of the modular of f, given as segments, over
-    ``interval``; p is sampled on f's grid."""
-    grid = segs[0].grid
+def _plan(segs: list[SampledFunction], p: GridExponent,
+          interval: tuple[float, float] | None) -> list:
+    """The pieces of one job: per segment of f and piece of p over
+    ``interval``, (node slice start and stop, ln s, ln t, f's support lo
+    and hi, p and f at the node slice, whether a head below x_min continues
+    it)."""
+    grid = p.grid
     a, b = interval if interval is not None else (grid.x_min, 1.0)
     if not (grid.x_min * (1 - 1e-12) <= a < b <= 1.0 + 1e-12):
         raise ValueError("modular interval must lie inside [x_min, 1]")
-    blocks, heads, guard = [], [], -math.inf
+    pieces = []
     for seg in segs:
         lo, hi = seg.effective_support()
         lo_eff, hi_eff = max(lo, a), min(hi, b)
         if lo_eff >= hi_eff:
             continue
         head = lo < grid.x_min and a <= grid.x_min * (1 + 1e-12)
-        for s, t, p_st in p.pieces(lo_eff, hi_eff):
+        for s, t in p.pieces(lo_eff, hi_eff):
             nodes = grid.node_slice(s, t)
-            rows, piece_guard = _piece_rows(grid.u[nodes], p_st[nodes],
-                                            seg.values[nodes], s, t)
-            blocks.append(rows)
-            guard = max(guard, piece_guard)
-            if head and s == lo_eff:
-                heads.append((p_st, seg.values))
-    rows = np.concatenate(blocks, axis=1) if blocks else np.empty((6, 0))
-    return _Cells(rows, guard, _sup_abs(segs), heads)
+            pieces.append((nodes.start, nodes.stop, math.log(s), math.log(t),
+                           lo, hi, p.p_at(nodes, s, t),
+                           seg.values[nodes], head and s == lo_eff))
+    return pieces
+
+
+def _prepare(jobs, p: ExponentLike):
+    """The prepared modular of each (f, interval) job, in order; interval
+    None means (x_min, 1].  Jobs are gathered in batches of at most
+    ``_GROUP_CELLS`` nodes (a larger job alone), each prepared in one
+    vectorised pass by ``_gather``, so only one batch's arrays are held at
+    a time."""
+    batch, size = [], 0
+    for f, interval in jobs:
+        segs = as_segments(f)
+        q = on_grid(p, segs[0].grid)
+        pieces = _plan(segs, q, interval)
+        nodes = sum(piece[1] - piece[0] for piece in pieces)
+        if batch and (q is not p or size + nodes > _GROUP_CELLS):
+            yield from _gather(batch, p)
+            batch, size = [], 0
+        p = q
+        batch.append(pieces)
+        size += nodes
+    if batch:
+        yield from _gather(batch, p)
+
+
+def _gather(batch: list, p: GridExponent) -> list[_Cells]:
+    """The cells of each job of ``batch`` (lists of ``_plan`` pieces) in
+    one pass: the node slices of all pieces are laid end to end, every
+    pair of adjacent nodes is a cell, and the pairs that join two pieces
+    are dropped at the end.
+
+    E = p ln|f| + u - sigma p is lerped to [s, t] clipped into each cell,
+    which differs from the nodes only in each piece's first and last
+    cell.  Cells with f = 0 at both ends integrate to 0 at every sigma and
+    are dropped.  On a cell with one zero end |f/lambda|**p is linear in
+    u, so its integral is c |f/lambda|**p at the other end, c =
+    ``_linear_cells`` of the 0-1 end pattern: the single exponent ln c +
+    p ln|f| - sigma p, stored as a cell of width 1.  Each piece's guard
+    and sup|f| (over the nodes in f's support) come from one ``reduceat``
+    each."""
+    grid = p.grid
+    pieces = [piece for job in batch for piece in job]
+    if not pieces:
+        return [_Cells(np.empty((6, 0)), -math.inf, 0.0, []) for _ in batch]
+    ends = list(itertools.accumulate(stop - start
+                                     for start, stop, *_ in pieces))
+    first = [0] + ends[:-1]  # each piece's first node, and first cell
+    last = [end - 2 for end in ends]  # each piece's last cell
+    u = np.concatenate([grid.u[piece[0]:piece[1]] for piece in pieces])
+    pn = np.concatenate([piece[6] for piece in pieces])
+    f = np.concatenate([piece[7] for piece in pieces])
+    abs_f = np.abs(f)
+    nz = abs_f != 0.0
+    ln_f = np.log(abs_f, out=np.full(f.shape, -math.inf), where=nz)
+    guards = np.maximum.reduceat(ln_f - EXP_GUARD / pn, first).tolist()
+    pl = pn * ln_f  # -inf where f = 0, on cells that are replaced below
+    a = pl + u
+    # each piece's first and last cell, with [s, t] clipped into it: the
+    # lerps of E's node values, as in the scalar formula; and the nodes
+    # left out of sup|f|: only a slice's end nodes can lie outside f's
+    # support, which contains [s, t]
+    corners = [i for j, k in zip(first, last) for i in (j, j + 1, k, k + 1)]
+    u_c, a_c, p_c = (v[corners].tolist() for v in (u, a, pn))
+    points = grid.points
+    clipped, outside = [], []
+    for k, (start, stop, ln_s, ln_t, lo, hi, *_) in enumerate(pieces):
+        u_0, u_1, u_m, u_n = u_c[4 * k:4 * k + 4]
+        a_0, a_1, a_m, a_n = a_c[4 * k:4 * k + 4]
+        p_0, p_1, p_m, p_n = p_c[4 * k:4 * k + 4]
+        s_0, t_n = min(max(ln_s, u_0), u_1), min(max(ln_t, u_m), u_n)
+        w_s, w_t = (s_0 - u_0) / (u_1 - u_0), (t_n - u_m) / (u_n - u_m)
+        clipped.append((s_0, t_n, _lerp(a_0, a_1, w_s), _lerp(p_0, p_1, w_s),
+                        _lerp(a_m, a_n, w_t), _lerp(p_m, p_n, w_t)))
+        if points[start] < lo:
+            outside.append(first[k])
+        if points[stop - 1] > hi:
+            outside.append(last[k] + 1)
+    abs_f[outside] = 0.0
+    sups = np.maximum.reduceat(abs_f, first).tolist()
+    clipped = np.array(clipped).T
+    i_0, i_1 = np.array((first, last))
+    cs, ct = u[:-1].copy(), u[1:].copy()
+    cs[i_0], ct[i_1] = clipped[0], clipped[1]
+    # the cells kept: the pairs of nodes within a piece where f is not 0
+    # at both ends, less the one-zero-end cells of zero width
+    nz_s, nz_t = nz[:-1], nz[1:]
+    kept = nz_s | nz_t
+    joins = i_0[1:] - 1
+    kept[joins] = False
+    one = (nz_s ^ nz_t).nonzero()[0] if not nz.all() else i_0[:0]
+    one = one[kept[one]]
+    if one.size:
+        left_nz, right_nz = nz_s[one], nz_t[one]
+        cs_1, ct_1, u_0 = cs[one], ct[one], u[one]
+        h = u[one + 1] - u_0
+        c = _linear_cells(_lerp(left_nz, right_nz, (cs_1 - u_0) / h),
+                          _lerp(left_nz, right_nz, (ct_1 - u_0) / h),
+                          cs_1, ct_1, True)
+        # c = 0 on a cell of zero width
+        empty = c <= 0.0
+        kept[one[empty]] = False
+    cells = kept.nonzero()[0]
+    # the column of the kept pair i, and the kept pairs before pair i
+    column = cells.searchsorted
+    rows = np.empty((6, cells.size))
+    # each cell's left and right node; slices, which copy nothing, where
+    # every pair is kept
+    left, right = cells, cells + 1
+    if cells.size == kept.size:
+        cells, left, right = slice(None), slice(0, -1), slice(1, None)
+    rows[0], rows[1], rows[2], rows[3] = a[left], pn[left], a[right], pn[right]
+    np.subtract(ct[cells], cs[cells], out=rows[4])
+    rows[5] = 0.5 * (rows[1] + rows[3])
+    at_0, at_1 = kept[i_0], kept[i_1]
+    rows[0:2, column(i_0[at_0])] = clipped[2:4, at_0]
+    rows[2:4, column(i_1[at_1])] = clipped[4:6, at_1]
+    if one.size:
+        e = np.where(left_nz, pl[one], pl[one + 1])
+        e += np.log(c, out=np.zeros_like(c), where=~empty)
+        q = np.where(left_nz, pn[one], pn[one + 1])
+        at = column(one[~empty])
+        e, q = e[~empty], q[~empty]
+        rows[0, at], rows[1, at], rows[2, at], rows[3, at] = e, q, e, q
+        rows[4, at] = 1.0
+    # each piece's cells are the kept ones from its first to its last
+    col_0, col_1 = column(i_0).tolist(), column(i_1, "right").tolist()
+    heads = [k for k, piece in enumerate(pieces) if piece[8]]
+    weights = {}
+    if heads:
+        # |f|**p at the grid's first two nodes, all the head fit reads
+        two = [i for k in heads for i in (first[k], first[k] + 1)]
+        w = np.exp(np.minimum(pl[two], EXP_GUARD)).tolist()
+        weights = {k: (w[2 * n], w[2 * n + 1]) for n, k in enumerate(heads)}
+    out, k = [], 0
+    for job in batch:
+        j = k + len(job)
+        out.append(_Cells(rows[:, col_0[k]:col_1[j - 1]] if j > k
+                          else rows[:, :0],
+                          max(guards[k:j], default=-math.inf),
+                          max(sups[k:j], default=0.0),
+                          [weights[i] for i in range(k, j) if i in weights]))
+        k = j
+    return out
 
 
 def _evaluate(rows: np.ndarray, sigma, starts: np.ndarray):
@@ -231,34 +319,24 @@ def modular(f: FunctionLike, p: ExponentLike,
     The truncation bias is the head below x_min, estimated with the grid's
     two-point power fit of the integrand."""
     segs = as_segments(f)
-    cells = _prepare(segs, on_grid(p, segs[0].grid), interval)
+    (cells,) = _prepare([(segs, interval)], p)
+    return _modular(cells, segs[0].grid)
+
+
+def _modular(cells: _Cells, grid) -> ModularValue:
+    """The modular of prepared cells, with its truncation bias."""
     if cells.guard > 0.0:
         return ModularValue(math.inf, cells=cells)
     value = 0.0
     if cells.size:
         value = float(_evaluate(cells.rows, 0.0, np.zeros(1, np.intp))[0][0])
     bias = 0.0
-    for p_nodes, values in cells.heads:
-        with np.errstate(divide="ignore"):
-            w = np.exp(np.minimum(p_nodes * np.log(np.abs(values)),
-                                  EXP_GUARD))
+    for w_0, w_1 in cells.heads:
         try:
-            bias += head_integral(SampledFunction(segs[0].grid, w))
+            bias += _head_integral(w_0, w_1, grid)
         except DivergentHeadError:
             bias = math.inf
     return ModularValue(value, bias, cells)
-
-
-def _sup_abs(segs: list[SampledFunction]) -> float:
-    sup = 0.0
-    for seg in segs:
-        lo, hi = seg.effective_support()
-        pts = seg.grid.points
-        nodes = slice(pts.searchsorted(lo, "left"),
-                      pts.searchsorted(hi, "right"))
-        if nodes.start < nodes.stop:
-            sup = max(sup, float(abs(seg.values[nodes]).max()))
-    return sup
 
 
 def _negligible(tol: float) -> NormValue:
@@ -367,35 +445,55 @@ class _Search:
         self.points = [self._bisection_point()]
 
 
-def _evaluate_points(searches: list) -> list:
-    """(I, S) at every point of each search, all evaluated in one call,
-    except points below their search's guard, where I is inf."""
-    rows, sigmas, counts = [], [], []
-    for search in searches:
-        for sigma in search.points:
-            if sigma >= search.cells.guard:
-                rows.append(search.cells.rows)
-                sigmas.append(sigma)
-                counts.append(search.cells.size)
-    evaluated = iter(())
-    if rows:
-        values, slopes = _evaluate(np.concatenate(rows, axis=1),
-                                   np.repeat(sigmas, counts),
+def _evaluate_points(searches: list, rows=None) -> list:
+    """(I, S) at every point of each search, except points below their
+    search's guard, where I is inf.  The first point of every search is
+    evaluated in one call on ``rows``, the searches' rows side by side
+    (concatenated here if not given); the second points, which only
+    certification pairs have, in one more.  A point below its guard is
+    evaluated at the guard, where nothing overflows, and dropped."""
+    if rows is None:
+        rows = np.concatenate([search.cells.rows for search in searches],
+                              axis=1)
+    out = [[] for _ in searches]
+    live = list(range(len(searches)))
+    for i in (0, 1):
+        if i:
+            live = [k for k in live if len(searches[k].points) > 1]
+            if not live:
+                break
+            if len(live) < len(searches):
+                rows = np.concatenate([searches[k].cells.rows for k in live],
+                                      axis=1)
+        sigmas = [searches[k].points[i] for k in live]
+        guards = [searches[k].cells.guard for k in live]
+        counts = [searches[k].cells.size for k in live]
+        values, slopes = _evaluate(rows,
+                                   np.repeat(np.maximum(sigmas, guards),
+                                             counts),
                                    np.cumsum([0] + counts[:-1]))
-        evaluated = zip(values.tolist(), slopes.tolist())
-    return [[next(evaluated) if sigma >= search.cells.guard
-             else (math.inf, 0.0) for sigma in search.points]
-            for search in searches]
+        for k, sigma, guard, value, slope in zip(
+                live, sigmas, guards, values.tolist(), slopes.tolist()):
+            out[k].append((value, slope) if sigma >= guard
+                          else (math.inf, 0.0))
+    return out
 
 
 def _solve_group(group: list, results: list) -> None:
     """Run the searches of ``group``, (job index, _Search) pairs, in
-    lockstep: each iteration evaluates every open job's points in one
-    call.  Results go to ``results`` at the job's index."""
+    lockstep: each iteration evaluates every open job's points together
+    (``_evaluate_points``).  The open jobs' rows are concatenated once,
+    and again only when jobs end.  Results go to ``results`` at the job's
+    index."""
     while group:
-        points = _evaluate_points([search for _, search in group])
-        for (k, search), evaluated in zip(group, points):
-            search.update(evaluated)
+        searches = [search for _, search in group]
+        rows = np.concatenate([search.cells.rows for search in searches],
+                              axis=1)
+        while all(search.result is None for search in searches):
+            for search, evaluated in zip(searches,
+                                         _evaluate_points(searches, rows)):
+                search.update(evaluated)
+        for k, search in group:
             if search.result is not None:
                 results[k] = search.result
         group = [(k, search) for k, search in group if search.result is None]
@@ -405,7 +503,8 @@ def _solve(prepared, tol: float) -> list:
     """The Luxemburg norm of each prepared modular in the iterable
     ``prepared``, in order (see ``luxemburg_norms``).  Modulars are taken
     from it as groups of at most ``_GROUP_CELLS`` cells fill, so only one
-    group's cells need be held at a time."""
+    group's cells, and the batch ``_prepare`` is on, need be held at a
+    time."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     results: list = []
@@ -442,14 +541,7 @@ def luxemburg_norms(jobs, p: ExponentLike, tol: float = 1e-10) -> list:
     UnboundedNormError in its slot (not
     raised), and its neighbours are unaffected.
     """
-    def prepared():
-        gp = p
-        for f, interval in jobs:
-            segs = as_segments(f)
-            gp = on_grid(gp, segs[0].grid)
-            yield _prepare(segs, gp, interval)
-
-    return _solve(prepared(), tol)
+    return _solve(_prepare(jobs, p), tol)
 
 
 def checked_norms(fs: list, p: ExponentLike, tol: float = 1e-10) -> list:
@@ -510,8 +602,12 @@ def bracket_check(f: FunctionLike, p: ExponentLike,
     grid = segs[0].grid
     a, b = interval if interval is not None else (grid.x_min, 1.0)
     p = on_grid(p, grid)
-    nv = luxemburg_norm(segs, p, (a, b))
-    mv = modular(segs, p, (a, b))
+    # f is prepared once, for its modular and its norm
+    (cells,) = _prepare([(segs, (a, b))], p)
+    mv = _modular(cells, grid)
+    (nv,) = _solve([cells], 1e-10)
+    if isinstance(nv, UnboundedNormError):
+        raise nv
     p_minus, p_plus, _ = p.p.bounds((a, b))
     n = nv.value
     if n <= 1.0:

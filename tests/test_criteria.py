@@ -20,8 +20,103 @@ from hardyvx import (
     phi_doubling,
 )
 from hardyvx.catalog import catalog_exponent
-from hardyvx.criteria import _scales, classify_series
-from hardyvx.exponent import log_phi
+from hardyvx.criteria import (
+    PLATEAU_THRESHOLD,
+    _dyadic_block_sup,
+    _scales,
+    _scan_points,
+    classify_series,
+)
+from hardyvx.exponent import EXP_GUARD, DyadicJump, log_phi, on_grid
+from hardyvx.grids import SampledFunction, integrate_dlog
+
+
+# The per-scale loops that the vectorised criteria replaced, kept as
+# references: the vector passes must give the same values, C2 and C4 up
+# to the summation order of their cell sums.
+
+def _reference_C2(p, grid, delta=1.0):
+    p, a_list, _, ln_phi_a = _scales(p, grid, None, delta)
+    phi_f = SampledFunction(grid, np.exp(np.minimum(p.ln_phi, EXP_GUARD)))
+    return [integrate_dlog(phi_f, a, delta) * math.exp(-la)
+            for a, la in zip(a_list, ln_phi_a)]
+
+
+def _reference_C4(p, grid, delta=1.0):
+    p, a_list, _, ln_phi_a = _scales(p, grid, None, delta)
+    vals = []
+    for a, la in zip(a_list, ln_phi_a):
+        expo = p.p_nodes * (p.ln_phi - la)
+        if np.any(expo[grid.node_slice(a, delta)] > EXP_GUARD):
+            vals.append(math.inf)
+        else:
+            w = SampledFunction(grid, np.exp(np.minimum(expo, EXP_GUARD)))
+            vals.append(integrate_dlog(w, a, delta))
+    return vals
+
+
+def _reference_C3(p, grid, delta=1.0, eps_depth=13, depth_stops=12):
+    """(best eps, constant) of criterion_C3's depth-stop loop."""
+    p = on_grid(p, grid)
+    mask = grid.points <= delta
+    u, logphi = grid.u[mask], p.ln_phi[mask]
+    _, p_plus, _ = p.p.bounds((0.0, delta))
+    eps0 = 1.0 - 1.0 / p_plus
+    if eps0 < 1e-6:
+        eps0 = 0.5
+    depths = np.linspace(math.log(grid.x_min) / depth_stops,
+                         math.log(grid.x_min), depth_stops)
+    candidates = []
+    for eps in [eps0 * 2.0 ** -k for k in range(max(1, eps_depth))]:
+        logv = eps * u + logphi
+        ln_c = []
+        for ud in depths:
+            sub = logv[u >= ud]
+            suffix = np.maximum.accumulate(sub[::-1])[::-1]
+            ln_c.append(float(np.max(suffix - sub)))
+        full, half = ln_c[-1], ln_c[depth_stops // 2 - 1]
+        if not (full - half) > PLATEAU_THRESHOLD * full + 1e-9:
+            candidates.append((math.exp(full), eps))
+    if not candidates:
+        return None, math.inf
+    const, best_eps = min(candidates)
+    return best_eps, const
+
+
+def _reference_doubling(p, grid):
+    logphi = on_grid(p, grid).ln_phi
+    window = int(round(math.log(2.0) / grid.h))
+    scan = grid.points < 0.25
+    best = 0.0
+    for off in range(-window, window + 1):
+        if off == 0:
+            continue
+        i = np.arange(grid.n)
+        j = i + off
+        valid = (j >= 0) & (j < grid.n) & scan
+        valid &= np.abs(off * grid.h) <= math.log(2.0) + 1e-12
+        if np.any(valid):
+            best = max(best, float(np.max(logphi[j[valid]]
+                                          - logphi[i[valid]])))
+    return math.exp(best)
+
+
+def _reference_block_sup(xs, vals):
+    j = np.maximum(np.floor(-np.log2(xs)).astype(int), 1)
+    levels = np.arange(1, int(j.max(initial=0)) + 1)
+    sups = np.full(levels.shape, -math.inf)
+    for idx, lv in enumerate(levels):
+        mask = j == lv
+        if np.any(mask):
+            sups[idx] = float(np.max(vals[mask]))
+    keep = sups > -math.inf
+    return levels[keep], sups[keep]
+
+
+REFERENCE_EXPONENTS = [
+    LogPerturbed(2.0, 1.0, 0.5),
+    DyadicJump(2.0, (1.0, 0.5, 0.25), (2.0 ** -3, 2.0 ** -9, 2.0 ** -20)),
+]
 
 
 class TestClassifier:
@@ -134,6 +229,40 @@ class TestIntegralCriteria:
         best_eps, const, v = criterion_C3(Constant(1.0), grid)
         assert best_eps is None
         assert v.cls == "divergent"
+
+
+class TestVectorScansMatchTheLoops:
+    @pytest.mark.parametrize("p", REFERENCE_EXPONENTS)
+    def test_C2_and_C4(self, grid, p):
+        for got, ref in ((criterion_C2(p, grid), _reference_C2(p, grid)),
+                         (criterion_C4(p, grid), _reference_C4(p, grid))):
+            values = [v for _, v in got.series]
+            assert len(values) == len(ref) > 30
+            for v, r in zip(values, ref):
+                assert v == pytest.approx(r, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("p", REFERENCE_EXPONENTS)
+    @pytest.mark.parametrize("delta", [1.0, 0.2])
+    def test_C3(self, grid, p, delta):
+        best_eps, const, _ = criterion_C3(p, grid, delta=delta)
+        assert (best_eps, const) == _reference_C3(p, grid, delta)
+
+    @pytest.mark.parametrize("p", REFERENCE_EXPONENTS + [Constant(1.0)])
+    def test_doubling(self, grid, p):
+        assert phi_doubling(p, grid) == _reference_doubling(p, grid)
+
+    @pytest.mark.parametrize("p", REFERENCE_EXPONENTS)
+    def test_block_sup(self, grid, p):
+        xs = _scan_points(grid, grid.x_min)
+        vals = np.abs(p.eval(xs) - 2.0) * (-np.log(xs))
+        vals[::7] = -math.inf  # some points, and one whole block, drop out
+        vals[(xs > 0.25) & (xs <= 0.5)] = -math.inf
+        for got, ref in zip(_dyadic_block_sup(xs, vals),
+                            _reference_block_sup(xs, vals)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        for got, ref in zip(_dyadic_block_sup(xs[:0], vals[:0]),
+                            _reference_block_sup(xs[:0], vals[:0])):
+            assert got.dtype == ref.dtype and got.size == ref.size == 0
 
 
 class TestAlmostDecreasing:

@@ -13,7 +13,12 @@ from hardyvx import (
     integrate_dlog,
     make_log_grid,
 )
-from hardyvx.grids import GridError, _cell_integrals, head_fit
+from hardyvx.grids import (
+    GridError,
+    _cell_integrals,
+    _cumulative_integrals,
+    head_fit,
+)
 
 from conftest import power_function
 
@@ -105,6 +110,18 @@ class TestCumulativeIntegral:
         i = grid.index_left(0.7)
         assert F.values[i] == pytest.approx(0.25, rel=1e-9)
         assert F.values[grid.index_left(0.1)] == 0.0
+
+    def test_segments_add_in_order(self, grid):
+        # a segment list integrates to the sum of its segments' integrals,
+        # added in segment order, however the segments are batched
+        segs = [power_function(grid, -0.4),
+                power_function(grid, 0.0, coeff=3.0, support=(0.01, 0.1)),
+                power_function(grid, 0.3, coeff=2.0, support=(0.1, 0.7))]
+        parts = [cumulative_integral(seg).values for seg in segs]
+        whole = cumulative_integral(segs).values
+        assert np.array_equal(whole, (parts[0] + parts[1]) + parts[2])
+        assert np.array_equal(whole, _cumulative_integrals(
+            [segs[1], segs, segs[:2]])[1].values)
 
     def test_monotone(self, grid):
         f = power_function(grid, -0.5)

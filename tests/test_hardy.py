@@ -14,12 +14,18 @@ from hardyvx import (
     rayleigh_quotient,
 )
 from hardyvx import lpnorm
+from hardyvx.grids import DivergentHeadError, as_segments
 from hardyvx.hardy import (
     ResolutionError,
+    _hardy_averages,
+    _rayleigh_quotients,
     dyadic_indicator_family,
+    necessity_family,
     power_family,
     random_step_family,
 )
+from hardyvx.exponent import PiecewiseConstant
+from hardyvx.lpnorm import luxemburg_norms
 
 from conftest import power_function
 
@@ -48,6 +54,40 @@ class TestOperator:
         H2 = hardy_average_scaled(f).values
         ok = H1 > 0.0
         assert np.max(np.abs(H2[ok] / H1[ok] - 1.0)) < 1e-6
+
+
+class TestBatchedAverages:
+    def _functions(self, grid):
+        p = PiecewiseConstant((2.0 ** -9, 0.1), (2.0, 2.6, 3.0))
+        return ([m.f for m in power_family(p, grid)[::3]]
+                + [m.f for m in necessity_family(p, grid, depth=14)[::2]]
+                + [m.f for m in dyadic_indicator_family(grid)[::4]]
+                + [m.f for m in random_step_family(grid, count=2)])
+
+    def test_batch_matches_single_functions(self, coarse_grid):
+        fs = self._functions(coarse_grid)
+        for f, h in zip(fs, _hardy_averages(fs)):
+            single = hardy_average(f)
+            assert h.interp == single.interp
+            assert np.array_equal(h.values, single.values)
+
+    @pytest.mark.parametrize("budget", [1, 3 * 401, 10 ** 12])
+    def test_chunks_do_not_change_quotients(self, coarse_grid, monkeypatch,
+                                            budget):
+        # a member whose head diverges, in mid-batch, is skipped alone
+        fs = self._functions(coarse_grid)
+        fs.insert(len(fs) // 2, power_function(coarse_grid, -1.2))
+        p = Constant(2.0)
+        denominators = luxemburg_norms([(f, None) for f in fs], p)
+        reference = _rayleigh_quotients(fs, denominators, p, 1e-10)
+        monkeypatch.setattr(lpnorm, "_GROUP_CELLS", budget)
+        chunked = _rayleigh_quotients(fs, denominators, p, 1e-10)
+        for k, (f, ref, got) in enumerate(zip(fs, reference, chunked)):
+            if k == len(fs) // 2:
+                assert isinstance(got, DivergentHeadError)
+                assert "diverges" in str(got)
+                continue
+            assert got == ref == rayleigh_quotient(f, p)
 
 
 class TestRayleigh:
@@ -108,21 +148,27 @@ class TestOperatorNorm:
         assert res.value > 1.0
 
     def test_each_member_prepared_once(self, grid, monkeypatch):
-        # one preparation per member serves its modular check, truncation
-        # bias and denominator, and one per numerator
-        calls = []
+        # one prepared job per member serves its modular check, truncation
+        # bias and denominator, and one per numerator; the batched
+        # preparer takes many jobs per call, so jobs are counted, not calls
+        prepared = []
         original = lpnorm._prepare
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(jobs, p):
+            def seen():
+                for job in jobs:
+                    prepared.append(as_segments(job[0])[0])
+                    yield job
+            return original(seen(), p)
 
         monkeypatch.setattr(lpnorm, "_prepare", counted)
         p = LogPerturbed(2.0, 0.5, 1.0)
         members = power_family(p, grid)
         res = operator_norm_lower_bound(p, members)
         assert not res.skipped and len(res.quotients) == len(members)
-        assert len(calls) == 2 * len(members)
+        assert len(prepared) == 2 * len(members)
+        for member in members:
+            assert sum(f is member.f for f in prepared) == 1
 
     def test_level_series(self, grid):
         members = dyadic_indicator_family(grid, max_level=6)

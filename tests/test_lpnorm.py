@@ -170,6 +170,56 @@ class TestLockstepSolver:
                 assert result == luxemburg_norm(f, p, interval)
 
 
+class TestBatchedPreparation:
+    def _jobs(self, grid, p):
+        """Jobs of every shape the preparation batches: multi-segment
+        necessity members across jumps, the zero runs of a dyadic
+        indicator's Hardy average, heads below x_min, an interval inside
+        the support, an unbounded, a negligible and a zero job."""
+        necessity = [m.f for m in necessity_family(p, grid, depth=14)]
+        assert any(len(f) > 1 for f in necessity)
+        spike = np.ones(grid.n)
+        i = grid.index_left(0.25)
+        spike[i] = 1e300
+        fs = (necessity
+              + [hardy_average(m.f) for m in dyadic_indicator_family(grid)[2:5]]
+              + [m.f for m in power_family(p, grid)[::4]]
+              + [SampledFunction(grid, spike,
+                                 support=(grid.points[i] * 1.0001, 0.5)),
+                 SampledFunction(grid, np.full(grid.n, 1e-305)),
+                 SampledFunction(grid, np.zeros(grid.n))])
+        jobs = [(f, None) for f in fs]
+        jobs.insert(5, (power_function(grid, -0.3), (0.001, 0.5)))
+        return jobs
+
+    @pytest.mark.parametrize("budget", [1, None, 10 ** 12])
+    def test_batches_match_single_jobs_bit_for_bit(self, monkeypatch, budget):
+        grid = make_log_grid(1e-8, 241)
+        p = PiecewiseConstant((2.0 ** -9, 0.01, 0.3), (1.5, 2.5, 2.0, 3.0))
+        jobs = self._jobs(grid, p)
+        singles = [lpnorm.luxemburg_norms([job], p)[0] for job in jobs]
+        prepared = [next(lpnorm._prepare([job], p)) for job in jobs]
+        if budget is not None:
+            monkeypatch.setattr(lpnorm, "_GROUP_CELLS", budget)
+        batch = luxemburg_norms(jobs, p)
+        kinds = [type(result).__name__ for result in batch]
+        assert kinds.count("UnboundedNormError") == 1
+        assert sum(r.bracket == (0.0, lpnorm._LAM_MIN) for r in batch
+                   if isinstance(r, lpnorm.NormValue)) == 1
+        assert sum(r.value == 0.0 for r in batch
+                   if isinstance(r, lpnorm.NormValue)) == 1
+        for job, single, cells, result, batched in zip(
+                jobs, singles, prepared, batch, lpnorm._prepare(jobs, p)):
+            assert np.array_equal(batched.rows, cells.rows)
+            assert batched[1:] == cells[1:]
+            if isinstance(single, UnboundedNormError):
+                assert isinstance(result, UnboundedNormError)
+                with pytest.raises(UnboundedNormError):
+                    luxemburg_norm(job[0], p, job[1])
+                continue
+            assert result == single == luxemburg_norm(job[0], p, job[1])
+
+
 class TestPreparedCells:
     def test_one_full_grid_p_eval_per_call(self, monkeypatch):
         grid = make_log_grid(1e-8, 241)
@@ -227,6 +277,21 @@ class TestPreparedCells:
 
 
 class TestBracket:
+    def test_bracket_check_prepares_once(self, grid, monkeypatch):
+        # its modular and its norm share one prepared job
+        prepared = []
+        original = lpnorm._prepare
+
+        def counted(jobs, p):
+            jobs = list(jobs)
+            prepared.extend(jobs)
+            return original(jobs, p)
+
+        monkeypatch.setattr(lpnorm, "_prepare", counted)
+        rep = bracket_check(power_function(grid, -0.3),
+                            PiecewiseConstant((0.3,), (1.5, 2.5)))
+        assert rep.passed and len(prepared) == 1
+
     def test_bracket_report_passes(self, grid):
         p = PiecewiseConstant((0.3,), (1.5, 2.5))
         f = power_function(grid, -0.2, coeff=0.7)
