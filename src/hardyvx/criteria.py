@@ -27,7 +27,14 @@ from .exponent import (
     monotone_prefix,
     on_grid,
 )
-from .grids import GridError, LogGrid, _cell_integrals, _exp_cells, _lerp
+from .grids import (
+    GridError,
+    LogGrid,
+    _cell_integrals,
+    _exp_cells,
+    _lerp,
+    _ranges,
+)
 from .hardy import (
     OperatorNormResult,
     dyadic_indicator_family,
@@ -194,10 +201,10 @@ def _scales(p: ExponentLike, grid: LogGrid, a_list, delta: float):
 
 
 def _scan_cells(grid: LogGrid, a_list, delta: float):
-    """The cells of the integrals over [a, delta] for every scale a, as
-    ``integrate_dlog`` takes them: the first cell of each scale's node
-    slice, the common last cell, and each cell's [ln a, ln delta] clipped
-    into it, for all scales in one vector call."""
+    """ln a for every scale a, ln delta, each scale's first cell and the
+    common last cell of the integrals over [a, delta], the cells of
+    ``LogGrid.node_slice(a, delta)``; bounds are checked as
+    ``integrate_dlog`` checks them."""
     if not all(grid.x_min * (1 - 1e-12) <= a < delta <= 1.0 + 1e-12
                for a in a_list):
         raise GridError("bounds must satisfy x_min <= a < b <= 1")
@@ -227,11 +234,8 @@ def criterion_C2(p: ExponentLike, grid: LogGrid, a_list=None,
                             np.clip(ln_d, u[lo:last + 1], u[lo + 1:last + 2]),
                             weight_x=False)
     # scale k sums cells first[k] - lo to the end, the first one clipped
-    lengths = cells.size - (first - lo)
-    ends = lengths.cumsum()
-    offsets = ends - lengths
-    per_scale = cells[np.arange(ends[-1])
-                      + np.repeat(first - lo - offsets, lengths)]
+    at, offsets = _ranges(first - lo, cells.size - (first - lo))
+    per_scale = cells[at]
     u_0, u_1 = u[first], u[first + 1]
     per_scale[offsets] = _cell_integrals(u, phi, np.clip(ln_a, u_0, u_1),
                                          np.clip(ln_d, u_0, u_1),
@@ -254,9 +258,7 @@ def criterion_C4(p: ExponentLike, grid: LogGrid, a_list=None,
         return classify_series(levels, [])
     ln_a, ln_d, first, last = _scan_cells(grid, a_list, delta)
     lengths = last + 2 - first
-    ends = lengths.cumsum()
-    offsets = ends - lengths
-    idx = np.arange(ends[-1]) + np.repeat(first - offsets, lengths)
+    idx, offsets = _ranges(first, lengths)
     expo = p.p_nodes[idx] * (p.ln_phi[idx] - np.repeat(ln_phi_a, lengths))
     overflow = np.maximum.reduceat(expo, offsets) > EXP_GUARD
     np.minimum(expo, EXP_GUARD, out=expo)
@@ -268,7 +270,7 @@ def criterion_C4(p: ExponentLike, grid: LogGrid, a_list=None,
     e_0, e_1 = expo[:-1], expo[1:]
     cells = _exp_cells(_lerp(e_0, e_1, (s - u_0) / h),
                        _lerp(e_0, e_1, (t - u_0) / h), t - s)
-    cells[ends[:-1] - 1] = 0.0  # the pairs that join two scales
+    cells[offsets[1:] - 1] = 0.0  # the pairs that join two scales
     vals = np.add.reduceat(cells, offsets)
     vals[overflow] = math.inf
     return classify_series(levels, vals.tolist())

@@ -257,6 +257,14 @@ def _linear_cells(g_s, g_t, s, t, weight_x: bool):
     return np.exp(s) * dt * (g_s * a + g_t * b)
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray):
+    """The indices of the ranges [start, start + length) laid end to end,
+    and the position of each range's first index among them."""
+    ends = lengths.cumsum()
+    offsets = ends - lengths
+    return np.arange(ends[-1]) + np.repeat(starts - offsets, lengths), offsets
+
+
 def _clipped_cells(g: SampledFunction, a: float, b: float,
                    weight_x: bool) -> np.ndarray:
     """``_cell_integrals`` of g over the cells of ``node_slice(a, b)``,
@@ -387,11 +395,10 @@ def _cumulative_integrals(fs: list) -> list:
     starts = np.clip(grid.u.searchsorted(ln_a, "right") - 1, 0, top)
     lengths = (np.clip(grid.u.searchsorted(ln_b, "left") - 1, 0, top) + 2
                - starts)
-    ends = lengths.cumsum()
-    idx = np.arange(ends[-1]) + np.repeat(starts + lengths - ends, lengths)
+    idx, offsets = _ranges(starts, lengths)
     # every node but each slice's last starts a cell
     pairs = np.ones(idx.size - 1, bool)
-    pairs[ends[:-1] - 1] = False
+    pairs[offsets[1:] - 1] = False
     left = pairs.nonzero()[0]
     u = grid.u[idx]
     u0, u1 = u[left], u[left + 1]

@@ -173,7 +173,7 @@ def _rayleigh_quotients(fs: list, denominators: list,
                 "Rayleigh quotient of the zero function")
             continue
         live.append(i)
-    averaged = []  # the indices of the averages handed to the solver
+    averaged = []  # the indices of the averages the solver takes
 
     def chunks():
         chunk, size = [], 0
@@ -188,7 +188,7 @@ def _rayleigh_quotients(fs: list, denominators: list,
         if chunk:
             yield chunk
 
-    def numerators():
+    def averages():
         for chunk in chunks():
             for i, h in zip(chunk, _hardy_averages([fs[i] for i in chunk])):
                 if isinstance(h, DivergentHeadError):
@@ -197,7 +197,7 @@ def _rayleigh_quotients(fs: list, denominators: list,
                     averaged.append(i)
                     yield h, None
 
-    numerators = luxemburg_norms(numerators(), p, tol)
+    numerators = luxemburg_norms(averages(), p, tol)
     for i, num in zip(averaged, numerators):
         den = results[i]
         results[i] = (num if isinstance(num, UnboundedNormError)

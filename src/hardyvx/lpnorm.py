@@ -243,11 +243,11 @@ def _gather(batch: list, p: GridExponent) -> list[_Cells]:
     # at both ends, less the one-zero-end cells of zero width
     nz_s, nz_t = nz[:-1], nz[1:]
     kept = nz_s | nz_t
-    joins = i_0[1:] - 1
-    kept[joins] = False
-    one = (nz_s ^ nz_t).nonzero()[0] if not nz.all() else i_0[:0]
-    one = one[kept[one]]
-    if one.size:
+    kept[i_0[1:] - 1] = False  # the pairs that join two pieces
+    one = i_0[:0]  # the cells with one zero end
+    if not nz.all():
+        one = (nz_s ^ nz_t).nonzero()[0]
+        one = one[kept[one]]
         left_nz, right_nz = nz_s[one], nz_t[one]
         cs_1, ct_1, u_0 = cs[one], ct[one], u[one]
         h = u[one + 1] - u_0
@@ -255,33 +255,35 @@ def _gather(batch: list, p: GridExponent) -> list[_Cells]:
                           _lerp(left_nz, right_nz, (ct_1 - u_0) / h),
                           cs_1, ct_1, True)
         # c = 0 on a cell of zero width
-        empty = c <= 0.0
-        kept[one[empty]] = False
-    cells = kept.nonzero()[0]
-    # the column of the kept pair i, and the kept pairs before pair i
-    column = cells.searchsorted
-    rows = np.empty((6, cells.size))
-    # each cell's left and right node; slices, which copy nothing, where
-    # every pair is kept
-    left, right = cells, cells + 1
-    if cells.size == kept.size:
+        width = c > 0.0
+        kept[one[~width]] = False
+        one, left_nz, c = one[width], left_nz[width], c[width]
+    # each cell's pair and nodes, and the columns each piece's cells span;
+    # where every pair is kept, slices, which copy nothing, and the pairs'
+    # own indices
+    whole = kept.all()
+    if whole:
         cells, left, right = slice(None), slice(0, -1), slice(1, None)
+        col_0, col_1, at_0, at_1 = i_0, i_1 + 1, slice(None), slice(None)
+        one_at = one
+    else:
+        cells = kept.nonzero()[0]
+        left, right = cells, cells + 1
+        col_0, col_1 = cells.searchsorted(i_0), cells.searchsorted(i_1, "right")
+        at_0, at_1 = kept[i_0], kept[i_1]
+        one_at = cells.searchsorted(one)
+    rows = np.empty((6, kept.size if whole else cells.size))
     rows[0], rows[1], rows[2], rows[3] = a[left], pn[left], a[right], pn[right]
     np.subtract(ct[cells], cs[cells], out=rows[4])
     rows[5] = 0.5 * (rows[1] + rows[3])
-    at_0, at_1 = kept[i_0], kept[i_1]
-    rows[0:2, column(i_0[at_0])] = clipped[2:4, at_0]
-    rows[2:4, column(i_1[at_1])] = clipped[4:6, at_1]
+    rows[0:2, col_0[at_0]] = clipped[2:4, at_0]
+    rows[2:4, col_1[at_1] - 1] = clipped[4:6, at_1]
     if one.size:
-        e = np.where(left_nz, pl[one], pl[one + 1])
-        e += np.log(c, out=np.zeros_like(c), where=~empty)
+        e = np.where(left_nz, pl[one], pl[one + 1]) + np.log(c)
         q = np.where(left_nz, pn[one], pn[one + 1])
-        at = column(one[~empty])
-        e, q = e[~empty], q[~empty]
-        rows[0, at], rows[1, at], rows[2, at], rows[3, at] = e, q, e, q
-        rows[4, at] = 1.0
-    # each piece's cells are the kept ones from its first to its last
-    col_0, col_1 = column(i_0).tolist(), column(i_1, "right").tolist()
+        rows[0, one_at], rows[1, one_at], rows[2, one_at] = e, q, e
+        rows[3, one_at], rows[4, one_at] = q, 1.0
+    col_0, col_1 = col_0.tolist(), col_1.tolist()
     heads = [k for k, piece in enumerate(pieces) if piece[8]]
     weights = {}
     if heads:
