@@ -210,10 +210,8 @@ def _scan_cells(grid: LogGrid, a_list, delta: float):
         raise GridError("bounds must satisfy x_min <= a < b <= 1")
     ln_a = np.array([math.log(a) for a in a_list])
     ln_d = math.log(delta)
-    top = grid.n - 2
-    first = np.clip(grid.u.searchsorted(ln_a, "right") - 1, 0, top)
-    last = min(max(int(grid.u.searchsorted(ln_d, "left")) - 1, 0), top)
-    return ln_a, ln_d, first, last
+    first, stop = grid.node_slices(ln_a, ln_d)
+    return ln_a, ln_d, first, int(stop) - 2
 
 
 def criterion_C2(p: ExponentLike, grid: LogGrid, a_list=None,

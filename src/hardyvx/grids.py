@@ -82,6 +82,13 @@ class LogGrid:
         return slice(min(max(i0, 0), self.n - 2),
                      min(max(i1, 0), self.n - 2) + 2)
 
+    def node_slices(self, ln_a, ln_b) -> tuple[np.ndarray, np.ndarray]:
+        """``node_slice`` of many [a, b], given ln a and ln b: the
+        arrays of the slices' starts and stops."""
+        top = self.n - 2
+        return (np.clip(self.u.searchsorted(ln_a, "right") - 1, 0, top),
+                np.clip(self.u.searchsorted(ln_b, "left") - 1, 0, top) + 2)
+
 
 def make_log_grid(x_min: float = 1e-12, n: int = 1201) -> LogGrid:
     if not (0.0 < x_min < 1.0):
@@ -366,7 +373,8 @@ def _cumulative_integrals(fs: list) -> list:
     """
     grid = as_segments(fs[0])[0].grid
     results: list = [None] * len(fs)
-    segs, heads, first = [], [], []  # first: each function's first segment
+    segs, heads = [], []
+    owners = []  # (function, its first segment, its segment count)
     for k, f in enumerate(fs):
         mine, my_heads = as_segments(f), []
         try:
@@ -382,7 +390,7 @@ def _cumulative_integrals(fs: list) -> list:
         except DivergentHeadError as exc:
             results[k] = exc.with_traceback(None)
             continue
-        first.append((k, len(segs), len(mine)))
+        owners.append((k, len(segs), len(mine)))
         segs += mine
         heads += my_heads
     if not segs:
@@ -391,10 +399,8 @@ def _cumulative_integrals(fs: list) -> list:
                             math.log(min(hi, 1.0)))
                            for lo, hi in (seg.effective_support()
                                           for seg in segs)]).T
-    top = grid.n - 2
-    starts = np.clip(grid.u.searchsorted(ln_a, "right") - 1, 0, top)
-    lengths = (np.clip(grid.u.searchsorted(ln_b, "left") - 1, 0, top) + 2
-               - starts)
+    starts, stops = grid.node_slices(ln_a, ln_b)
+    lengths = stops - starts
     idx, offsets = _ranges(starts, lengths)
     # every node but each slice's last starts a cell
     pairs = np.ones(idx.size - 1, bool)
@@ -405,7 +411,7 @@ def _cumulative_integrals(fs: list) -> list:
     cells_per = lengths - 1
     cells = _cell_integrals(
         u, np.concatenate([seg.values[a:b] for seg, a, b in zip(
-            segs, starts.tolist(), (starts + lengths).tolist())]),
+            segs, starts.tolist(), stops.tolist())]),
         np.clip(np.repeat(ln_a, cells_per), u0, u1),
         np.clip(np.repeat(ln_b, cells_per), u0, u1),
         np.repeat([seg.interp == "powerlaw" for seg in segs], cells_per),
@@ -415,15 +421,15 @@ def _cumulative_integrals(fs: list) -> list:
     np.cumsum(running, axis=1, out=running)
     running += np.array(heads)[:, None]
     # each function's total adds its segments in order
-    total = running[[j for _, j, _ in first]]
-    for m in range(1, max(count for _, _, count in first)):
-        more = [i for i, (_, _, count) in enumerate(first) if count > m]
-        total[more] += running[[first[i][1] + m for i in more]]
+    total = running[[j for _, j, _ in owners]]
+    for m in range(1, max(count for _, _, count in owners)):
+        more = [i for i, (_, _, count) in enumerate(owners) if count > m]
+        total[more] += running[[owners[i][1] + m for i in more]]
     if np.any(np.diff(total, axis=1)
               < -1e-12 * np.maximum(1.0, total[:, -1:])):
         raise AssertionError("cumulative integral must be nondecreasing")
     total = np.maximum.accumulate(total, axis=1)
-    for (k, _, _), values in zip(first, total):
+    for (k, _, _), values in zip(owners, total):
         results[k] = SampledFunction(grid, values, interp="loglinear",
                                      support=None)
     return results

@@ -70,17 +70,33 @@ def hardy_average(f: FunctionLike) -> SampledFunction:
     return result
 
 
-def _hardy_averages(fs: list) -> list:
-    """``hardy_average`` of each function in ``fs``, all on one grid,
-    from one ``_cumulative_integrals`` pass; a function whose head below
-    x_min diverges gets its DivergentHeadError in its slot."""
-    results = _cumulative_integrals(fs)
-    for k, H in enumerate(results):
-        if isinstance(H, SampledFunction):
+def _hardy_averages(fs: list):
+    """``hardy_average`` of each function in ``fs``, all on one grid, in
+    order, as they are taken: the cumulative integrals run in chunks of
+    at most ``lpnorm._GROUP_CELLS`` grid values, each chunk in one
+    ``_cumulative_integrals`` pass, so only one chunk is held at a time.
+    A function whose head below x_min diverges gets its
+    DivergentHeadError in its place."""
+    def averages(chunk):
+        for H in _cumulative_integrals(chunk):
+            if isinstance(H, DivergentHeadError):
+                yield H
+                continue
             vals = H.values / H.grid.points
             interp = "powerlaw" if np.all(vals > 0.0) else "loglinear"
-            results[k] = SampledFunction(H.grid, vals, interp=interp)
-    return results
+            yield SampledFunction(H.grid, vals, interp=interp)
+
+    chunk, size = [], 0
+    for f in fs:
+        segs = as_segments(f)
+        n = len(segs) * segs[0].grid.n
+        if chunk and size + n > lpnorm._GROUP_CELLS:
+            yield from averages(chunk)
+            chunk, size = [], 0
+        chunk.append(f)
+        size += n
+    if chunk:
+        yield from averages(chunk)
 
 
 def _t_quadrature(t0: float, t1: float, vals_fn, n_t: int) -> float:
@@ -159,10 +175,9 @@ def _rayleigh_quotients(fs: list, denominators: list,
                         p: ExponentLike, tol: float) -> list:
     """Rayleigh quotients of each f in ``fs`` given its solved denominator
     ||f||: every numerator in one ``luxemburg_norms`` call, which takes
-    the Hardy averages as they are computed, in chunks of at most
-    ``lpnorm._GROUP_CELLS`` grid values.  A failing f's slot holds its
-    exception (ZeroDivisionError, DivergentHeadError or
-    UnboundedNormError), stored without its traceback."""
+    the Hardy averages as ``_hardy_averages`` computes them.  A failing
+    f's slot holds its exception (ZeroDivisionError, DivergentHeadError
+    or UnboundedNormError), stored without its traceback."""
     results = list(denominators)
     live = []
     for i, den in enumerate(results):
@@ -175,27 +190,13 @@ def _rayleigh_quotients(fs: list, denominators: list,
         live.append(i)
     averaged = []  # the indices of the averages the solver takes
 
-    def chunks():
-        chunk, size = [], 0
-        for i in live:
-            segs = as_segments(fs[i])
-            n = len(segs) * segs[0].grid.n
-            if chunk and size + n > lpnorm._GROUP_CELLS:
-                yield chunk
-                chunk, size = [], 0
-            chunk.append(i)
-            size += n
-        if chunk:
-            yield chunk
-
     def averages():
-        for chunk in chunks():
-            for i, h in zip(chunk, _hardy_averages([fs[i] for i in chunk])):
-                if isinstance(h, DivergentHeadError):
-                    results[i] = h
-                else:
-                    averaged.append(i)
-                    yield h, None
+        for i, h in zip(live, _hardy_averages([fs[i] for i in live])):
+            if isinstance(h, DivergentHeadError):
+                results[i] = h
+            else:
+                averaged.append(i)
+                yield h, None
 
     numerators = luxemburg_norms(averages(), p, tol)
     for i, num in zip(averaged, numerators):

@@ -134,12 +134,23 @@ class NormValue:
         return self.value
 
 
+class _Piece(NamedTuple):
+    """One segment of f over one piece (s, t) of p, at the nodes of
+    ``node_slice(s, t)``."""
+    start: int
+    stop: int
+    ln_s: float
+    ln_t: float
+    lo: float  # f's support
+    hi: float
+    p: np.ndarray  # p at the nodes, with the piece's one-sided jump values
+    f: np.ndarray
+    head: bool  # whether a head below x_min continues the piece
+
+
 def _plan(segs: list[SampledFunction], p: GridExponent,
-          interval: tuple[float, float] | None) -> list:
-    """The pieces of one job: per segment of f and piece of p over
-    ``interval``, (node slice start and stop, ln s, ln t, f's support lo
-    and hi, p and f at the node slice, whether a head below x_min continues
-    it)."""
+          interval: tuple[float, float] | None) -> list[_Piece]:
+    """The pieces of one job, f given as segments, over ``interval``."""
     grid = p.grid
     a, b = interval if interval is not None else (grid.x_min, 1.0)
     if not (grid.x_min * (1 - 1e-12) <= a < b <= 1.0 + 1e-12):
@@ -153,9 +164,9 @@ def _plan(segs: list[SampledFunction], p: GridExponent,
         head = lo < grid.x_min and a <= grid.x_min * (1 + 1e-12)
         for s, t in p.pieces(lo_eff, hi_eff):
             nodes = grid.node_slice(s, t)
-            pieces.append((nodes.start, nodes.stop, math.log(s), math.log(t),
-                           lo, hi, p.p_at(nodes, s, t),
-                           seg.values[nodes], head and s == lo_eff))
+            pieces.append(_Piece(nodes.start, nodes.stop, math.log(s),
+                                 math.log(t), lo, hi, p.p_at(nodes, s, t),
+                                 seg.values[nodes], head and s == lo_eff))
     return pieces
 
 
@@ -170,7 +181,7 @@ def _prepare(jobs, p: ExponentLike):
         segs = as_segments(f)
         q = on_grid(p, segs[0].grid)
         pieces = _plan(segs, q, interval)
-        nodes = sum(piece[1] - piece[0] for piece in pieces)
+        nodes = sum(piece.stop - piece.start for piece in pieces)
         if batch and (q is not p or size + nodes > _GROUP_CELLS):
             yield from _gather(batch, p)
             batch, size = [], 0
@@ -182,7 +193,7 @@ def _prepare(jobs, p: ExponentLike):
 
 
 def _gather(batch: list, p: GridExponent) -> list[_Cells]:
-    """The cells of each job of ``batch`` (lists of ``_plan`` pieces) in
+    """The cells of each job of ``batch`` (lists of ``_Piece``) in
     one pass: the node slices of all pieces are laid end to end, every
     pair of adjacent nodes is a cell, and the pairs that join two pieces
     are dropped at the end.
@@ -200,13 +211,13 @@ def _gather(batch: list, p: GridExponent) -> list[_Cells]:
     pieces = [piece for job in batch for piece in job]
     if not pieces:
         return [_Cells(np.empty((6, 0)), -math.inf, 0.0, []) for _ in batch]
-    ends = list(itertools.accumulate(stop - start
-                                     for start, stop, *_ in pieces))
+    ends = list(itertools.accumulate(piece.stop - piece.start
+                                     for piece in pieces))
     first = [0] + ends[:-1]  # each piece's first node, and first cell
     last = [end - 2 for end in ends]  # each piece's last cell
-    u = np.concatenate([grid.u[piece[0]:piece[1]] for piece in pieces])
-    pn = np.concatenate([piece[6] for piece in pieces])
-    f = np.concatenate([piece[7] for piece in pieces])
+    u = np.concatenate([grid.u[piece.start:piece.stop] for piece in pieces])
+    pn = np.concatenate([piece.p for piece in pieces])
+    f = np.concatenate([piece.f for piece in pieces])
     abs_f = np.abs(f)
     nz = abs_f != 0.0
     ln_f = np.log(abs_f, out=np.full(f.shape, -math.inf), where=nz)
@@ -221,17 +232,18 @@ def _gather(batch: list, p: GridExponent) -> list[_Cells]:
     u_c, a_c, p_c = (v[corners].tolist() for v in (u, a, pn))
     points = grid.points
     clipped, outside = [], []
-    for k, (start, stop, ln_s, ln_t, lo, hi, *_) in enumerate(pieces):
+    for k, piece in enumerate(pieces):
         u_0, u_1, u_m, u_n = u_c[4 * k:4 * k + 4]
         a_0, a_1, a_m, a_n = a_c[4 * k:4 * k + 4]
         p_0, p_1, p_m, p_n = p_c[4 * k:4 * k + 4]
-        s_0, t_n = min(max(ln_s, u_0), u_1), min(max(ln_t, u_m), u_n)
+        s_0 = min(max(piece.ln_s, u_0), u_1)
+        t_n = min(max(piece.ln_t, u_m), u_n)
         w_s, w_t = (s_0 - u_0) / (u_1 - u_0), (t_n - u_m) / (u_n - u_m)
         clipped.append((s_0, t_n, _lerp(a_0, a_1, w_s), _lerp(p_0, p_1, w_s),
                         _lerp(a_m, a_n, w_t), _lerp(p_m, p_n, w_t)))
-        if points[start] < lo:
+        if points[piece.start] < piece.lo:
             outside.append(first[k])
-        if points[stop - 1] > hi:
+        if points[piece.stop - 1] > piece.hi:
             outside.append(last[k] + 1)
     abs_f[outside] = 0.0
     sups = np.maximum.reduceat(abs_f, first).tolist()
@@ -284,7 +296,7 @@ def _gather(batch: list, p: GridExponent) -> list[_Cells]:
         rows[0, one_at], rows[1, one_at], rows[2, one_at] = e, q, e
         rows[3, one_at], rows[4, one_at] = q, 1.0
     col_0, col_1 = col_0.tolist(), col_1.tolist()
-    heads = [k for k, piece in enumerate(pieces) if piece[8]]
+    heads = [k for k, piece in enumerate(pieces) if piece.head]
     weights = {}
     if heads:
         # |f|**p at the grid's first two nodes, all the head fit reads
@@ -447,16 +459,13 @@ class _Search:
         self.points = [self._bisection_point()]
 
 
-def _evaluate_points(searches: list, rows=None) -> list:
+def _evaluate_points(searches: list, rows: np.ndarray) -> list:
     """(I, S) at every point of each search, except points below their
     search's guard, where I is inf.  The first point of every search is
-    evaluated in one call on ``rows``, the searches' rows side by side
-    (concatenated here if not given); the second points, which only
-    certification pairs have, in one more.  A point below its guard is
-    evaluated at the guard, where nothing overflows, and dropped."""
-    if rows is None:
-        rows = np.concatenate([search.cells.rows for search in searches],
-                              axis=1)
+    evaluated in one call on ``rows``, the searches' rows side by side;
+    the second points, which only certification pairs have, in one more.
+    A point below its guard is evaluated at the guard, where nothing
+    overflows, and dropped."""
     out = [[] for _ in searches]
     live = list(range(len(searches)))
     for i in (0, 1):

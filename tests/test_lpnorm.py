@@ -271,7 +271,7 @@ class TestPreparedCells:
         cells = modular(power_function(grid, -0.3), Constant(3.0)).cells
         search = lpnorm._Search(cells, 1e-10)
         search.points = [cells.guard - 10.0, cells.guard + 1.0]
-        ((past, inside),) = lpnorm._evaluate_points([search])
+        ((past, inside),) = lpnorm._evaluate_points([search], cells.rows)
         assert past == (math.inf, 0.0)
         assert 0.0 < inside[0] < math.inf and inside[1] > 0.0
 
