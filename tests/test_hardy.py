@@ -14,6 +14,7 @@ from hardyvx import (
     rayleigh_quotient,
 )
 from hardyvx import lpnorm
+from hardyvx.exponent import PiecewiseConstant
 from hardyvx.grids import DivergentHeadError, as_segments
 from hardyvx.hardy import (
     ResolutionError,
@@ -24,7 +25,6 @@ from hardyvx.hardy import (
     power_family,
     random_step_family,
 )
-from hardyvx.exponent import PiecewiseConstant
 from hardyvx.lpnorm import luxemburg_norms
 
 from conftest import power_function
