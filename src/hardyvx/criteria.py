@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exponent import (
-    EXP_GUARD,
     ExponentFunction,
     ExponentLike,
     classify_monotonicity,
@@ -27,14 +26,7 @@ from .exponent import (
     monotone_prefix,
     on_grid,
 )
-from .grids import (
-    GridError,
-    LogGrid,
-    _cell_integrals,
-    _exp_cells,
-    _lerp,
-    _ranges,
-)
+from .grids import LogGrid
 from .hardy import (
     OperatorNormResult,
     dyadic_indicator_family,
@@ -44,7 +36,7 @@ from .hardy import (
     power_family,
     random_step_family,
 )
-from .lpnorm import norms_of_inverse_x
+from .lpnorm import inverse_x_scales
 
 __all__ = [
     "BoundednessVerdict",
@@ -200,91 +192,43 @@ def _scales(p: ExponentLike, grid: LogGrid, a_list, delta: float):
     return p, a_list, [-math.log2(a) for a in a_list], ln_phi_a
 
 
-def _scan_cells(grid: LogGrid, a_list, delta: float):
-    """ln a for every scale a, ln delta, each scale's first cell and the
-    common last cell of the integrals over [a, delta], the cells of
-    ``LogGrid.node_slice(a, delta)``; bounds are checked as
-    ``integrate_dlog`` checks them."""
-    if not all(grid.x_min * (1 - 1e-12) <= a < delta <= 1.0 + 1e-12
-               for a in a_list):
-        raise GridError("bounds must satisfy x_min <= a < b <= 1")
-    ln_a = np.array([math.log(a) for a in a_list])
-    ln_d = math.log(delta)
-    first, stop = grid.node_slices(ln_a, ln_d)
-    return ln_a, ln_d, first, int(stop) - 2
+def _integral_criteria(p: ExponentLike, grid: LogGrid, a_list, delta: float,
+                       tol: float) -> dict[str, BoundednessVerdict]:
+    """C2, C4 and C5 from one preparation of f_a = x^-1 on each (a,
+    delta) (``lpnorm.inverse_x_scales``): r(a) = (integral_a^delta phi
+    dx/x) / phi(a); s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x,
+    the modular of f_a/phi(a), inf where a cell exponent passes
+    EXP_GUARD; and ||f_a|| / phi(a), with its certified bracket."""
+    p, a_list, levels, ln_phi_a = _scales(p, grid, a_list, delta)
+    c2, c4, c5, bounds = [], [], [], []
+    for la, (integral, mod, nv) in zip(ln_phi_a, inverse_x_scales(
+            p, grid, a_list, ln_phi_a, delta, tol)):
+        scale = math.exp(-la)
+        c2.append(integral * scale)
+        c4.append(mod)
+        c5.append(nv.value * scale)
+        bounds.append((nv.bracket[0] * scale, nv.bracket[1] * scale))
+    return {"C2": classify_series(levels, c2),
+            "C4": classify_series(levels, c4),
+            "C5": replace(classify_series(levels, c5), bounds=tuple(bounds))}
 
 
 def criterion_C2(p: ExponentLike, grid: LogGrid, a_list=None,
                  delta: float = 1.0) -> BoundednessVerdict:
-    """r(a) = (integral_a^delta phi dx/x) / phi(a).
-
-    One pass integrates phi over every cell from the deepest scale's
-    first cell to delta, one more each scale's first cell clipped at a;
-    each scale's cells are then summed by one ``reduceat``."""
-    p, a_list, levels, ln_phi_a = _scales(p, grid, a_list, delta)
-    if len(a_list) == 0:
-        return classify_series(levels, [])
-    ln_a, ln_d, first, last = _scan_cells(grid, a_list, delta)
-    phi = np.exp(np.minimum(p.ln_phi, EXP_GUARD))
-    u = grid.u
-    lo = int(first.min())
-    cells = _cell_integrals(u[lo:last + 2], phi[lo:last + 2], u[lo:last + 1],
-                            np.clip(ln_d, u[lo:last + 1], u[lo + 1:last + 2]),
-                            weight_x=False)
-    # scale k sums cells first[k] - lo to the end, the first one clipped
-    at, offsets = _ranges(first - lo, cells.size - (first - lo))
-    per_scale = cells[at]
-    u_0, u_1 = u[first], u[first + 1]
-    per_scale[offsets] = _cell_integrals(u, phi, np.clip(ln_a, u_0, u_1),
-                                         np.clip(ln_d, u_0, u_1),
-                                         weight_x=False, left=first)
-    return classify_series(levels, [
-        num * math.exp(-la) for num, la in zip(
-            np.add.reduceat(per_scale, offsets).tolist(), ln_phi_a)])
+    """r(a) = (integral_a^delta phi dx/x) / phi(a)."""
+    return _integral_criteria(p, grid, a_list, delta, 1e-10)["C2"]
 
 
 def criterion_C4(p: ExponentLike, grid: LogGrid, a_list=None,
                  delta: float = 1.0) -> BoundednessVerdict:
-    """s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x, in log space.
-
-    Each scale's exponent p(x) (ln phi(x) - ln phi(a)) is taken at the
-    nodes of its cells meeting [a, delta] only; all scales' nodes are laid
-    end to end and their cells integrated in one pass.  A scale where a
-    node's exponent exceeds EXP_GUARD gets inf."""
-    p, a_list, levels, ln_phi_a = _scales(p, grid, a_list, delta)
-    if len(a_list) == 0:
-        return classify_series(levels, [])
-    ln_a, ln_d, first, last = _scan_cells(grid, a_list, delta)
-    lengths = last + 2 - first
-    idx, offsets = _ranges(first, lengths)
-    expo = p.p_nodes[idx] * (p.ln_phi[idx] - np.repeat(ln_phi_a, lengths))
-    overflow = np.maximum.reduceat(expo, offsets) > EXP_GUARD
-    np.minimum(expo, EXP_GUARD, out=expo)
-    u = grid.u[idx]
-    u_0, u_1 = u[:-1], u[1:]
-    s = np.clip(np.repeat(ln_a, lengths)[:-1], u_0, u_1)
-    t = np.clip(ln_d, u_0, u_1)
-    h = u_1 - u_0
-    e_0, e_1 = expo[:-1], expo[1:]
-    cells = _exp_cells(_lerp(e_0, e_1, (s - u_0) / h),
-                       _lerp(e_0, e_1, (t - u_0) / h), t - s)
-    cells[offsets[1:] - 1] = 0.0  # the pairs that join two scales
-    vals = np.add.reduceat(cells, offsets)
-    vals[overflow] = math.inf
-    return classify_series(levels, vals.tolist())
+    """s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x."""
+    return _integral_criteria(p, grid, a_list, delta, 1e-10)["C4"]
 
 
 def criterion_C5(p: ExponentLike, grid: LogGrid, a_list=None,
                  delta: float = 1.0, tol: float = 1e-10) -> BoundednessVerdict:
     """||x^-1|| over (a, delta) divided by a**(-1/p'(a))."""
-    p, a_list, levels, ln_phi_a = _scales(p, grid, a_list, delta)
-    norms = norms_of_inverse_x(p, grid, a_list, delta, tol)
-    vals, bounds = [], []
-    for la, nv in zip(ln_phi_a, norms):
-        scale = math.exp(-la)
-        vals.append(nv.value * scale)
-        bounds.append((nv.bracket[0] * scale, nv.bracket[1] * scale))
-    return replace(classify_series(levels, vals), bounds=tuple(bounds))
+    return _integral_criteria(p, grid, a_list, delta, tol)["C5"]
 
 
 def almost_decreasing_constant(values: np.ndarray) -> float:
@@ -470,17 +414,18 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
         verdicts["A"] = condition_A(p, grid)
     if "B" in criteria_names:
         verdicts["B"] = condition_B(p, grid)
+    scanned = {}
+    if {"C2", "C4", "C5"} & set(criteria_names):
+        scanned = _integral_criteria(gp, grid, a_list, delta, norm_tol)
     if "C2" in criteria_names:
-        verdicts["C2"] = criterion_C2(gp, grid, a_list, delta)
+        verdicts["C2"] = scanned["C2"]
     c3_best_eps, c3_constant = None, math.inf
     if "C3" in criteria_names:
         c3_best_eps, c3_constant, v3 = criterion_C3(gp, grid, delta=delta,
                                                     eps_depth=eps_depth)
         verdicts["C3"] = v3
-    if "C4" in criteria_names:
-        verdicts["C4"] = criterion_C4(gp, grid, a_list, delta)
-    if "C5" in criteria_names:
-        verdicts["C5"] = criterion_C5(gp, grid, a_list, delta, tol=norm_tol)
+    verdicts.update((k, scanned[k]) for k in ("C4", "C5")
+                    if k in criteria_names)
 
     osc_sup, osc_verdict = dyadic_oscillation(p, grid)
     verdicts["oscillation"] = osc_verdict

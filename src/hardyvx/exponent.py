@@ -13,6 +13,7 @@ admissible on the whole interval:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -382,35 +383,43 @@ def phi(p: ExponentFunction, t) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class GridExponent:
     """p sampled on one grid, as ``on_grid`` builds it: p and ln phi at
-    the nodes, and (p just below, p at) each jump of p."""
+    the nodes, and the jumps of p in increasing order with (p just below,
+    p at) each."""
 
     p: ExponentFunction
     grid: LogGrid
     p_nodes: np.ndarray
     ln_phi: np.ndarray
-    jumps: dict  # jump d -> (p just below d, p at d)
+    jumps: tuple  # the jumps d of p, increasing
+    sides: tuple  # (p just below d, p at d) per jump
 
     def pieces(self, lo: float, hi: float) -> list[tuple[float, float]]:
         """Split (lo, hi) at the jumps of p: the (s, t) of each piece."""
-        edges = [lo] + sorted(d for d in self.jumps if lo < d < hi) + [hi]
+        edges = [lo, *self.jumps[bisect.bisect_right(self.jumps, lo):
+                                 bisect.bisect_left(self.jumps, hi)], hi]
         return list(zip(edges, edges[1:]))
 
     def p_at(self, nodes: slice, s: float, t: float) -> np.ndarray:
         """p at the grid nodes ``nodes`` (a slice with a start) for the
-        piece (s, t).  Across a jump of p at s or t, nodes beyond it carry
-        the piece's one-sided value, so cells straddling the jump
-        integrate its branch; only the nodes of the slice are touched."""
+        piece (s, t).  Where a jump of p lies at s or in the cell below
+        it, the nodes below s carry that jump's value on the piece's side,
+        and likewise at t and the cell above it, so cells straddling a
+        jump integrate the piece's branch; only the nodes of the slice are
+        touched, and only when such a jump lies inside it."""
         p_st = self.p_nodes[nodes]
-        if s in self.jumps:
-            k = int(self.grid.points.searchsorted(s, "left")) - nodes.start
-            if k > 0:
+        points, jumps = self.grid.points, self.jumps
+        i = bisect.bisect_right(jumps, s) - 1  # the nearest jump <= s
+        if i >= 0 and jumps[i] >= points[nodes.start]:
+            k = int(points.searchsorted(s, "left"))  # the first node >= s
+            if k > nodes.start and jumps[i] >= points[k - 1]:
                 p_st = p_st.copy()
-                p_st[:k] = self.jumps[s][1]
-        if t in self.jumps:
-            k = int(self.grid.points.searchsorted(t, "left")) - nodes.start
-            if k < p_st.size:
+                p_st[:k - nodes.start] = self.sides[i][1]
+        i = bisect.bisect_left(jumps, t)  # the nearest jump >= t
+        if i < len(jumps) and jumps[i] <= points[nodes.stop - 1]:
+            k = int(points.searchsorted(t, "left"))  # the first node >= t
+            if k < nodes.stop and jumps[i] <= points[k]:
                 p_st = p_st.copy()
-                p_st[max(k, 0):] = self.jumps[t][0]
+                p_st[max(k - nodes.start, 0):] = self.sides[i][0]
         return p_st
 
 
@@ -425,12 +434,12 @@ def on_grid(p: ExponentLike, grid: LogGrid) -> GridExponent:
             return p
         p = p.p
     p_nodes = p.eval(grid.points)
-    at = np.array(p.discontinuities())
+    at = np.array(sorted(p.discontinuities()))
     sides = ()
     if at.size:
         sides = zip(p.eval(at * (1.0 - 1e-15)).tolist(), p.eval(at).tolist())
     return GridExponent(p, grid, p_nodes, log_phi(p_nodes, -grid.u),
-                        dict(zip(at.tolist(), sides)))
+                        tuple(at.tolist()), tuple(sides))
 
 
 def classify_monotonicity(p: ExponentFunction, eps: float,

@@ -18,7 +18,7 @@ times its nonzero end, stored as a one-exponent cell.  ``_evaluate``
 integrates many such (cells, sigma) rows in one vectorised call, so
 neither ``SampledFunction`` nor ``integrate`` appears in a norm solve,
 and I is inf, without evaluation, for sigma below a row's guard, where a
-node's exponent p (ln|f| - sigma) would exceed EXP_GUARD.
+node's exponent E would exceed EXP_GUARD.
 
 Every norm comes from one lockstep solver, ``luxemburg_norms``.
 I(e^sigma) is convex and decreasing in sigma, and so is ln I, so a
@@ -31,6 +31,9 @@ that certify I(hi) <= 1 < I(lo), or else with plain bisection.  Jobs are
 prepared in batches of at most ``_GROUP_CELLS`` nodes and solved in order
 in groups of at most as many cells (a larger job alone), each group
 evaluating all its jobs' current points together.
+
+``inverse_x_scales`` reads the C2, C4 and C5 of ``criteria`` from one
+preparation of x^-1 on each (a, delta).
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ __all__ = [
     "checked_norms",
     "bracket_check",
     "norm_of_inverse_x",
-    "norms_of_inverse_x",
+    "inverse_x_scales",
 ]
 
 # nodes per preparation batch, and cells per lockstep group: large enough
@@ -94,7 +97,7 @@ class _Cells(NamedTuple):
     a_s, q_s, a_t, q_t, dt and mean p, so that the cell's integral at
     sigma is ``_exp_cells(a_s - sigma q_s, a_t - sigma q_t, dt)``.  I is
     inf for sigma below ``guard``, where some node's exponent p (ln|f| -
-    sigma) exceeds EXP_GUARD.  ``sup`` is sup|f| over the nodes in f's
+    sigma) + u exceeds EXP_GUARD.  ``sup`` is sup|f| over the nodes in f's
     support that the cells read, and ``heads`` holds, for each piece that
     reaches x_min while f's support goes below it, |f|**p at the grid's
     first two nodes, for the head fit."""
@@ -221,7 +224,8 @@ def _gather(batch: list, p: GridExponent) -> list[_Cells]:
     abs_f = np.abs(f)
     nz = abs_f != 0.0
     ln_f = np.log(abs_f, out=np.full(f.shape, -math.inf), where=nz)
-    guards = np.maximum.reduceat(ln_f - EXP_GUARD / pn, first).tolist()
+    # E = p (ln|f| - sigma) + u passes EXP_GUARD for sigma below this
+    guards = np.maximum.reduceat(ln_f + (u - EXP_GUARD) / pn, first).tolist()
     pl = pn * ln_f  # -inf where f = 0, on cells that are replaced below
     a = pl + u
     # each piece's first and last cell, with [s, t] clipped into it: the
@@ -337,13 +341,20 @@ def modular(f: FunctionLike, p: ExponentLike,
     return _modular(cells, segs[0].grid)
 
 
+def _modular_at(cells: _Cells, sigma: float) -> float:
+    """I(f/e^sigma) of prepared cells: inf below their guard."""
+    if sigma < cells.guard:
+        return math.inf
+    if not cells.size:
+        return 0.0
+    return float(_evaluate(cells.rows, sigma, np.zeros(1, np.intp))[0][0])
+
+
 def _modular(cells: _Cells, grid) -> ModularValue:
     """The modular of prepared cells, with its truncation bias."""
     if cells.guard > 0.0:
         return ModularValue(math.inf, cells=cells)
-    value = 0.0
-    if cells.size:
-        value = float(_evaluate(cells.rows, 0.0, np.zeros(1, np.intp))[0][0])
+    value = _modular_at(cells, 0.0)
     bias = 0.0
     for w_0, w_1 in cells.heads:
         try:
@@ -633,11 +644,8 @@ def bracket_check(f: FunctionLike, p: ExponentLike,
                          slack_lower, slack_upper)
 
 
-def norms_of_inverse_x(p: ExponentLike, grid, a_list,
-                       delta: float = 1.0,
-                       tol: float = 1e-10) -> list[NormValue]:
-    """Luxemburg norms of x -> 1/x over (a, delta) for each a, solved
-    together; raises the first UnboundedNormError."""
+def _inverse_x_jobs(grid, a_list, delta: float) -> list:
+    """The (f, interval) job of x -> 1/x over (a, delta) for each a."""
     inverse = 1.0 / grid.points
     jobs = []
     for a in a_list:
@@ -645,14 +653,41 @@ def norms_of_inverse_x(p: ExponentLike, grid, a_list,
             raise ValueError("need x_min <= a < delta <= 1")
         jobs.append((SampledFunction(grid, inverse, interp="powerlaw",
                                      support=(a, delta)), (a, delta)))
-    results = luxemburg_norms(jobs, p, tol)
-    for result in results:
-        if isinstance(result, UnboundedNormError):
-            raise result
-    return results
+    return jobs
 
 
 def norm_of_inverse_x(p: ExponentLike, grid, a: float,
                       delta: float = 1.0, tol: float = 1e-10) -> NormValue:
     """Luxemburg norm of x -> 1/x over (a, delta)."""
-    return norms_of_inverse_x(p, grid, [a], delta, tol)[0]
+    ((f, interval),) = _inverse_x_jobs(grid, [a], delta)
+    return luxemburg_norm(f, p, interval, tol)
+
+
+def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,
+                     delta: float = 1.0, tol: float = 1e-10) -> list:
+    """(integral_a^delta phi dx/x, I(f_a/e^sigma), ||f_a||) for f_a = x^-1
+    on (a, delta), for each a of ``a_list`` and its sigma, from one
+    preparation of f_a; raises the first UnboundedNormError.
+
+    f_a > 0, so each cell of f_a has two ends, with a = p ln(1/x) + ln x
+    and q = p, one-sided at p's jumps: a/q is ln phi, and at sigma = ln
+    phi(a) the cell exponent a - sigma q is p (ln phi(x) - ln phi(a)).
+    The integral and the modular are read from each scale's cells as
+    they stream into the solver."""
+    integrals, modulars = [], []
+
+    def read():
+        prepared = _prepare(_inverse_x_jobs(grid, a_list, delta), p)
+        for cells, sigma in zip(prepared, sigmas):
+            a_s, q_s, a_t, q_t, dt, _ = cells.rows
+            integrals.append(float(_exp_cells(
+                np.minimum(a_s / q_s, EXP_GUARD),
+                np.minimum(a_t / q_t, EXP_GUARD), dt).sum()))
+            modulars.append(_modular_at(cells, sigma))
+            yield cells
+
+    norms = _solve(read(), tol)
+    for result in norms:
+        if isinstance(result, UnboundedNormError):
+            raise result
+    return list(zip(integrals, modulars, norms))

@@ -240,6 +240,11 @@ class TestMain:
     ({"exponent": {"family": "constant", "p0": 2},
       "grid": {"x_min": 0.01, "n": 16}, "families": ["random-step"]},
      "C1", "inconclusive"),
+    # scales with ln(1/a) > EXP_GUARD: the solver's overflow guard must
+    # count the dx weight, or the norm near a = 2^-1015 is too large
+    ({"exponent": {"family": "constant", "p0": 2},
+      "grid": {"x_min": 1e-306, "n": 2001}, "a_depth": 1015,
+      "criteria": ["C5"], "families": ["power"]}, "C5", "bounded"),
 ])
 def test_run_ends_in_a_report(tmp_path, capsys, config, criterion, cls):
     path = tmp_path / "cfg.json"

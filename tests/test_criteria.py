@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from hardyvx import (
     Constant,
@@ -27,33 +29,12 @@ from hardyvx.criteria import (
     _scan_points,
     classify_series,
 )
-from hardyvx.exponent import EXP_GUARD, DyadicJump, log_phi, on_grid
-from hardyvx.grids import SampledFunction, integrate_dlog
+from hardyvx.exponent import DyadicJump, log_phi, on_grid
+from hardyvx.grids import make_log_grid
 
 
 # The per-scale loops that the vectorised criteria replaced, kept as
-# references: the vector passes must give the same values, C2 and C4 up
-# to the summation order of their cell sums.
-
-def _reference_C2(p, grid, delta=1.0):
-    p, a_list, _, ln_phi_a = _scales(p, grid, None, delta)
-    phi_f = SampledFunction(grid, np.exp(np.minimum(p.ln_phi, EXP_GUARD)))
-    return [integrate_dlog(phi_f, a, delta) * math.exp(-la)
-            for a, la in zip(a_list, ln_phi_a)]
-
-
-def _reference_C4(p, grid, delta=1.0):
-    p, a_list, _, ln_phi_a = _scales(p, grid, None, delta)
-    vals = []
-    for a, la in zip(a_list, ln_phi_a):
-        expo = p.p_nodes * (p.ln_phi - la)
-        if np.any(expo[grid.node_slice(a, delta)] > EXP_GUARD):
-            vals.append(math.inf)
-        else:
-            w = SampledFunction(grid, np.exp(np.minimum(expo, EXP_GUARD)))
-            vals.append(integrate_dlog(w, a, delta))
-    return vals
-
+# references: the vector passes must give the same values.
 
 def _reference_C3(p, grid, delta=1.0, eps_depth=13, depth_stops=12):
     """(best eps, constant) of criterion_C3's depth-stop loop."""
@@ -117,6 +98,51 @@ REFERENCE_EXPONENTS = [
     LogPerturbed(2.0, 1.0, 0.5),
     DyadicJump(2.0, (1.0, 0.5, 0.25), (2.0 ** -3, 2.0 ** -9, 2.0 ** -20)),
 ]
+
+
+def _log_power_integral(k, ln_s, ln_t):
+    """ln of the integral of e^(-k u) du over [ln s, ln t], k >= 0."""
+    width = ln_t - ln_s
+    if k == 0.0:
+        return math.log(width)
+    return -k * ln_s + math.log(-math.expm1(-k * width) / k)
+
+
+def _closed_forms(p, a, delta):
+    """C2, C4 and C5 at the scale a for a step exponent p, from the
+    closed forms on each piece (s, t) of (a, delta), where p is constant:
+    phi = x**(-(1 - 1/p)) and f_a = x^-1 integrate as powers of x, and
+    the norm's modular is solved for 1 in ln lambda with brentq."""
+    edges = [a, *(d for d in p.discontinuities() if a < d < delta), delta]
+    pieces = [(p.eval(math.sqrt(s * t)), math.log(s), math.log(t))
+              for s, t in zip(edges, edges[1:])]
+    la = log_phi(p.eval(a), -math.log(a))
+    c2 = sum(math.exp(_log_power_integral(1.0 - 1.0 / q, ln_s, ln_t) - la)
+             for q, ln_s, ln_t in pieces)
+    c4 = sum(math.exp(_log_power_integral(q - 1.0, ln_s, ln_t) - q * la)
+             for q, ln_s, ln_t in pieces)
+
+    def log_modular(sigma):
+        terms = [_log_power_integral(q - 1.0, ln_s, ln_t) - q * sigma
+                 for q, ln_s, ln_t in pieces]
+        top = max(terms)
+        return top + math.log(sum(math.exp(t - top) for t in terms))
+
+    sigma = brentq(log_modular, -100.0, 100.0, xtol=1e-14, rtol=1e-15)
+    return c2, c4, math.exp(sigma - la)
+
+
+def _check_closed_forms(p, grid, delta, rel_c2_c4, rel_c5):
+    verdicts = [criterion_C2(p, grid, delta=delta),
+                criterion_C4(p, grid, delta=delta),
+                criterion_C5(p, grid, delta=delta)]
+    series = [v.series for v in verdicts]
+    assert len(series[0]) == len(series[1]) == len(series[2]) > 10
+    for (level, c2), (_, c4), (_, c5) in zip(*series):
+        want = _closed_forms(p, 2.0 ** -level, delta)
+        assert c2 == pytest.approx(want[0], rel=rel_c2_c4, abs=0.0)
+        assert c4 == pytest.approx(want[1], rel=rel_c2_c4, abs=0.0)
+        assert c5 == pytest.approx(want[2], rel=rel_c5, abs=0.0)
 
 
 class TestClassifier:
@@ -219,6 +245,27 @@ class TestIntegralCriteria:
             assert la == pytest.approx(log_phi(p.eval(a), math.log(1.0 / a)),
                                        rel=4.5e-16, abs=0.0)
 
+    @pytest.mark.parametrize("p", [
+        REFERENCE_EXPONENTS[1],
+        catalog_exponent("step-interior").exponent,
+        PiecewiseConstant((1e-7, 1e-3, 0.3), (1.5, 2.5, 2.0, 3.0))])
+    @pytest.mark.parametrize("delta", [1.0, 0.2])
+    def test_step_exponent_closed_forms(self, grid, p, delta):
+        # p is constant between its jumps, so the jump-aware cells are
+        # exact: C2 and C4 up to rounding, C5 up to the norm's tolerance
+        _check_closed_forms(p, grid, delta, 1e-13, 1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(math.log(1e-8), -1e-3), min_size=1,
+                    max_size=3, unique=True),
+           st.lists(st.floats(1.2, 4.0), min_size=4, max_size=4),
+           st.sampled_from([1.0, 0.3]))
+    def test_random_step_closed_forms(self, ln_breaks, values, delta):
+        # jumps anywhere, also inside the cell of a scale a or of delta
+        breaks = sorted(set(math.exp(b) for b in ln_breaks))
+        p = PiecewiseConstant(breaks, values[:len(breaks) + 1])
+        _check_closed_forms(p, make_log_grid(1e-8, 241), delta, 1e-11, 1e-9)
+
     def test_C3_constant_two_witness(self, grid):
         best_eps, const, v = criterion_C3(Constant(2.0), grid)
         assert v.cls == "bounded"
@@ -232,15 +279,6 @@ class TestIntegralCriteria:
 
 
 class TestVectorScansMatchTheLoops:
-    @pytest.mark.parametrize("p", REFERENCE_EXPONENTS)
-    def test_C2_and_C4(self, grid, p):
-        for got, ref in ((criterion_C2(p, grid), _reference_C2(p, grid)),
-                         (criterion_C4(p, grid), _reference_C4(p, grid))):
-            values = [v for _, v in got.series]
-            assert len(values) == len(ref) > 30
-            for v, r in zip(values, ref):
-                assert v == pytest.approx(r, rel=1e-15, abs=0.0)
-
     @pytest.mark.parametrize("p", REFERENCE_EXPONENTS)
     @pytest.mark.parametrize("delta", [1.0, 0.2])
     def test_C3(self, grid, p, delta):

@@ -327,3 +327,21 @@ class TestNormOfInverseX:
         nv = norm_of_inverse_x(Constant(2.0), grid, 0.1, delta=0.5)
         assert nv.value == pytest.approx(math.sqrt(1.0 / 0.1 - 1.0 / 0.5),
                                          rel=1e-9)
+
+    def test_deep_scale_guard_counts_dx(self):
+        # ln(1/a) > EXP_GUARD: |f|**p alone passes the guard near a, but
+        # the cell exponent p ln|f/lambda| + ln x does not
+        a = 2.0 ** -1015
+        nv = norm_of_inverse_x(Constant(2.0), make_log_grid(1e-306, 4001), a)
+        k = math.log(1.0 / a)
+        log_norm = 0.5 * (k + math.log(-math.expm1(-k)))
+        assert math.log(nv.value) == pytest.approx(log_norm, rel=1e-9)
+
+    def test_jump_inside_the_cell_below_a(self):
+        # the jump at 1.85e-6 lies between a = 2^-19 and the node below
+        # it, so that node carries p = 3 of (a, 1), not the 3.5 beyond
+        a = 2.0 ** -19
+        nv = norm_of_inverse_x(PiecewiseConstant((1.85e-6,), (3.5, 3.0)),
+                               make_log_grid(1e-8, 241), a)
+        assert nv.value == pytest.approx(((a ** -2 - 1.0) / 2.0) ** (1 / 3),
+                                         rel=1e-9)
