@@ -1,17 +1,23 @@
 """Scenario configuration: JSON parsing, validation, defaults.
 
 Configs are validated against the published JSON schema shipped with the
-package (``schema/config.schema.json``); every violation is reported with
-its field path rather than just the first one.
+package (``schema/config.schema.json``), the one source of constraints
+and defaults.  Validation is done in-house for exactly the keyword subset
+the schema uses, with JSON Schema 2020-12 semantics; any other keyword
+raises ``NotImplementedError``.  The test suite uses the reference
+JSON Schema validator of the ``test`` extra as its oracle.  Every
+violation is reported with its field path rather than just the first
+one.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
-
-import jsonschema
 
 from .catalog import catalog_exponent
 from .exponent import (
@@ -54,21 +60,210 @@ class ScenarioConfig:
     echo: dict  # the fully-defaulted configuration but ``out``, for reports
 
 
-def load_schema() -> dict:
+@functools.cache
+def _schema() -> dict:
     text = (resources.files("hardyvx") / "schema" /
             "config.schema.json").read_text(encoding="utf-8")
     return json.loads(text)
 
 
+def load_schema() -> dict:
+    """The config schema, as a fresh copy the caller may change."""
+    return copy.deepcopy(_schema())
+
+
+# The validator: one check per schema keyword.  Each check takes the
+# keyword's value, the instance, its path (a tuple of keys and indices),
+# the list that collects (path, message) pairs, and the enclosing schema.
+# Messages keep the reference validator's wording.
+
+_ANNOTATIONS = frozenset({"$schema", "$id", "title", "default"})
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "number": _is_number,
+    # 401.0 is an integer in JSON Schema
+    "integer": lambda v: _is_number(v) and (isinstance(v, int)
+                                            or v.is_integer()),
+}
+
+
+def _equal(a, b) -> bool:
+    """JSON equality of scalars: a bool equals only itself, 1 equals 1.0."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    return a == b
+
+
+def _type(types, instance, path, errors, schema):
+    names = [types] if isinstance(types, str) else types
+    if not any(_TYPES[name](instance) for name in names):
+        errors.append((path, f"{instance!r} is not of type "
+                             f"{', '.join(map(repr, names))}"))
+
+
+def _properties(props, instance, path, errors, schema):
+    if isinstance(instance, dict):
+        for key, sub in props.items():
+            if key in instance:
+                _validate(sub, instance[key], (*path, key), errors)
+
+
+def _additional_properties(allowed, instance, path, errors, schema):
+    if allowed is not False:
+        raise NotImplementedError("additionalProperties other than false")
+    if isinstance(instance, dict):
+        extras = sorted(k for k in instance if k not in
+                        schema.get("properties", {}))
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            errors.append((path, "Additional properties are not allowed "
+                                 f"({', '.join(map(repr, extras))} {verb} "
+                                 "unexpected)"))
+
+
+def _required(names, instance, path, errors, schema):
+    if isinstance(instance, dict):
+        errors.extend((path, f"{name!r} is a required property")
+                      for name in names if name not in instance)
+
+
+def _items(sub, instance, path, errors, schema):
+    if isinstance(instance, list):
+        for i, item in enumerate(instance):
+            _validate(sub, item, (*path, i), errors)
+
+
+def _min_items(least, instance, path, errors, schema):
+    if isinstance(instance, list) and len(instance) < least:
+        short = "should be non-empty" if least == 1 else "is too short"
+        errors.append((path, f"{instance!r} {short}"))
+
+
+def _unique_items(unique, instance, path, errors, schema):
+    if unique and isinstance(instance, list) and any(
+            _equal(a, b) for i, a in enumerate(instance)
+            for b in instance[i + 1:]):
+        errors.append((path, f"{instance!r} has non-unique elements"))
+
+
+def _const(value, instance, path, errors, schema):
+    if not _equal(instance, value):
+        errors.append((path, f"{value!r} was expected"))
+
+
+def _enum(values, instance, path, errors, schema):
+    if not any(_equal(instance, v) for v in values):
+        errors.append((path, f"{instance!r} is not one of {values!r}"))
+
+
+def _bound(holds, relation):
+    """A numeric bound check; it ignores non-numbers, null among them."""
+    def check(limit, instance, path, errors, schema):
+        if _is_number(instance) and not holds(instance, limit):
+            errors.append((path, f"{instance!r} is {relation} {limit!r}"))
+    return check
+
+
+def _one_of(branches, instance, path, errors, schema):
+    """``oneOf`` over object schemas that each name their key: the first
+    required property, matched by presence or, where the branch fixes it
+    with ``const``, by value.  Only the matching branch is checked, so its
+    violations are the ones reported."""
+    if not isinstance(instance, dict):
+        # every branch is an object schema: any of them reports the type
+        _validate(branches[0], instance, path, errors)
+        return
+    consts: dict[str, list] = {}
+    for branch in branches:
+        key = branch["required"][0]
+        const = branch["properties"][key].get("const")
+        consts.setdefault(key, []).append(const)
+        if key in instance and (const is None
+                                or _equal(instance[key], const)):
+            _validate(branch, instance, path, errors)
+            return
+    for key, values in consts.items():
+        if key in instance:
+            errors.append(((*path, key), f"{instance[key]!r} is not one of "
+                                         f"{values!r}"))
+            return
+    keys = " or ".join(map(repr, consts))
+    errors.append((path, f"{keys} is a required property"))
+
+
+_KEYWORDS = {
+    "type": _type,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "required": _required,
+    "items": _items,
+    "minItems": _min_items,
+    "uniqueItems": _unique_items,
+    "const": _const,
+    "enum": _enum,
+    "minimum": _bound(lambda x, b: x >= b, "less than the minimum of"),
+    "maximum": _bound(lambda x, b: x <= b, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(lambda x, b: x > b,
+                               "less than or equal to the minimum of"),
+    "exclusiveMaximum": _bound(lambda x, b: x < b,
+                               "greater than or equal to the maximum of"),
+    "oneOf": _one_of,
+}
+
+
+def _validate(schema: dict, instance, path: tuple, errors: list) -> None:
+    for keyword, value in schema.items():
+        check = _KEYWORDS.get(keyword)
+        if check is not None:
+            check(value, instance, path, errors, schema)
+        elif keyword not in _ANNOTATIONS:
+            raise NotImplementedError(
+                f"config schema keyword {keyword!r} is not implemented")
+
+
+def _problems(instance, schema: dict) -> list[str]:
+    """Every violation of ``schema`` by ``instance``, sorted by path."""
+    errors: list = []
+    _validate(schema, instance, (), errors)
+    return [f"{'.'.join(map(str, path)) or '(root)'}: {message}"
+            for path, message in sorted(errors, key=lambda e: e[0])]
+
+
 def _with_defaults(raw: dict, schema: dict) -> dict:
-    """``raw`` with omitted properties filled from the schema's defaults."""
+    """``raw`` with omitted properties filled from the schema's defaults
+    and integer-typed values made ``int`` (a valid ``n`` may be 401.0)."""
     out = dict(raw)
     for key, prop in schema["properties"].items():
         if "properties" in prop:
             out[key] = _with_defaults(raw.get(key, {}), prop)
-        elif "default" in prop:
-            out.setdefault(key, prop["default"])
+        elif key not in out:
+            if "default" in prop:
+                out[key] = copy.deepcopy(prop["default"])
+        elif prop.get("type") == "integer":
+            out[key] = int(out[key])
     return out
+
+
+def _non_finite(token: str):
+    # Python's json reads NaN and Infinity, and 1e400 as inf; NaN passes
+    # every bound, so none of them may reach validation
+    raise ConfigError([f"{token} is not a finite number"])
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        _non_finite(token)
+    return value
 
 
 def _build_exponent(spec: dict) -> ExponentFunction:
@@ -99,33 +294,13 @@ def _build_exponent(spec: dict) -> ExponentFunction:
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON scenario configuration."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_non_finite,
+                         parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"not valid JSON: {exc}"]) from exc
 
-    schema = load_schema()
-    validator = jsonschema.Draft202012Validator(schema)
-    problems = []
-    for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.path)):
-        # inside a oneOf, report the closest-matching branch's failure;
-        # when the instance names a family, failures from that family's
-        # branch beat the generic "additional properties" ones
-        if err.context:
-            family = (err.instance or {}).get("family") \
-                if isinstance(err.instance, dict) else None
-            branches = err.validator_value if err.validator == "oneOf" else []
-            relevant = []
-            for e in err.context:
-                idx = list(e.schema_path)[0]
-                branch = branches[idx] if isinstance(idx, int) else {}
-                if family is not None and branch.get(
-                        "properties", {}).get("family",
-                                              {}).get("const") == family:
-                    relevant.append(e)
-            err = jsonschema.exceptions.best_match(relevant or err.context) \
-                or err
-        path = ".".join(str(p) for p in err.absolute_path) or "(root)"
-        problems.append(f"{path}: {err.message}")
+    schema = _schema()
+    problems = _problems(raw, schema)
     if problems:
         raise ConfigError(problems)
 

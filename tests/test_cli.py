@@ -1,8 +1,13 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hardyvx
 from hardyvx.catalog import CATALOG, catalog_exponent
 from hardyvx.cli import main
 from hardyvx.config import ConfigError, load_schema, parse_config
@@ -245,6 +250,14 @@ class TestMain:
     ({"exponent": {"family": "constant", "p0": 2},
       "grid": {"x_min": 1e-306, "n": 2001}, "a_depth": 1015,
       "criteria": ["C5"], "families": ["power"]}, "C5", "bounded"),
+    # JSON Schema counts 401.0 and 1e2 as integers: they must reach the
+    # audit as int
+    ({"exponent": {"catalog": "constant-2"}, "grid": {"n": 401.0}},
+     "C1", "bounded"),
+    ({"exponent": {"catalog": "constant-2"}, "grid": {"n": 1e2}},
+     "C1", "bounded"),
+    ({"exponent": {"catalog": "constant-2"},
+      "grid": {"x_min": 1e-8, "n": 401}, "a_depth": 20.0}, "C5", "bounded"),
 ])
 def test_run_ends_in_a_report(tmp_path, capsys, config, criterion, cls):
     path = tmp_path / "cfg.json"
@@ -260,3 +273,31 @@ def test_report_json_is_stable_text(tmp_path):
     text = report_json(run_scenario(cfg))
     assert text.endswith("\n")
     assert json.loads(text)["version"]
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this hardyvx."""
+    src = str(Path(hardyvx.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_jsonschema_out():
+    out = _python("import sys, hardyvx.cli; "
+                  "print('jsonschema' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_run_needs_no_jsonschema(tmp_path):
+    # a None entry in sys.modules makes any import of the package fail
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(minimal("constant-2", grid={"x_min": 1e-8, "n": 401},
+                           a_depth=12, necessity_depth=12))
+    out = _python("import sys; sys.modules['jsonschema'] = None; "
+                  "from hardyvx.cli import main; sys.exit(main(sys.argv[1:]))",
+                  "run", "--config", str(cfg))
+    assert "Traceback" not in out.stderr
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["report"]["agreement"] is True
