@@ -17,8 +17,10 @@ a zero end, or a log-linear one, is linear in g (``_linear_cells``).
 ``cumulative_integral`` takes their running sum, so pure power integrands
 are exact up to rounding; ``_cumulative_integrals`` does so for a batch
 of functions in one pass, the node slices of all their segments laid end
-to end.  The Luxemburg-norm solver in ``lpnorm`` feeds ``_exp_cells`` the
-exponents of its own prepared cells.  The only
+to end, and returns the running totals as one 2-D array, which the C1
+numerators read directly; ``cumulative_integral`` wraps its one row as
+a ``SampledFunction``.  The Luxemburg-norm solver in ``lpnorm`` feeds
+``_exp_cells`` the exponents of its own prepared cells.  The only
 truncation bias is the head extrapolation below x_min, a two-point
 power-law fit.
 """
@@ -86,8 +88,12 @@ class LogGrid:
         """``node_slice`` of many [a, b], given ln a and ln b: the
         arrays of the slices' starts and stops."""
         top = self.n - 2
-        return (np.clip(self.u.searchsorted(ln_a, "right") - 1, 0, top),
-                np.clip(self.u.searchsorted(ln_b, "left") - 1, 0, top) + 2)
+        # np.minimum and np.maximum: np.clip's own overhead is several
+        # times theirs on the few slices of one batch
+        return (np.minimum(np.maximum(
+                    self.u.searchsorted(ln_a, "right") - 1, 0), top),
+                np.minimum(np.maximum(
+                    self.u.searchsorted(ln_b, "left") - 1, 0), top) + 2)
 
 
 def make_log_grid(x_min: float = 1e-12, n: int = 1201) -> LogGrid:
@@ -356,23 +362,26 @@ def cumulative_integral(f: FunctionLike) -> SampledFunction:
     whose support reaches below x_min contribute the closed-form head of
     their two-point power-law fit.
     """
-    (result,) = _cumulative_integrals([f])
-    if isinstance(result, DivergentHeadError):
-        raise result
-    return result
+    (total,), (error,) = _cumulative_integrals([f])
+    if error is not None:
+        raise error
+    return SampledFunction(as_segments(f)[0].grid, total, interp="loglinear")
 
 
-def _cumulative_integrals(fs: list) -> list:
-    """``cumulative_integral`` of each function in ``fs``, all on one
-    grid, in one pass: the cells of every segment's node slice, laid end
-    to end, are integrated in one ``_cell_integrals`` call, placed at
-    their grid positions in one row per segment, and summed by
-    ``np.cumsum(axis=1)``, which keeps each row's summation order.  A
-    function whose head below x_min diverges gets its DivergentHeadError
-    in its slot (not raised), and its neighbours are unaffected.
+def _cumulative_integrals(fs: list) -> tuple[np.ndarray, list]:
+    """The running totals of ``cumulative_integral`` of each function in
+    ``fs``, all on one grid, in one pass, as one row per function of a
+    2-D array, and per function its DivergentHeadError, or None.  The
+    cells of every segment's node slice, laid end to end, are integrated
+    in one ``_cell_integrals`` call, placed at their grid positions in one
+    row per segment, and summed by ``np.cumsum(axis=1)``, which keeps each
+    row's summation order.  A function whose head below x_min diverges
+    keeps a row of zeros (its error is returned, not raised), and its
+    neighbours are unaffected.
     """
     grid = as_segments(fs[0])[0].grid
-    results: list = [None] * len(fs)
+    errors: list = [None] * len(fs)
+    total = np.zeros((len(fs), grid.n))
     segs, heads = [], []
     owners = []  # (function, its first segment, its segment count)
     for k, f in enumerate(fs):
@@ -388,13 +397,13 @@ def _cumulative_integrals(fs: list) -> list:
                 my_heads.append(head_integral(seg) if lo < grid.x_min
                                 else 0.0)
         except DivergentHeadError as exc:
-            results[k] = exc.with_traceback(None)
+            errors[k] = exc.with_traceback(None)
             continue
         owners.append((k, len(segs), len(mine)))
         segs += mine
         heads += my_heads
     if not segs:
-        return results
+        return total, errors
     ln_a, ln_b = np.array([(math.log(max(lo, grid.x_min)),
                             math.log(min(hi, 1.0)))
                            for lo, hi in (seg.effective_support()
@@ -421,15 +430,14 @@ def _cumulative_integrals(fs: list) -> list:
     np.cumsum(running, axis=1, out=running)
     running += np.array(heads)[:, None]
     # each function's total adds its segments in order
-    total = running[[j for _, j, _ in owners]]
+    rows = [k for k, _, _ in owners]
+    total[rows] = running[[j for _, j, _ in owners]]
     for m in range(1, max(count for _, _, count in owners)):
         more = [i for i, (_, _, count) in enumerate(owners) if count > m]
-        total[more] += running[[owners[i][1] + m for i in more]]
+        total[[rows[i] for i in more]] += running[[owners[i][1] + m
+                                                   for i in more]]
     if np.any(np.diff(total, axis=1)
               < -1e-12 * np.maximum(1.0, total[:, -1:])):
         raise AssertionError("cumulative integral must be nondecreasing")
-    total = np.maximum.accumulate(total, axis=1)
-    for (k, _, _), values in zip(owners, total):
-        results[k] = SampledFunction(grid, values, interp="loglinear",
-                                     support=None)
-    return results
+    np.maximum.accumulate(total, axis=1, out=total)
+    return total, errors

@@ -3,6 +3,11 @@
 Two independent evaluation routes are provided for (1/x) * integral_0^x f:
 the cumulative-integral route and the scaled route based on the identity
 Hf(x)/x = integral_0^1 f(t x) dt, used to cross-validate quadrature.
+
+The C1 sweep never builds the averages as sampled functions: the
+numerators of its Rayleigh quotients are prepared from each chunk's
+running totals, as ``grids._cumulative_integrals`` returns them, divided
+by x and cut into cells against one layout of p (``_average_cells``).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .grids import (
     _cell_integrals,
     _cumulative_integrals,
     as_segments,
+    cumulative_integral,
     head_fit,
 )
 from . import lpnorm
@@ -63,40 +69,11 @@ class ResolutionError(ValueError):
 
 def hardy_average(f: FunctionLike) -> SampledFunction:
     """x -> (1/x) * integral_0^x f, sampled on f's grid:
-    ``_hardy_averages`` of f alone, raising its DivergentHeadError."""
-    (result,) = _hardy_averages([f])
-    if isinstance(result, DivergentHeadError):
-        raise result
-    return result
-
-
-def _hardy_averages(fs: list):
-    """``hardy_average`` of each function in ``fs``, all on one grid, in
-    order, as they are taken: the cumulative integrals run in chunks of
-    at most ``lpnorm._GROUP_CELLS`` grid values, each chunk in one
-    ``_cumulative_integrals`` pass, so only one chunk is held at a time.
-    A function whose head below x_min diverges gets its
-    DivergentHeadError in its place."""
-    def averages(chunk):
-        for H in _cumulative_integrals(chunk):
-            if isinstance(H, DivergentHeadError):
-                yield H
-                continue
-            vals = H.values / H.grid.points
-            interp = "powerlaw" if np.all(vals > 0.0) else "loglinear"
-            yield SampledFunction(H.grid, vals, interp=interp)
-
-    chunk, size = [], 0
-    for f in fs:
-        segs = as_segments(f)
-        n = len(segs) * segs[0].grid.n
-        if chunk and size + n > lpnorm._GROUP_CELLS:
-            yield from averages(chunk)
-            chunk, size = [], 0
-        chunk.append(f)
-        size += n
-    if chunk:
-        yield from averages(chunk)
+    ``cumulative_integral`` divided by x, raising its DivergentHeadError."""
+    H = cumulative_integral(f)
+    vals = H.values / H.grid.points
+    interp = "powerlaw" if np.all(vals > 0.0) else "loglinear"
+    return SampledFunction(H.grid, vals, interp=interp)
 
 
 def _t_quadrature(t0: float, t1: float, vals_fn, n_t: int) -> float:
@@ -171,13 +148,55 @@ class QuotientResult:
                 nhi / dlo if dlo > 0 else math.inf)
 
 
+def _average_cells(fs: list, p: ExponentLike):
+    """The prepared modular of x^-1 Hf over (x_min, 1] for each f in
+    ``fs``, all on one grid, in order, as they are taken; a function
+    whose head below x_min diverges gets its DivergentHeadError in its
+    place.  The running totals of chunks of at most
+    ``lpnorm._GROUP_CELLS`` segment rows come from one
+    ``_cumulative_integrals`` pass each, and each chunk's averages are
+    prepared in one ``lpnorm._gather_averages`` pass against one layout of
+    p, so only one chunk is held at a time.  Each average is read from the
+    node ``node_slice(lo, 1).start`` of f's lowest support lo on, where
+    lo >= x_min: it is exactly 0 at that node and below."""
+    if not fs:
+        return
+    grid = as_segments(fs[0])[0].grid
+    p = on_grid(p, grid)
+    template = lpnorm._average_layout(p)
+
+    def prepare(chunk, starts):
+        total, errors = _cumulative_integrals(chunk)
+        ok = [k for k, error in enumerate(errors) if error is None]
+        cells = iter(lpnorm._gather_averages(
+            template, total[ok] / grid.points, [starts[k] for k in ok])
+            if ok else ())
+        for error in errors:
+            yield error if error is not None else next(cells)
+
+    chunk, starts, size = [], [], 0
+    for f in fs:
+        segs = as_segments(f)
+        n = len(segs) * grid.n
+        if chunk and size + n > lpnorm._GROUP_CELLS:
+            yield from prepare(chunk, starts)
+            chunk, starts, size = [], [], 0
+        lo = min(seg.effective_support()[0] for seg in segs)
+        chunk.append(f)
+        starts.append(grid.node_slice(lo, 1.0).start if lo >= grid.x_min
+                      else 0)
+        size += n
+    if chunk:
+        yield from prepare(chunk, starts)
+
+
 def _rayleigh_quotients(fs: list, denominators: list,
                         p: ExponentLike, tol: float) -> list:
     """Rayleigh quotients of each f in ``fs`` given its solved denominator
-    ||f||: every numerator in one ``luxemburg_norms`` call, which takes
-    the Hardy averages as ``_hardy_averages`` computes them.  A failing
-    f's slot holds its exception (ZeroDivisionError, DivergentHeadError
-    or UnboundedNormError), stored without its traceback."""
+    ||f||: every numerator in one lockstep solve, which takes the
+    averages' cells as ``_average_cells`` prepares them.  A failing f's
+    slot holds its exception (ZeroDivisionError, DivergentHeadError or
+    UnboundedNormError), stored without its traceback."""
     results = list(denominators)
     live = []
     for i, den in enumerate(results):
@@ -191,14 +210,14 @@ def _rayleigh_quotients(fs: list, denominators: list,
     averaged = []  # the indices of the averages the solver takes
 
     def averages():
-        for i, h in zip(live, _hardy_averages([fs[i] for i in live])):
-            if isinstance(h, DivergentHeadError):
-                results[i] = h
+        for i, cells in zip(live, _average_cells([fs[i] for i in live], p)):
+            if isinstance(cells, DivergentHeadError):
+                results[i] = cells
             else:
                 averaged.append(i)
-                yield h, None
+                yield cells
 
-    numerators = luxemburg_norms(averages(), p, tol)
+    numerators = lpnorm._solve(averages(), tol)
     for i, num in zip(averaged, numerators):
         den = results[i]
         results[i] = (num if isinstance(num, UnboundedNormError)
@@ -267,18 +286,23 @@ def necessity_test_function(p: ExponentLike, grid: LogGrid,
     Its modular equals ln 2 for every exponent, so its norm is <= 1.
     Returned as segments split at discontinuities of p, with node values
     carrying the one-sided exponent of their segment, so jump exponents
-    are handled exactly.
+    are handled exactly.  Only the nodes of ``node_slice(a/2, a)``, the
+    cells meeting the block, carry f0; every reader of a segment reads no
+    others, and the rest hold 1, which keeps the values positive.
     """
     if a / 2.0 < grid.x_min:
         raise ValueError("need x_min < a/2")
-    inside = np.count_nonzero((grid.points > a / 2.0) & (grid.points < a))
+    block = grid.node_slice(a / 2.0, a)
+    x = grid.points[block]
+    inside = np.count_nonzero((x > a / 2.0) & (x < a))
     if inside < 8:
         raise ResolutionError(
             f"only {inside} grid points fall inside (a/2, a) for a={a:g}")
     p = on_grid(p, grid)
     segs = []
     for s, t in p.pieces(a / 2.0, a):
-        vals = np.exp(-np.log(grid.points) / p.p_at(slice(0, grid.n), s, t))
+        vals = np.ones(grid.n)
+        vals[block] = np.exp(-np.log(x) / p.p_at(block, s, t))
         segs.append(SampledFunction(grid, vals, interp="powerlaw",
                                     support=(s, t)))
     return segs

@@ -14,8 +14,13 @@ integral is the grid's log-space cell formula ``_exp_cells`` of two
 such values, two transcendentals per cell.  Cells where f vanishes at
 both ends integrate to 0 at every sigma and are dropped; the few cells
 with one zero end are linear in |f/lambda|**p, so each is a constant
-times its nonzero end, stored as a one-exponent cell.  ``_evaluate``
-integrates many such (cells, sigma) rows in one vectorised call, so
+times its nonzero end, stored as a one-exponent cell.  That arithmetic
+lives in one cell builder, ``_cells``, with two front ends: ``_gather``
+lays out ``_prepare``'s pieces, and ``_gather_averages`` cuts C1's Hardy
+averages, given as running totals divided by x, from one layout of p
+over (x_min, 1] that ``_average_layout`` builds once per audit.
+``_evaluate`` integrates many such (cells, sigma) rows in one vectorised
+call, so
 neither ``SampledFunction`` nor ``integrate`` appears in a norm solve,
 and I is inf, without evaluation, for sigma below a row's guard, where a
 node's exponent E would exceed EXP_GUARD.
@@ -55,6 +60,7 @@ from .grids import (
     _head_integral,
     _lerp,
     _linear_cells,
+    _ranges,
     as_segments,
 )
 
@@ -195,11 +201,106 @@ def _prepare(jobs, p: ExponentLike):
         yield from _gather(batch, p)
 
 
+class _Layout(NamedTuple):
+    """Node slices of pieces of p laid end to end, as ``_cells`` reads
+    them: u and p at each position, and per piece (s, t) its first node
+    and last cell (as positions), and ln s and ln t, clipped into that
+    first and last cell; ln s = -inf clips nothing."""
+    u: np.ndarray
+    p: np.ndarray
+    first: list
+    last: list
+    ln_s: list
+    ln_t: list
+
+
 def _gather(batch: list, p: GridExponent) -> list[_Cells]:
     """The cells of each job of ``batch`` (lists of ``_Piece``) in
-    one pass: the node slices of all pieces are laid end to end, every
-    pair of adjacent nodes is a cell, and the pairs that join two pieces
-    are dropped at the end.
+    one ``_cells`` pass over the node slices of all pieces laid end to
+    end.  Only a slice's end nodes can lie outside f's support, which
+    contains [s, t]; those are left out of sup|f|."""
+    grid = p.grid
+    pieces = [piece for job in batch for piece in job]
+    if not pieces:
+        return [_Cells(np.empty((6, 0)), -math.inf, 0.0, []) for _ in batch]
+    ends = list(itertools.accumulate(piece.stop - piece.start
+                                     for piece in pieces))
+    first = [0] + ends[:-1]
+    layout = _Layout(
+        np.concatenate([grid.u[piece.start:piece.stop] for piece in pieces]),
+        np.concatenate([piece.p for piece in pieces]), first,
+        [end - 2 for end in ends], [piece.ln_s for piece in pieces],
+        [piece.ln_t for piece in pieces])
+    points = grid.points
+    outside = ([i for i, piece in zip(first, pieces)
+                if points[piece.start] < piece.lo]
+               + [i - 1 for i, piece in zip(ends, pieces)
+                  if points[piece.stop - 1] > piece.hi])
+    return _cells(layout, np.concatenate([piece.f for piece in pieces]),
+                  [len(job) for job in batch], outside,
+                  [k for k, piece in enumerate(pieces) if piece.head])
+
+
+def _average_layout(p: GridExponent) -> tuple[_Layout, np.ndarray]:
+    """The pieces of p over (x_min, 1] laid out as ``_plan`` lays out a
+    function over (x_min, 1], and the grid node of each position: the
+    template ``_gather_averages`` cuts every Hardy average from."""
+    grid = p.grid
+    pieces = p.pieces(grid.x_min, 1.0)
+    slices = [grid.node_slice(s, t) for s, t in pieces]
+    lengths = np.array([nodes.stop - nodes.start for nodes in slices])
+    nodes, first = _ranges(np.array([nodes.start for nodes in slices]),
+                           lengths)
+    return _Layout(grid.u[nodes],
+                   np.concatenate([p.p_at(nodes, s, t) for nodes, (s, t)
+                                   in zip(slices, pieces)]),
+                   first.tolist(), (first + lengths - 2).tolist(),
+                   [math.log(s) for s, _ in pieces],
+                   [math.log(t) for _, t in pieces]), nodes
+
+
+def _gather_averages(template: tuple, values: np.ndarray,
+                     starts) -> list[_Cells]:
+    """The cells of each row of ``values`` (f at every grid node, f >= 0)
+    over (x_min, 1], as ``_prepare`` builds them for f with no support
+    interval, less the head fit, in one ``_cells`` pass: row r is read
+    from grid node ``starts[r]`` on, the caller's promise that f is 0 at
+    that node and below, where every cell would be dropped.
+
+    Each row is a suffix of the ``_average_layout`` template: the pieces
+    whose last node lies above the start, the first of them from the start
+    on, unclipped at s when cut; the pieces of p meet in at most one cell,
+    so only that first piece can reach below the start."""
+    layout, nodes = template
+    first, last, ln_s, ln_t = (np.array(v) for v in layout[2:])
+    starts = np.asarray(starts)
+    k0 = nodes[last + 1].searchsorted(starts, "right")
+    cut = first[k0] + np.maximum(starts - nodes[first[k0]], 0)
+    lengths = nodes.size - cut
+    at, offsets = _ranges(cut, lengths)
+    counts = first.size - k0
+    pieces, _ = _ranges(k0, counts)
+    row = np.repeat(np.arange(starts.size), counts)
+    first, shift = first[pieces], offsets[row] - cut[row]
+    f = values[np.repeat(np.arange(starts.size), lengths), nodes[at]]
+    return _cells(
+        _Layout(layout.u[at], layout.p[at],
+                np.maximum(first + shift, offsets[row]).tolist(),
+                (last[pieces] + shift).tolist(),
+                np.where(first < cut[row], -math.inf,
+                         ln_s[pieces]).tolist(),
+                ln_t[pieces].tolist()),
+        f, counts.tolist())
+
+
+def _cells(layout: _Layout, f: np.ndarray, counts: list, outside=(),
+           heads=()) -> list[_Cells]:
+    """The cells of jobs whose pieces, ``counts[j]`` of them for job j,
+    are laid out in ``layout``, f at each position: every pair of
+    adjacent positions is a cell, and the pairs that join two pieces are
+    dropped at the end.  ``outside`` holds the positions left out of
+    sup|f|, and ``heads`` the pieces whose |f|**p at their first two
+    nodes go to the head fit.
 
     E = p ln|f| + u - sigma p is lerped to [s, t] clipped into each cell,
     which differs from the nodes only in each piece's first and last
@@ -208,51 +309,36 @@ def _gather(batch: list, p: GridExponent) -> list[_Cells]:
     u, so its integral is c |f/lambda|**p at the other end, c =
     ``_linear_cells`` of the 0-1 end pattern: the single exponent ln c +
     p ln|f| - sigma p, stored as a cell of width 1.  Each piece's guard
-    and sup|f| (over the nodes in f's support) come from one ``reduceat``
-    each."""
-    grid = p.grid
-    pieces = [piece for job in batch for piece in job]
-    if not pieces:
-        return [_Cells(np.empty((6, 0)), -math.inf, 0.0, []) for _ in batch]
-    ends = list(itertools.accumulate(piece.stop - piece.start
-                                     for piece in pieces))
-    first = [0] + ends[:-1]  # each piece's first node, and first cell
-    last = [end - 2 for end in ends]  # each piece's last cell
-    u = np.concatenate([grid.u[piece.start:piece.stop] for piece in pieces])
-    pn = np.concatenate([piece.p for piece in pieces])
-    f = np.concatenate([piece.f for piece in pieces])
+    and sup|f| come from one ``reduceat`` each."""
+    u, pn = layout.u, layout.p
+    i_0, i_1 = np.array((layout.first, layout.last))
     abs_f = np.abs(f)
     nz = abs_f != 0.0
     ln_f = np.log(abs_f, out=np.full(f.shape, -math.inf), where=nz)
     # E = p (ln|f| - sigma) + u passes EXP_GUARD for sigma below this
-    guards = np.maximum.reduceat(ln_f + (u - EXP_GUARD) / pn, first).tolist()
+    guards = np.maximum.reduceat(ln_f + (u - EXP_GUARD) / pn, i_0).tolist()
     pl = pn * ln_f  # -inf where f = 0, on cells that are replaced below
     a = pl + u
     # each piece's first and last cell, with [s, t] clipped into it: the
-    # lerps of E's node values, as in the scalar formula; and the nodes
-    # left out of sup|f|: only a slice's end nodes can lie outside f's
-    # support, which contains [s, t]
-    corners = [i for j, k in zip(first, last) for i in (j, j + 1, k, k + 1)]
+    # lerps of E's node values, in Python floats, where a lerp of ln 0 =
+    # -inf is a silent nan or -inf, on a cell dropped or replaced below
+    corners = [i for j, k in zip(layout.first, layout.last)
+               for i in (j, j + 1, k, k + 1)]
     u_c, a_c, p_c = (v[corners].tolist() for v in (u, a, pn))
-    points = grid.points
-    clipped, outside = [], []
-    for k, piece in enumerate(pieces):
+    clipped = []
+    for k, (ln_s, ln_t) in enumerate(zip(layout.ln_s, layout.ln_t)):
         u_0, u_1, u_m, u_n = u_c[4 * k:4 * k + 4]
         a_0, a_1, a_m, a_n = a_c[4 * k:4 * k + 4]
         p_0, p_1, p_m, p_n = p_c[4 * k:4 * k + 4]
-        s_0 = min(max(piece.ln_s, u_0), u_1)
-        t_n = min(max(piece.ln_t, u_m), u_n)
+        s_0 = min(max(ln_s, u_0), u_1)
+        t_n = min(max(ln_t, u_m), u_n)
         w_s, w_t = (s_0 - u_0) / (u_1 - u_0), (t_n - u_m) / (u_n - u_m)
         clipped.append((s_0, t_n, _lerp(a_0, a_1, w_s), _lerp(p_0, p_1, w_s),
                         _lerp(a_m, a_n, w_t), _lerp(p_m, p_n, w_t)))
-        if points[piece.start] < piece.lo:
-            outside.append(first[k])
-        if points[piece.stop - 1] > piece.hi:
-            outside.append(last[k] + 1)
-    abs_f[outside] = 0.0
-    sups = np.maximum.reduceat(abs_f, first).tolist()
     clipped = np.array(clipped).T
-    i_0, i_1 = np.array((first, last))
+    if outside:
+        abs_f[outside] = 0.0
+    sups = np.maximum.reduceat(abs_f, i_0).tolist()
     cs, ct = u[:-1].copy(), u[1:].copy()
     cs[i_0], ct[i_1] = clipped[0], clipped[1]
     # the cells kept: the pairs of nodes within a piece where f is not 0
@@ -300,16 +386,15 @@ def _gather(batch: list, p: GridExponent) -> list[_Cells]:
         rows[0, one_at], rows[1, one_at], rows[2, one_at] = e, q, e
         rows[3, one_at], rows[4, one_at] = q, 1.0
     col_0, col_1 = col_0.tolist(), col_1.tolist()
-    heads = [k for k, piece in enumerate(pieces) if piece.head]
     weights = {}
     if heads:
         # |f|**p at the grid's first two nodes, all the head fit reads
-        two = [i for k in heads for i in (first[k], first[k] + 1)]
+        two = [i for k in heads for i in (i_0[k], i_0[k] + 1)]
         w = np.exp(np.minimum(pl[two], EXP_GUARD)).tolist()
         weights = {k: (w[2 * n], w[2 * n + 1]) for n, k in enumerate(heads)}
     out, k = [], 0
-    for job in batch:
-        j = k + len(job)
+    for count in counts:
+        j = k + count
         out.append(_Cells(rows[:, col_0[k]:col_1[j - 1]] if j > k
                           else rows[:, :0],
                           max(guards[k:j], default=-math.inf),

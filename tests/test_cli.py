@@ -183,6 +183,16 @@ class TestMain:
         assert "grid" in err and "maximum" in err
         assert "Traceback" not in err
 
+    def test_subnormal_grid_floor_is_input_error(self, tmp_path, capsys):
+        # below the smallest normal double 1/x_min overflows: the schema,
+        # not the audit, turns it away
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(minimal(grid={"x_min": 5e-324, "n": 16}))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid config" in err and "grid.x_min" in err
+        assert "Traceback" not in err
+
     def test_verbose_logs_skips_to_stderr_only(self, tmp_path, capsys):
         # C1 skips the dyadic indicators that have no node inside
         cfg = tmp_path / "cfg.json"
@@ -258,6 +268,9 @@ class TestMain:
      "C1", "bounded"),
     ({"exponent": {"catalog": "constant-2"},
       "grid": {"x_min": 1e-8, "n": 401}, "a_depth": 20.0}, "C5", "bounded"),
+    # the smallest grid floor the schema takes, the smallest normal double
+    ({"exponent": {"catalog": "constant-2"},
+      "grid": {"x_min": 2.2250738585072014e-308, "n": 16}}, "C5", "bounded"),
 ])
 def test_run_ends_in_a_report(tmp_path, capsys, config, criterion, cls):
     path = tmp_path / "cfg.json"

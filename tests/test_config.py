@@ -72,8 +72,8 @@ EDGES = st.sampled_from(BOUNDS).flatmap(lambda b: st.sampled_from([
     b, float(b), b - 1, b + 1,
     math.nextafter(b, -math.inf), math.nextafter(b, math.inf)]))
 JUNK = st.one_of(st.booleans(), st.none(), st.integers(-3, 3),
-                 st.floats(-3.0, 3.0), st.text(max_size=3), st.just([]),
-                 st.just({}), st.sampled_from(FAMILIES + ["nope"]))
+                 st.floats(-3.0, 3.0), st.text(max_size=3), st.builds(list),
+                 st.builds(dict), st.sampled_from(FAMILIES + ["nope"]))
 KEYS = st.sampled_from(["bogus", "catalog", "family", "p0", "n"])
 
 

@@ -121,7 +121,7 @@ class TestCumulativeIntegral:
         whole = cumulative_integral(segs).values
         assert np.array_equal(whole, (parts[0] + parts[1]) + parts[2])
         assert np.array_equal(whole, _cumulative_integrals(
-            [segs[1], segs, segs[:2]])[1].values)
+            [segs[1], segs, segs[:2]])[0][1])
 
     def test_monotone(self, grid):
         f = power_function(grid, -0.5)

@@ -13,12 +13,12 @@ from hardyvx import (
     operator_norm_lower_bound,
     rayleigh_quotient,
 )
-from hardyvx import lpnorm
+from hardyvx import hardy, lpnorm
 from hardyvx.exponent import PiecewiseConstant
-from hardyvx.grids import DivergentHeadError, as_segments
+from hardyvx.grids import (DivergentHeadError, _cumulative_integrals,
+                           as_segments)
 from hardyvx.hardy import (
     ResolutionError,
-    _hardy_averages,
     _rayleigh_quotients,
     dyadic_indicator_family,
     necessity_family,
@@ -65,11 +65,12 @@ class TestBatchedAverages:
                 + [m.f for m in random_step_family(grid, count=2)])
 
     def test_batch_matches_single_functions(self, coarse_grid):
+        # the numerators divide one pass's running totals by x
         fs = self._functions(coarse_grid)
-        for f, h in zip(fs, _hardy_averages(fs)):
-            single = hardy_average(f)
-            assert h.interp == single.interp
-            assert np.array_equal(h.values, single.values)
+        totals, errors = _cumulative_integrals(fs)
+        assert errors == [None] * len(fs)
+        for f, h in zip(fs, totals / coarse_grid.points):
+            assert np.array_equal(h, hardy_average(f).values)
 
     @pytest.mark.parametrize("budget", [1, 3 * 401, 10 ** 12])
     def test_chunks_do_not_change_quotients(self, coarse_grid, monkeypatch,
@@ -149,9 +150,10 @@ class TestOperatorNorm:
 
     def test_each_member_prepared_once(self, grid, monkeypatch):
         # one prepared job per member serves its modular check, truncation
-        # bias and denominator, and one per numerator; the batched
-        # preparer takes many jobs per call, so jobs are counted, not calls
-        prepared = []
+        # bias and denominator, and one numerator row per member is cut
+        # from its running totals; the batched preparers take many jobs
+        # per call, so jobs are counted, not calls
+        prepared, integrated, rows = [], [], []
         original = lpnorm._prepare
 
         def counted(jobs, p):
@@ -161,14 +163,27 @@ class TestOperatorNorm:
                     yield job
             return original(seen(), p)
 
+        def totals(fs):
+            integrated.extend(fs)
+            return _cumulative_integrals(fs)
+
+        def averages(template, values, starts):
+            rows.extend(starts)
+            return gather(template, values, starts)
+
+        gather = lpnorm._gather_averages
         monkeypatch.setattr(lpnorm, "_prepare", counted)
+        monkeypatch.setattr(lpnorm, "_gather_averages", averages)
+        monkeypatch.setattr(hardy, "_cumulative_integrals", totals)
         p = LogPerturbed(2.0, 0.5, 1.0)
         members = power_family(p, grid)
         res = operator_norm_lower_bound(p, members)
         assert not res.skipped and len(res.quotients) == len(members)
-        assert len(prepared) == 2 * len(members)
+        assert len(prepared) + len(rows) == 2 * len(members)
+        assert len(integrated) == len(members)
         for member in members:
             assert sum(f is member.f for f in prepared) == 1
+            assert sum(f is member.f for f in integrated) == 1
 
     def test_level_series(self, grid):
         members = dyadic_indicator_family(grid, max_level=6)

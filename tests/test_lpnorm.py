@@ -14,14 +14,15 @@ from hardyvx import (
     modular,
     norm_of_inverse_x,
 )
-from hardyvx import lpnorm
-from hardyvx.exponent import ExponentFunction
+from hardyvx import hardy, lpnorm
+from hardyvx.exponent import ExponentFunction, on_grid
 from hardyvx.grids import integrate
 from hardyvx.hardy import (
     dyadic_indicator_family,
     hardy_average,
     necessity_family,
     power_family,
+    random_step_family,
 )
 from hardyvx.lpnorm import UnboundedNormError, checked_norms, luxemburg_norms
 
@@ -218,6 +219,36 @@ class TestBatchedPreparation:
                     luxemburg_norm(job[0], p, job[1])
                 continue
             assert result == single == luxemburg_norm(job[0], p, job[1])
+
+
+    @pytest.mark.parametrize("budget", [1, None, 10 ** 12])
+    def test_numerators_match_prepared_hardy_averages(self, monkeypatch,
+                                                      budget):
+        # C1's numerator cells, cut from one layout of p, are bit for bit
+        # those of each Hardy average prepared over the whole grid: power
+        # members with a head, supports starting below, at and above a
+        # jump inside the jump's cell, and necessity members across jumps
+        grid = make_log_grid(1e-8, 241)
+        p = on_grid(PiecewiseConstant((2.0 ** -9, 0.01, 0.3),
+                                      (1.5, 2.5, 2.0, 3.0)), grid)
+        necessity = [m.f for m in necessity_family(p, grid, depth=14)]
+        assert any(len(f) > 1 for f in necessity)
+        i = grid.index_left(0.01)
+        fs = ([m.f for m in power_family(p.p, grid)]
+              + [m.f for m in dyadic_indicator_family(grid)]
+              + necessity
+              + [SampledFunction(grid, np.full(grid.n, 2.0), support=(lo, 0.5))
+                 for lo in (math.sqrt(grid.points[i] * 0.01), 0.01,
+                            math.sqrt(0.01 * grid.points[i + 1]))]
+              + [m.f for m in random_step_family(grid, count=3)])
+        if budget is not None:
+            monkeypatch.setattr(lpnorm, "_GROUP_CELLS", budget)
+        numerators = list(hardy._average_cells(fs, p))
+        assert len(numerators) == len(fs)
+        for f, cells in zip(fs, numerators):
+            (whole,) = lpnorm._prepare([(hardy_average(f), None)], p)
+            assert np.array_equal(cells.rows, whole.rows)
+            assert (cells.guard, cells.sup) == (whole.guard, whole.sup)
 
 
 class TestPreparedCells:
