@@ -205,7 +205,7 @@ class _Layout(NamedTuple):
     """Node slices of pieces of p laid end to end, as ``_cells`` reads
     them: u and p at each position, and per piece (s, t) its first node
     and last cell (as positions), and ln s and ln t, clipped into that
-    first and last cell; ln s = -inf clips nothing."""
+    first and last cell."""
     u: np.ndarray
     p: np.ndarray
     first: list
@@ -269,10 +269,12 @@ def _gather_averages(template: tuple, values: np.ndarray,
 
     Each row is a suffix of the ``_average_layout`` template: the pieces
     whose last node lies above the start, the first of them from the start
-    on, unclipped at s when cut; the pieces of p meet in at most one cell,
-    so only that first piece can reach below the start."""
+    on; the pieces of p meet in at most one cell, so only that first piece
+    can reach below the start, and where it does, its s lies below the
+    start node, so clipping s into the row's first cell leaves it whole."""
     layout, nodes = template
-    first, last, ln_s, ln_t = (np.array(v) for v in layout[2:])
+    first, last, ln_s, ln_t = map(np.array, (layout.first, layout.last,
+                                             layout.ln_s, layout.ln_t))
     starts = np.asarray(starts)
     k0 = nodes[last + 1].searchsorted(starts, "right")
     cut = first[k0] + np.maximum(starts - nodes[first[k0]], 0)
@@ -286,9 +288,7 @@ def _gather_averages(template: tuple, values: np.ndarray,
     return _cells(
         _Layout(layout.u[at], layout.p[at],
                 np.maximum(first + shift, offsets[row]).tolist(),
-                (last[pieces] + shift).tolist(),
-                np.where(first < cut[row], -math.inf,
-                         ln_s[pieces]).tolist(),
+                (last[pieces] + shift).tolist(), ln_s[pieces].tolist(),
                 ln_t[pieces].tolist()),
         f, counts.tolist())
 
