@@ -362,26 +362,30 @@ def cumulative_integral(f: FunctionLike) -> SampledFunction:
     whose support reaches below x_min contribute the closed-form head of
     their two-point power-law fit.
     """
-    (total,), (error,) = _cumulative_integrals([f])
+    (total,), _, (error,) = _cumulative_integrals([f])
     if error is not None:
         raise error
     return SampledFunction(as_segments(f)[0].grid, total, interp="loglinear")
 
 
-def _cumulative_integrals(fs: list) -> tuple[np.ndarray, list]:
+def _cumulative_integrals(fs: list) -> tuple[np.ndarray, list, list]:
     """The running totals of ``cumulative_integral`` of each function in
     ``fs``, all on one grid, in one pass, as one row per function of a
-    2-D array, and per function its DivergentHeadError, or None.  The
-    cells of every segment's node slice, laid end to end, are integrated
-    in one ``_cell_integrals`` call, placed at their grid positions in one
-    row per segment, and summed by ``np.cumsum(axis=1)``, which keeps each
-    row's summation order.  A function whose head below x_min diverges
-    keeps a row of zeros (its error is returned, not raised), and its
+    2-D array; per function the first node of its lowest segment's node
+    slice, below which its total is 0, and at which it is 0 too unless a
+    head below x_min reaches it; and per function its DivergentHeadError,
+    or None.  The cells of every segment's node slice, laid end to end,
+    are integrated in one ``_cell_integrals`` call, placed at their grid
+    positions in one row per segment, after each slice's first node, and
+    summed by ``np.cumsum(axis=1)``, which keeps each row's summation
+    order.  A function whose head below x_min diverges keeps a row of
+    zeros and first node 0 (its error is returned, not raised), and its
     neighbours are unaffected.
     """
     grid = as_segments(fs[0])[0].grid
     errors: list = [None] * len(fs)
     total = np.zeros((len(fs), grid.n))
+    firsts = [0] * len(fs)
     segs, heads = [], []
     owners = []  # (function, its first segment, its segment count)
     for k, f in enumerate(fs):
@@ -403,7 +407,7 @@ def _cumulative_integrals(fs: list) -> tuple[np.ndarray, list]:
         segs += mine
         heads += my_heads
     if not segs:
-        return total, errors
+        return total, firsts, errors
     ln_a, ln_b = np.array([(math.log(max(lo, grid.x_min)),
                             math.log(min(hi, 1.0)))
                            for lo, hi in (seg.effective_support()
@@ -431,6 +435,9 @@ def _cumulative_integrals(fs: list) -> tuple[np.ndarray, list]:
     running += np.array(heads)[:, None]
     # each function's total adds its segments in order
     rows = [k for k, _, _ in owners]
+    for k, low in zip(rows, np.minimum.reduceat(
+            starts, [j for _, j, _ in owners]).tolist()):
+        firsts[k] = low
     total[rows] = running[[j for _, j, _ in owners]]
     for m in range(1, max(count for _, _, count in owners)):
         more = [i for i, (_, _, count) in enumerate(owners) if count > m]
@@ -440,4 +447,4 @@ def _cumulative_integrals(fs: list) -> tuple[np.ndarray, list]:
               < -1e-12 * np.maximum(1.0, total[:, -1:])):
         raise AssertionError("cumulative integral must be nondecreasing")
     np.maximum.accumulate(total, axis=1, out=total)
-    return total, errors
+    return total, firsts, errors

@@ -157,37 +157,34 @@ def _average_cells(fs: list, p: ExponentLike):
     ``_cumulative_integrals`` pass each, and each chunk's averages are
     prepared in one ``lpnorm._gather_averages`` pass against one layout of
     p, so only one chunk is held at a time.  Each average is read from the
-    node ``node_slice(lo, 1).start`` of f's lowest support lo on, where
-    lo >= x_min: it is exactly 0 at that node and below."""
+    first node of f's lowest segment's slice on, ``node_slice(lo, 1).start``
+    for f's lowest support lo >= x_min, and node 0 for lo < x_min: the
+    average is exactly 0 below that node, and at it for lo >= x_min."""
     if not fs:
         return
     grid = as_segments(fs[0])[0].grid
     p = on_grid(p, grid)
     template = lpnorm._average_layout(p)
 
-    def prepare(chunk, starts):
-        total, errors = _cumulative_integrals(chunk)
+    def prepare(chunk):
+        total, firsts, errors = _cumulative_integrals(chunk)
         ok = [k for k, error in enumerate(errors) if error is None]
         cells = iter(lpnorm._gather_averages(
-            template, total[ok] / grid.points, [starts[k] for k in ok])
+            template, total[ok] / grid.points, [firsts[k] for k in ok])
             if ok else ())
         for error in errors:
             yield error if error is not None else next(cells)
 
-    chunk, starts, size = [], [], 0
+    chunk, size = [], 0
     for f in fs:
-        segs = as_segments(f)
-        n = len(segs) * grid.n
+        n = len(as_segments(f)) * grid.n
         if chunk and size + n > lpnorm._GROUP_CELLS:
-            yield from prepare(chunk, starts)
-            chunk, starts, size = [], [], 0
-        lo = min(seg.effective_support()[0] for seg in segs)
+            yield from prepare(chunk)
+            chunk, size = [], 0
         chunk.append(f)
-        starts.append(grid.node_slice(lo, 1.0).start if lo >= grid.x_min
-                      else 0)
         size += n
     if chunk:
-        yield from prepare(chunk, starts)
+        yield from prepare(chunk)
 
 
 def _rayleigh_quotients(fs: list, denominators: list,

@@ -264,8 +264,9 @@ def _gather_averages(template: tuple, values: np.ndarray,
     """The cells of each row of ``values`` (f at every grid node, f >= 0)
     over (x_min, 1], as ``_prepare`` builds them for f with no support
     interval, less the head fit, in one ``_cells`` pass: row r is read
-    from grid node ``starts[r]`` on, the caller's promise that f is 0 at
-    that node and below, where every cell would be dropped.
+    from grid node ``starts[r]`` on, the caller's promise that every cell
+    ending at or below that node has f = 0 at both ends, so would be
+    dropped.
 
     Each row is a suffix of the ``_average_layout`` template: the pieces
     whose last node lies above the start, the first of them from the start

@@ -67,7 +67,7 @@ class TestBatchedAverages:
     def test_batch_matches_single_functions(self, coarse_grid):
         # the numerators divide one pass's running totals by x
         fs = self._functions(coarse_grid)
-        totals, errors = _cumulative_integrals(fs)
+        totals, _, errors = _cumulative_integrals(fs)
         assert errors == [None] * len(fs)
         for f, h in zip(fs, totals / coarse_grid.points):
             assert np.array_equal(h, hardy_average(f).values)
