@@ -323,8 +323,8 @@ def _cells(layout: _Layout, f: np.ndarray, counts: list, outside=(),
     # each piece's first and last cell, with [s, t] clipped into it: the
     # lerps of E's node values, in Python floats, where a lerp of ln 0 =
     # -inf is a silent nan or -inf, on a cell dropped or replaced below
-    corners = [i for j, k in zip(layout.first, layout.last)
-               for i in (j, j + 1, k, k + 1)]
+    corners = np.array([i for j, k in zip(layout.first, layout.last)
+                        for i in (j, j + 1, k, k + 1)])
     u_c, a_c, p_c = (v[corners].tolist() for v in (u, a, pn))
     clipped = []
     for k, (ln_s, ln_t) in enumerate(zip(layout.ln_s, layout.ln_t)):
@@ -334,8 +334,10 @@ def _cells(layout: _Layout, f: np.ndarray, counts: list, outside=(),
         s_0 = min(max(ln_s, u_0), u_1)
         t_n = min(max(ln_t, u_m), u_n)
         w_s, w_t = (s_0 - u_0) / (u_1 - u_0), (t_n - u_m) / (u_n - u_m)
-        clipped.append((s_0, t_n, _lerp(a_0, a_1, w_s), _lerp(p_0, p_1, w_s),
-                        _lerp(a_m, a_n, w_t), _lerp(p_m, p_n, w_t)))
+        # ``_lerp``, written out: these lines run once per piece
+        v_s, v_t = 1.0 - w_s, 1.0 - w_t
+        clipped.append((s_0, t_n, a_0 * v_s + a_1 * w_s, p_0 * v_s + p_1 * w_s,
+                        a_m * v_t + a_n * w_t, p_m * v_t + p_n * w_t))
     clipped = np.array(clipped).T
     if outside:
         abs_f[outside] = 0.0
