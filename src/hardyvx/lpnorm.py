@@ -259,8 +259,8 @@ def _average_layout(p: GridExponent) -> tuple[_Layout, np.ndarray]:
                    [math.log(t) for _, t in pieces]), nodes
 
 
-def _gather_averages(template: tuple, values: np.ndarray,
-                     starts) -> list[_Cells]:
+def _gather_averages(template: tuple[_Layout, np.ndarray],
+                     values: np.ndarray, starts) -> list[_Cells]:
     """The cells of each row of ``values`` (f at every grid node, f >= 0)
     over (x_min, 1], as ``_prepare`` builds them for f with no support
     interval, less the head fit, in one ``_cells`` pass: row r is read
@@ -392,7 +392,8 @@ def _cells(layout: _Layout, f: np.ndarray, counts: list, outside=(),
     weights = {}
     if heads:
         # |f|**p at the grid's first two nodes, all the head fit reads
-        two = [i for k in heads for i in (i_0[k], i_0[k] + 1)]
+        two = [i for k in heads
+               for i in (layout.first[k], layout.first[k] + 1)]
         w = np.exp(np.minimum(pl[two], EXP_GUARD)).tolist()
         weights = {k: (w[2 * n], w[2 * n + 1]) for n, k in enumerate(heads)}
     out, k = [], 0
