@@ -368,7 +368,8 @@ def cumulative_integral(f: FunctionLike) -> SampledFunction:
     return SampledFunction(as_segments(f)[0].grid, total, interp="loglinear")
 
 
-def _cumulative_integrals(fs: list) -> tuple[np.ndarray, list, list]:
+def _cumulative_integrals(fs: list) -> tuple[np.ndarray, np.ndarray,
+                                              list]:
     """The running totals of ``cumulative_integral`` of each function in
     ``fs``, all on one grid, in one pass, as one row per function of a
     2-D array; per function the first node of its lowest segment's node
@@ -385,7 +386,7 @@ def _cumulative_integrals(fs: list) -> tuple[np.ndarray, list, list]:
     grid = as_segments(fs[0])[0].grid
     errors: list = [None] * len(fs)
     total = np.zeros((len(fs), grid.n))
-    firsts = [0] * len(fs)
+    firsts = np.zeros(len(fs), np.intp)
     segs, heads = [], []
     owners = []  # (function, its first segment, its segment count)
     for k, f in enumerate(fs):
@@ -435,10 +436,9 @@ def _cumulative_integrals(fs: list) -> tuple[np.ndarray, list, list]:
     running += np.array(heads)[:, None]
     # each function's total adds its segments in order
     rows = [k for k, _, _ in owners]
-    for k, low in zip(rows, np.minimum.reduceat(
-            starts, [j for _, j, _ in owners]).tolist()):
-        firsts[k] = low
-    total[rows] = running[[j for _, j, _ in owners]]
+    segs_at = [j for _, j, _ in owners]  # each function's first segment
+    firsts[rows] = np.minimum.reduceat(starts, segs_at)
+    total[rows] = running[segs_at]
     for m in range(1, max(count for _, _, count in owners)):
         more = [i for i, (_, _, count) in enumerate(owners) if count > m]
         total[[rows[i] for i in more]] += running[[owners[i][1] + m

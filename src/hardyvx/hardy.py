@@ -170,7 +170,7 @@ def _average_cells(fs: list, p: ExponentLike):
         total, firsts, errors = _cumulative_integrals(chunk)
         ok = [k for k, error in enumerate(errors) if error is None]
         cells = iter(lpnorm._gather_averages(
-            template, total[ok] / grid.points, [firsts[k] for k in ok])
+            template, total[ok] / grid.points, firsts[ok])
             if ok else ())
         for error in errors:
             yield error if error is not None else next(cells)
