@@ -226,23 +226,26 @@ class TestBatchedPreparation:
                                                       budget):
         # C1's numerator cells, cut from one layout of p, are bit for bit
         # those of each Hardy average prepared over the whole grid: power
-        # members with a head, supports starting below, at and above a
-        # jump inside the jump's cell, at the node that ends that cell
-        # (the last node of the piece below the jump) and in the next
-        # cell, and necessity members across jumps
+        # members with a head, necessity members across jumps, and
+        # supports starting below, at and above a jump inside the jump's
+        # cell, at the node that ends that cell (the last node of the
+        # piece below the jump) and in the next cell; the jump at 0.01
+        # lies within rounding of a node, the one at 0.0123 inside a cell
         grid = make_log_grid(1e-8, 241)
-        p = on_grid(PiecewiseConstant((2.0 ** -9, 0.01, 0.3),
-                                      (1.5, 2.5, 2.0, 3.0)), grid)
+        p = on_grid(PiecewiseConstant((2.0 ** -9, 0.01, 0.0123, 0.3),
+                                      (1.5, 2.5, 2.2, 2.0, 3.0)), grid)
         necessity = [m.f for m in necessity_family(p, grid, depth=14)]
         assert any(len(f) > 1 for f in necessity)
-        x = grid.points[grid.index_left(0.01):][:3]
+        lows = []
+        for d in (0.01, 0.0123):
+            x = grid.points[grid.index_left(d):][:3]
+            lows += [math.sqrt(x[0] * d), d, math.sqrt(d * x[1]), x[1],
+                     math.sqrt(x[1] * x[2])]
         fs = ([m.f for m in power_family(p.p, grid)]
               + [m.f for m in dyadic_indicator_family(grid)]
               + necessity
               + [SampledFunction(grid, np.full(grid.n, 2.0), support=(lo, 0.5))
-                 for lo in (math.sqrt(x[0] * 0.01), 0.01,
-                            math.sqrt(0.01 * x[1]), x[1],
-                            math.sqrt(x[1] * x[2]))]
+                 for lo in lows]
               + [m.f for m in random_step_family(grid, count=3)])
         if budget is not None:
             monkeypatch.setattr(lpnorm, "_GROUP_CELLS", budget)
