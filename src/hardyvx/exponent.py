@@ -16,11 +16,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from functools import cached_property
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .grids import LogGrid
+from .grids import LogGrid, _ranges
 
 __all__ = [
     "ExponentFunction",
@@ -380,11 +381,29 @@ def phi(p: ExponentFunction, t) -> np.ndarray:
     return out if arr.shape else float(out)
 
 
+class PieceLayout(NamedTuple):
+    """The node slices of pieces (s, t) of p laid end to end: u = ln x
+    and p at each position, p one-sided at the piece's jumps (arrays);
+    per piece its first node, its first position, the position of its
+    last cell, ln s and ln t (lists); and, in p's layout over (x_min, 1],
+    the jumps where the pieces meet.  Within a piece, positions follow
+    nodes one to one."""
+    u: np.ndarray
+    p: np.ndarray
+    start: list
+    first: list
+    last: list
+    ln_s: list
+    ln_t: list
+    jumps: tuple = ()
+
+
 @dataclass(frozen=True, eq=False)
 class GridExponent:
     """p sampled on one grid, as ``on_grid`` builds it: p and ln phi at
-    the nodes, and the jumps of p in increasing order with (p just below,
-    p at) each."""
+    the nodes, the jumps of p in increasing order with (p just below, p
+    at) each, and the ``layout`` of p's pieces that every modular job is
+    cut from."""
 
     p: ExponentFunction
     grid: LogGrid
@@ -421,6 +440,27 @@ class GridExponent:
                 p_st = p_st.copy()
                 p_st[max(k - nodes.start, 0):] = self.sides[i][0]
         return p_st
+
+    @cached_property
+    def layout(self) -> PieceLayout:
+        """The pieces of p over (x_min, 1] at the nodes of their
+        ``node_slice``, with ``p_at``'s values, built on first use.  The
+        pieces over any (lo, hi) inside are one run of its positions:
+        moving the first s up to lo and the last t down to hi cuts their
+        node slices and keeps their one-sided values."""
+        grid = self.grid
+        pieces = self.pieces(grid.x_min, 1.0)
+        slices = [grid.node_slice(s, t) for s, t in pieces]
+        starts = [nodes.start for nodes in slices]
+        lengths = np.array([nodes.stop - nodes.start for nodes in slices])
+        nodes, first = _ranges(np.array(starts), lengths)
+        return PieceLayout(
+            grid.u[nodes],
+            np.concatenate([self.p_at(cut, s, t)
+                            for cut, (s, t) in zip(slices, pieces)]),
+            starts, first.tolist(), (first + lengths - 2).tolist(),
+            [math.log(s) for s, _ in pieces], [math.log(t) for _, t in pieces],
+            tuple(t for _, t in pieces[:-1]))
 
 
 ExponentLike = Union[ExponentFunction, GridExponent]

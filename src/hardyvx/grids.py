@@ -306,28 +306,19 @@ def integrate_dlog(g: SampledFunction, a: float, b: float) -> float:
     return float(np.sum(_clipped_cells(g, a, b, weight_x=False)))
 
 
-def head_fit(g: SampledFunction) -> tuple[float, float]:
-    """Two-point power-law fit v = c * x**q from the first two samples."""
-    return _head_fit(g.values[0], g.values[1], g.grid)
-
-
-def _head_fit(v0, v1, grid: LogGrid) -> tuple[float, float]:
-    """``head_fit`` from the values v0, v1 at the grid's first two nodes."""
+def head_fit(v0, v1, grid: LogGrid) -> tuple[float, float]:
+    """Two-point power-law fit v = c * x**q of the values v0, v1 at the
+    grid's first two nodes, as (c x_min**q, q)."""
     if v0 <= 0.0 or v1 <= 0.0:
         return 0.0, 0.0
     q = math.log(v1 / v0) / (grid.u[1] - grid.u[0])
     return v0, q
 
 
-def head_integral(g: SampledFunction) -> float:
-    """Integral of the fitted power over (0, x_min) w.r.t. dx."""
-    return _head_integral(g.values[0], g.values[1], g.grid)
-
-
-def _head_integral(v0, v1, grid: LogGrid) -> float:
-    """``head_integral`` from the values v0, v1 at the grid's first two
-    nodes, the only ones the fit reads."""
-    v0, q = _head_fit(v0, v1, grid)
+def head_integral(v0, v1, grid: LogGrid) -> float:
+    """Integral over (0, x_min) w.r.t. dx of the power ``head_fit`` fits
+    to v0, v1 at the grid's first two nodes, the only ones it reads."""
+    v0, q = head_fit(v0, v1, grid)
     if v0 == 0.0:
         return 0.0
     if q <= -1.0:
@@ -344,7 +335,7 @@ def integrate(g: SampledFunction, a: float, b: float) -> float:
     head = 0.0
     if a == 0.0:
         if lo < g.grid.x_min:
-            head = head_integral(g)
+            head = head_integral(g.values[0], g.values[1], g.grid)
         a = g.grid.x_min
     if not (g.grid.x_min * (1 - 1e-12) <= a <= b <= 1.0 + 1e-12):
         raise GridError("bounds must satisfy 0/x_min <= a <= b <= 1")
@@ -399,7 +390,8 @@ def _cumulative_integrals(fs: list) -> tuple[np.ndarray, np.ndarray,
                 if np.any(seg.values < 0.0):
                     raise ValueError("cumulative_integral requires g >= 0")
                 lo, _ = seg.effective_support()
-                my_heads.append(head_integral(seg) if lo < grid.x_min
+                my_heads.append(head_integral(seg.values[0], seg.values[1],
+                                              grid) if lo < grid.x_min
                                 else 0.0)
         except DivergentHeadError as exc:
             errors[k] = exc.with_traceback(None)

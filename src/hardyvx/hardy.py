@@ -7,7 +7,8 @@ Hf(x)/x = integral_0^1 f(t x) dt, used to cross-validate quadrature.
 The C1 sweep never builds the averages as sampled functions: the
 numerators of its Rayleigh quotients are prepared from each chunk's
 running totals, as ``grids._cumulative_integrals`` returns them, divided
-by x and cut into cells against one layout of p (``_average_cells``).
+by x and cut into cells from p's layout, ``GridExponent.layout``, the
+one every modular job is cut from (``_average_cells``).
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def hardy_average_scaled(f: FunctionLike, n_t: int = 257) -> SampledFunction:
     out = np.zeros(grid.n)
     for seg in segs:
         lo, hi = seg.effective_support()
-        v0, q = head_fit(seg)
+        v0, q = head_fit(seg.values[0], seg.values[1], grid)
         for i, x in enumerate(pts):
             t_lo = max(lo, 0.0) / x
             t_hi = min(hi, x) / x
@@ -155,8 +156,8 @@ def _average_cells(fs: list, p: ExponentLike):
     place.  The running totals of chunks of at most
     ``lpnorm._GROUP_CELLS`` segment rows come from one
     ``_cumulative_integrals`` pass each, and each chunk's averages are
-    prepared in one ``lpnorm._gather_averages`` pass against one layout of
-    p, so only one chunk is held at a time.  Each average is read from the
+    cut from p's layout in one ``lpnorm._gather_averages`` pass, so only
+    one chunk is held at a time.  Each average is read from the
     first node of f's lowest segment's slice on, ``node_slice(lo, 1).start``
     for f's lowest support lo >= x_min, and node 0 for lo < x_min: the
     average is exactly 0 below that node, and at it for lo >= x_min."""
@@ -164,14 +165,12 @@ def _average_cells(fs: list, p: ExponentLike):
         return
     grid = as_segments(fs[0])[0].grid
     p = on_grid(p, grid)
-    template = lpnorm._average_layout(p)
 
     def prepare(chunk):
         total, firsts, errors = _cumulative_integrals(chunk)
         ok = [k for k, error in enumerate(errors) if error is None]
         cells = iter(lpnorm._gather_averages(
-            template, total[ok] / grid.points, firsts[ok])
-            if ok else ())
+            p, total[ok] / grid.points, firsts[ok]) if ok else ())
         for error in errors:
             yield error if error is not None else next(cells)
 

@@ -5,22 +5,21 @@ space as exp(p(x) * (ln|f(x)| - sigma)), sigma = ln lambda, with |f| = 0
 contributing 0.  Integration splits at exponent discontinuities and at
 segment support boundaries, so piecewise power data is integrated
 exactly.  ``_prepare`` turns (f, interval) jobs into sigma-independent
-cell rows, once per f and a batch of jobs at a time, in one vectorised
-pass over the node slices of every (job, segment, piece of p) laid end
-to end: for each cell of a piece's node slice, with the piece clipped
-into it, the exponent E = p ln|f| + u - sigma p (u = ln x) at both
-clipped ends is a - sigma q, so the cell
-integral is the grid's log-space cell formula ``_exp_cells`` of two
-such values, two transcendentals per cell.  Cells where f vanishes at
-both ends integrate to 0 at every sigma and are dropped; the few cells
-with one zero end are linear in |f/lambda|**p, so each is a constant
-times its nonzero end, stored as a one-exponent cell.  That arithmetic
-lives in one cell builder, ``_cells``, with two front ends: ``_gather``
-lays out ``_prepare``'s pieces, and ``_gather_averages`` cuts C1's Hardy
-averages, given as running totals divided by x, from one layout of p
-over (x_min, 1] that ``_average_layout`` builds once per audit.
-``_evaluate`` integrates many such (cells, sigma) rows in one vectorised
-call, so
+cell rows, once per f and a batch of jobs at a time.  Every job is cut
+from one layout of p, ``GridExponent.layout``: the node slices of p's
+pieces over (x_min, 1] laid end to end, built once per (p, grid).  Each
+segment of f, clipped to the job's interval, is one run of its
+positions, as is each of C1's Hardy averages, given as running totals
+divided by x (``_gather_averages``); ``_cut`` cuts a batch of such rows
+for the one cell builder, ``_cells``.  For each cell of a piece's node
+slice, with the piece clipped into it, the exponent E = p ln|f| + u -
+sigma p (u = ln x) at both clipped ends is a - sigma q, so the cell
+integral is the grid's log-space cell formula ``_exp_cells`` of two such
+values, two transcendentals per cell.  Cells where f vanishes at both
+ends integrate to 0 at every sigma and are dropped; the few cells with
+one zero end are linear in |f/lambda|**p, so each is a constant times
+its nonzero end, stored as a one-exponent cell.  ``_evaluate``
+integrates many such (cells, sigma) rows in one vectorised call, so
 neither ``SampledFunction`` nor ``integrate`` appears in a norm solve,
 and I is inf, without evaluation, for sigma below a row's guard, where a
 node's exponent E would exceed EXP_GUARD.
@@ -43,7 +42,7 @@ preparation of x^-1 on each (a, delta).
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -51,17 +50,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exponent import EXP_GUARD, ExponentLike, GridExponent, on_grid
+from .exponent import (EXP_GUARD, ExponentLike, GridExponent, PieceLayout,
+                       on_grid)
 from .grids import (
     DivergentHeadError,
     FunctionLike,
     SampledFunction,
     _exp_cells,
-    _head_integral,
     _lerp,
     _linear_cells,
-    _ranges,
     as_segments,
+    head_integral,
 )
 
 __all__ = [
@@ -143,159 +142,121 @@ class NormValue:
         return self.value
 
 
-class _Piece(NamedTuple):
-    """One segment of f over one piece (s, t) of p, at the nodes of
-    ``node_slice(s, t)``."""
-    start: int
-    stop: int
-    ln_s: float
-    ln_t: float
-    lo: float  # f's support
-    hi: float
-    p: np.ndarray  # p at the nodes, with the piece's one-sided jump values
-    f: np.ndarray
-    head: bool  # whether a head below x_min continues the piece
-
-
-def _plan(segs: list[SampledFunction], p: GridExponent,
-          interval: tuple[float, float] | None) -> list[_Piece]:
-    """The pieces of one job, f given as segments, over ``interval``."""
-    grid = p.grid
-    a, b = interval if interval is not None else (grid.x_min, 1.0)
-    if not (grid.x_min * (1 - 1e-12) <= a < b <= 1.0 + 1e-12):
-        raise ValueError("modular interval must lie inside [x_min, 1]")
-    pieces = []
-    for seg in segs:
-        lo, hi = seg.effective_support()
-        lo_eff, hi_eff = max(lo, a), min(hi, b)
-        if lo_eff >= hi_eff:
-            continue
-        head = lo < grid.x_min and a <= grid.x_min * (1 + 1e-12)
-        for s, t in p.pieces(lo_eff, hi_eff):
-            nodes = grid.node_slice(s, t)
-            pieces.append(_Piece(nodes.start, nodes.stop, math.log(s),
-                                 math.log(t), lo, hi, p.p_at(nodes, s, t),
-                                 seg.values[nodes], head and s == lo_eff))
-    return pieces
-
-
 def _prepare(jobs, p: ExponentLike):
     """The prepared modular of each (f, interval) job, in order; interval
-    None means (x_min, 1].  Jobs are gathered in batches of at most
-    ``_GROUP_CELLS`` nodes (a larger job alone), each prepared in one
-    vectorised pass by ``_gather``, so only one batch's arrays are held at
-    a time."""
+    None means (x_min, 1].  Each segment of f, clipped to the interval as
+    (lo, hi), is one row of ``_cut``: f at the nodes of ``node_slice(lo,
+    hi)``, held by the pieces of p's layout from k0 = bisect_right(jumps,
+    lo) to k1 = bisect_left(jumps, hi), for the jumps where the layout's
+    pieces meet.  Jobs are gathered in batches of at most ``_GROUP_CELLS``
+    such nodes (a larger job alone), each cut in one pass, so only one
+    batch's arrays are held at a time."""
     batch, size = [], 0
     for f, interval in jobs:
         segs = as_segments(f)
         q = on_grid(p, segs[0].grid)
-        pieces = _plan(segs, q, interval)
-        nodes = sum(piece.stop - piece.start for piece in pieces)
+        grid, jumps = q.grid, q.layout.jumps
+        a, b = interval if interval is not None else (grid.x_min, 1.0)
+        if not (grid.x_min * (1 - 1e-12) <= a < b <= 1.0 + 1e-12):
+            raise ValueError("modular interval must lie inside [x_min, 1]")
+        rows = []
+        for seg in segs:
+            lo, hi = seg.effective_support()
+            lo_eff, hi_eff = max(lo, a), min(hi, b)
+            if lo_eff >= hi_eff:
+                continue
+            cut = grid.node_slice(lo_eff, hi_eff)
+            rows.append((bisect.bisect_right(jumps, lo_eff),
+                         bisect.bisect_left(jumps, hi_eff),
+                         cut.start, cut.stop, math.log(lo_eff),
+                         math.log(hi_eff), seg.values[cut], lo, hi,
+                         lo < grid.x_min and a <= grid.x_min * (1 + 1e-12)))
+        nodes = sum(row[3] - row[2] for row in rows)
         if batch and (q is not p or size + nodes > _GROUP_CELLS):
-            yield from _gather(batch, p)
+            yield from _cut(p, batch)
             batch, size = [], 0
         p = q
-        batch.append(pieces)
+        batch.append(rows)
         size += nodes
     if batch:
-        yield from _gather(batch, p)
+        yield from _cut(p, batch)
 
 
-class _Layout(NamedTuple):
-    """Node slices of pieces of p laid end to end, as ``_cells`` reads
-    them: u and p at each position, and per piece (s, t) its first node
-    and last cell (as positions), and ln s and ln t, clipped into that
-    first and last cell."""
-    u: np.ndarray
-    p: np.ndarray
-    first: list
-    last: list
-    ln_s: list
-    ln_t: list
-
-
-def _gather(batch: list, p: GridExponent) -> list[_Cells]:
-    """The cells of each job of ``batch`` (lists of ``_Piece``) in
-    one ``_cells`` pass over the node slices of all pieces laid end to
-    end.  Only a slice's end nodes can lie outside f's support, which
-    contains [s, t]; those are left out of sup|f|."""
-    grid = p.grid
-    pieces = [piece for job in batch for piece in job]
-    if not pieces:
-        return [_Cells(np.empty((6, 0)), -math.inf, 0.0, []) for _ in batch]
-    ends = list(itertools.accumulate(piece.stop - piece.start
-                                     for piece in pieces))
-    first = [0] + ends[:-1]
-    layout = _Layout(
-        np.concatenate([grid.u[piece.start:piece.stop] for piece in pieces]),
-        np.concatenate([piece.p for piece in pieces]), first,
-        [end - 2 for end in ends], [piece.ln_s for piece in pieces],
-        [piece.ln_t for piece in pieces])
-    points = grid.points
-    outside = ([i for i, piece in zip(first, pieces)
-                if points[piece.start] < piece.lo]
-               + [i - 1 for i, piece in zip(ends, pieces)
-                  if points[piece.stop - 1] > piece.hi])
-    return _cells(layout, np.concatenate([piece.f for piece in pieces]),
-                  [len(job) for job in batch], outside,
-                  [k for k, piece in enumerate(pieces) if piece.head])
-
-
-def _average_layout(p: GridExponent) -> tuple[_Layout, np.ndarray]:
-    """The pieces of p over (x_min, 1] laid out as ``_plan`` lays out a
-    function over (x_min, 1], and the grid node of each position: the
-    template ``_gather_averages`` cuts every Hardy average from."""
-    grid = p.grid
-    pieces = p.pieces(grid.x_min, 1.0)
-    slices = [grid.node_slice(s, t) for s, t in pieces]
-    lengths = np.array([nodes.stop - nodes.start for nodes in slices])
-    nodes, first = _ranges(np.array([nodes.start for nodes in slices]),
-                           lengths)
-    return _Layout(grid.u[nodes],
-                   np.concatenate([p.p_at(nodes, s, t) for nodes, (s, t)
-                                   in zip(slices, pieces)]),
-                   first.tolist(), (first + lengths - 2).tolist(),
-                   [math.log(s) for s, _ in pieces],
-                   [math.log(t) for _, t in pieces]), nodes
-
-
-def _gather_averages(template: tuple[_Layout, np.ndarray],
-                     values: np.ndarray, starts) -> list[_Cells]:
+def _gather_averages(p: GridExponent, values: np.ndarray,
+                     starts: np.ndarray) -> list[_Cells]:
     """The cells of each row of ``values`` (f at every grid node, f >= 0)
     over (x_min, 1], as ``_prepare`` builds them for f with no support
-    interval, less the head fit, in one ``_cells`` pass: row r is read
-    from grid node ``starts[r]`` on, the caller's promise that every cell
-    ending at or below that node has f = 0 at both ends, so would be
-    dropped.
-
-    Each row is a suffix of the ``_average_layout`` template: the pieces
-    whose last node lies above the start, the first of them from the start
-    on; the pieces of p meet in at most one cell, so only that first piece
-    can reach below the start, and where it does, its s lies below the
-    start node, so clipping s into the row's first cell leaves it whole."""
-    layout, nodes = template
-    first, last, ln_s, ln_t = map(np.array, (layout.first, layout.last,
-                                             layout.ln_s, layout.ln_t))
-    starts = np.asarray(starts)
-    k0 = nodes[last + 1].searchsorted(starts, "right")
-    cut = first[k0] + np.maximum(starts - nodes[first[k0]], 0)
-    lengths = nodes.size - cut
-    at, offsets = _ranges(cut, lengths)
-    counts = first.size - k0
-    pieces, _ = _ranges(k0, counts)
-    row = np.repeat(np.arange(starts.size), counts)
-    first, shift = first[pieces], offsets[row] - cut[row]
-    f = values[np.repeat(np.arange(starts.size), lengths), nodes[at]]
-    return _cells(
-        _Layout(layout.u[at], layout.p[at],
-                np.maximum(first + shift, offsets[row]).tolist(),
-                (last[pieces] + shift).tolist(), ln_s[pieces].tolist(),
-                ln_t[pieces].tolist()),
-        f, counts.tolist())
+    interval, less the head fit, in one ``_cut``: row r is read from grid
+    node ``starts[r]`` on, the caller's promise that every cell ending at
+    or below that node has f = 0 at both ends, so would be dropped.  The
+    row starts in the first piece whose last node lies above that node;
+    pieces meet in at most one cell, so that piece's s lies at or below
+    the node, and clipped into the row's first cell it is u there."""
+    layout, n = p.layout, values.shape[1]
+    last = len(layout.first) - 1
+    # the last node of each piece
+    ends = np.add(layout.start, layout.last) - layout.first + 1
+    return _cut(p, [[(k0, last, start, n, ln_s, 0.0, row[start:], 0.0,
+                      math.inf, False)]
+                     for k0, start, ln_s, row in zip(
+                         ends.searchsorted(starts, "right").tolist(),
+                         starts.tolist(), p.grid.u[starts].tolist(), values)])
 
 
-def _cells(layout: _Layout, f: np.ndarray, counts: list, outside=(),
-           heads=()) -> list[_Cells]:
+def _cut(p: GridExponent, batch: list) -> list[_Cells]:
+    """The cells of each job of ``batch``, a list of rows cut from
+    ``p.layout``, in one ``_cells`` pass.  A row (k0, k1, start, stop, ln
+    s, ln t, f, lo, hi, head) is f at the grid nodes start to stop - 1,
+    which the layout's pieces k0 to k1 hold as one run of positions, the
+    first piece from ln s and the last to ln t.  A piece's end node outside
+    f's support (lo, hi) is left out of sup|f|, and the first piece of a
+    row with ``head`` set goes to the head fit.  u and p are slices of the
+    layout's, and each piece's f a slice of the row's."""
+    layout, x = p.layout, p.grid.points
+    start, first, last, ln_s, ln_t = [], [], [], [], []
+    f, outside, heads, runs, counts = [], [], [], [], []
+    offset = 0
+    for job in batch:
+        counts.append(0)
+        for k0, k1, node, stop, s, t, values, lo, hi, head in job:
+            if head:
+                heads.append(len(first))
+            # the row's positions i to j - 1: within a piece, positions
+            # follow nodes one to one
+            i = layout.first[k0] + node - layout.start[k0]
+            j = layout.first[k1] + stop - layout.start[k1]
+            runs.append((i, j))
+            shift = offset - i
+            starts = [node] + layout.start[k0 + 1:k1 + 1]
+            firsts = [offset] + [layout.first[k] + shift
+                                 for k in range(k0 + 1, k1 + 1)]
+            lasts = [layout.last[k] + shift for k in range(k0, k1)]
+            lasts.append(offset + j - i - 2)
+            for n, a, b in zip(starts, firsts, lasts):
+                f.append(values[n - node:n - node + b - a + 2])
+                # only a piece's end nodes can lie outside f's support,
+                # which contains [s, t]
+                if x.item(n) < lo:
+                    outside.append(a)
+                if x.item(n + b - a + 1) > hi:
+                    outside.append(b + 1)
+            start += starts
+            first += firsts
+            last += lasts
+            ln_s += [s] + layout.ln_s[k0 + 1:k1 + 1]
+            ln_t += layout.ln_t[k0:k1] + [t]
+            counts[-1] += k1 - k0 + 1
+            offset += j - i
+    if not runs:
+        return [_Cells(np.empty((6, 0)), -math.inf, 0.0, []) for _ in batch]
+    u, pn = (np.concatenate([v[i:j] for i, j in runs])
+             for v in (layout.u, layout.p))
+    return _cells(PieceLayout(u, pn, start, first, last, ln_s, ln_t),
+                  np.concatenate(f), counts, outside, heads)
+
+
+def _cells(layout: PieceLayout, f: np.ndarray, counts: list, outside,
+           heads) -> list[_Cells]:
     """The cells of jobs whose pieces, ``counts[j]`` of them for job j,
     are laid out in ``layout``, f at each position: every pair of
     adjacent positions is a cell, and the pairs that join two pieces are
@@ -408,15 +369,21 @@ def _cells(layout: _Layout, f: np.ndarray, counts: list, outside=(),
     return out
 
 
+def _integrals(rows: np.ndarray, sigma) -> np.ndarray:
+    """The integral of |f/e^sigma|**p over each cell of ``rows``; sigma
+    lies at or above the rows' guard."""
+    a_s, q_s, a_t, q_t, dt, _ = rows
+    return _exp_cells(a_s - sigma * q_s, a_t - sigma * q_t, dt)
+
+
 def _evaluate(rows: np.ndarray, sigma, starts: np.ndarray):
     """The modular I of f/e^sigma and the Newton slope S (the sum of mean
     p times the cell integral, so dI/dsigma ~ -S) for each row of cells
     starting at ``starts``; ``sigma`` is given per cell and lies at or
     above each row's guard."""
-    a_s, q_s, a_t, q_t, dt, p_mean = rows
-    cells = _exp_cells(a_s - sigma * q_s, a_t - sigma * q_t, dt)
+    cells = _integrals(rows, sigma)
     return (np.add.reduceat(cells, starts),
-            np.add.reduceat(p_mean * cells, starts))
+            np.add.reduceat(rows[5] * cells, starts))
 
 
 def modular(f: FunctionLike, p: ExponentLike,
@@ -436,7 +403,8 @@ def _modular_at(cells: _Cells, sigma: float) -> float:
         return math.inf
     if not cells.size:
         return 0.0
-    return float(_evaluate(cells.rows, sigma, np.zeros(1, np.intp))[0][0])
+    # ``_evaluate``'s summation, without its slope
+    return float(np.add.reduceat(_integrals(cells.rows, sigma), [0])[0])
 
 
 def _modular(cells: _Cells, grid) -> ModularValue:
@@ -447,7 +415,7 @@ def _modular(cells: _Cells, grid) -> ModularValue:
     bias = 0.0
     for w_0, w_1 in cells.heads:
         try:
-            bias += _head_integral(w_0, w_1, grid)
+            bias += head_integral(w_0, w_1, grid)
         except DivergentHeadError:
             bias = math.inf
     return ModularValue(value, bias, cells)

@@ -21,6 +21,7 @@ from hardyvx import (
     equivalence_audit,
     phi_doubling,
 )
+from hardyvx import exponent
 from hardyvx.catalog import catalog_exponent
 from hardyvx.criteria import (
     PLATEAU_THRESHOLD,
@@ -360,15 +361,21 @@ class TestAudit:
 
     def test_one_full_grid_p_eval_per_audit(self, coarse_grid, monkeypatch):
         # p at the nodes, its jump sides and ln phi are sampled once and
-        # shared by C2-C5, the doubling check and every C1 family
-        sizes = []
-        original = ExponentFunction.eval
+        # shared by C2-C5, the doubling check and every C1 family, and so
+        # is the layout of p's pieces that every modular job is cut from
+        sizes, layouts = [], []
+        original, layout = ExponentFunction.eval, exponent.PieceLayout
 
         def counted(self, x):
             sizes.append(np.size(x))
             return original(self, x)
 
+        def built(*args):
+            layouts.append(args)
+            return layout(*args)
+
         monkeypatch.setattr(ExponentFunction, "eval", counted)
+        monkeypatch.setattr(exponent, "PieceLayout", built)
         p = PiecewiseConstant((1e-4, 0.1), (2.0, 2.5, 3.0))
         rep = equivalence_audit(p, coarse_grid, family_kinds=(
             "power", "necessity", "dyadic", "random-step"))
@@ -376,3 +383,4 @@ class TestAudit:
         labels = {q[0].split(":")[0] for q in rep.empirical_c1.quotients}
         assert labels == {"power", "necessity", "dyadic", "step"}
         assert sizes.count(coarse_grid.n) == 1
+        assert len(layouts) == 1

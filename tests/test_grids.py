@@ -62,7 +62,8 @@ class TestExactPowerIntegration:
             integrate(f, 0.0, 1.0)
 
     def test_head_fit_recovers_exponent(self, grid):
-        v0, q = head_fit(power_function(grid, -0.25, coeff=3.0))
+        g = power_function(grid, -0.25, coeff=3.0)
+        v0, q = head_fit(g.values[0], g.values[1], grid)
         assert q == pytest.approx(-0.25, rel=1e-9)
         assert v0 == pytest.approx(3.0 * grid.x_min ** -0.25, rel=1e-9)
 

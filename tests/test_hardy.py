@@ -151,8 +151,8 @@ class TestOperatorNorm:
     def test_each_member_prepared_once(self, grid, monkeypatch):
         # one prepared job per member serves its modular check, truncation
         # bias and denominator, and one numerator row per member is cut
-        # from its running totals; the batched preparers take many jobs
-        # per call, so jobs are counted, not calls
+        # from its running totals; both are cut from p's layout, many jobs
+        # per call, so jobs are counted where they enter, not calls
         prepared, integrated, rows = [], [], []
         original = lpnorm._prepare
 
@@ -167,9 +167,9 @@ class TestOperatorNorm:
             integrated.extend(fs)
             return _cumulative_integrals(fs)
 
-        def averages(template, values, starts):
+        def averages(p, values, starts):
             rows.extend(starts)
-            return gather(template, values, starts)
+            return gather(p, values, starts)
 
         gather = lpnorm._gather_averages
         monkeypatch.setattr(lpnorm, "_prepare", counted)

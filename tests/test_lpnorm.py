@@ -222,6 +222,87 @@ class TestBatchedPreparation:
 
 
     @pytest.mark.parametrize("budget", [1, None, 10 ** 12])
+    def test_jobs_are_cut_from_the_layout(self, monkeypatch, budget):
+        # each piece (s, t) of p over a job's clipped segment reaches the
+        # cell builder as the nodes of node_slice(s, t), with p_at's
+        # values and f's: C1 members of every kind and their Hardy
+        # averages, (a, delta) intervals, heads below x_min, and supports
+        # starting near the jump at 0.01, within rounding of a node, and
+        # the one at 0.0123, inside a cell; a support end in a jump's cell
+        # leaves the node below it outside f's support on both pieces
+        grid = make_log_grid(1e-8, 241)
+        p = on_grid(PiecewiseConstant((2.0 ** -9, 0.01, 0.0123, 0.3),
+                                      (1.5, 2.5, 2.2, 2.0, 3.0)), grid)
+        members = [m.f for m in power_family(p.p, grid)
+                   + dyadic_indicator_family(grid)
+                   + necessity_family(p, grid, depth=14)
+                   + random_step_family(grid, count=3)]
+        lows = []
+        for d in (0.01, 0.0123):
+            x = grid.points[grid.index_left(d):][:3]
+            lows += [math.sqrt(x[0] * d), d, math.sqrt(d * x[1]), x[1],
+                     math.sqrt(x[1] * x[2])]
+        a_list = [grid.x_min, 2.0 ** -20, 2.0 ** -9] + lows[:3]
+        jobs = ([(f, None) for f in members]
+                + [(hardy_average(f), None) for f in members[::5]]
+                + lpnorm._inverse_x_jobs(grid, a_list, 1.0)
+                + lpnorm._inverse_x_jobs(grid, a_list, 0.3)
+                + [(power_function(grid, -0.3),
+                    (grid.x_min * (1 - 1e-12), b)) for b in (0.0123, 1.0)]
+                + [(SampledFunction(grid, np.full(grid.n, 2.0),
+                                    support=(lo, 0.5)), None)
+                   for lo in lows])
+        batches = []
+        cells = lpnorm._cells
+
+        def recorded(layout, f, counts, outside, heads):
+            batches.append((layout, f, counts, set(outside), set(heads)))
+            return cells(layout, f, counts, outside, heads)
+
+        monkeypatch.setattr(lpnorm, "_cells", recorded)
+        if budget is not None:
+            monkeypatch.setattr(lpnorm, "_GROUP_CELLS", budget)
+        assert len(list(lpnorm._prepare(jobs, p))) == len(jobs)
+        cut = []  # the pieces of each job, as (batch, piece index)
+        for batch in batches:
+            k = 0
+            for count in batch[2]:
+                cut.append([(batch, i) for i in range(k, k + count)])
+                k += count
+        assert len(cut) == len(jobs)
+        seen = {"outside": 0, "outside on a later piece": 0, "heads": 0}
+        for (f, interval), pieces in zip(jobs, cut):
+            a, b = interval or (grid.x_min, 1.0)
+            expected = []
+            for seg in lpnorm.as_segments(f):
+                lo, hi = seg.effective_support()
+                lo_eff, hi_eff = max(lo, a), min(hi, b)
+                if lo_eff < hi_eff:
+                    head = lo < grid.x_min and a <= grid.x_min * (1 + 1e-12)
+                    expected += [(seg, lo, hi, s, t, head and s == lo_eff,
+                                  s > lo_eff)
+                                 for s, t in p.pieces(lo_eff, hi_eff)]
+            assert len(pieces) == len(expected)
+            for ((layout, values, _, outside, heads), k), (
+                    seg, lo, hi, s, t, head, later) in zip(pieces, expected):
+                i, j = layout.first[k], layout.last[k] + 2
+                nodes = grid.node_slice(s, t)
+                assert np.array_equal(layout.u[i:j], grid.u[nodes])
+                assert np.array_equal(layout.p[i:j], p.p_at(nodes, s, t))
+                assert np.array_equal(values[i:j], seg.values[nodes])
+                assert layout.start[k] == nodes.start
+                assert (layout.ln_s[k], layout.ln_t[k]) == (math.log(s),
+                                                            math.log(t))
+                x = grid.points[nodes]
+                assert ((i in outside, j - 1 in outside)
+                        == (x[0] < lo, x[-1] > hi))
+                assert (k in heads) == head
+                seen["outside"] += i in outside or j - 1 in outside
+                seen["outside on a later piece"] += later and i in outside
+                seen["heads"] += head
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("budget", [1, None, 10 ** 12])
     def test_numerators_match_prepared_hardy_averages(self, monkeypatch,
                                                       budget):
         # C1's numerator cells, cut from one layout of p, are bit for bit
