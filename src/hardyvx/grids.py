@@ -256,17 +256,28 @@ def _linear_cells(g_s, g_t, s, t, weight_x: bool):
     With the weight it is e^s dt (g_s A + g_t B), A and B the integrals
     of (1 - r) e^(r dt) and r e^(r dt) over r in (0, 1): no cancellation
     between the two ends, and a Taylor series where dt < 1e-2, below
-    which the closed forms lose digits."""
+    which the closed forms lose digits.  Each branch is evaluated on its
+    own cells only."""
     dt = t - s
     if not weight_x:
         return 0.5 * dt * (g_s + g_t)
     small = dt < 1e-2
-    x = np.where(small, 1.0, dt)
-    e = np.expm1(x)
-    a = np.where(small, 1/2 + dt * (1/6 + dt * (1/24 + dt * (
-        1/120 + dt * (1/720 + dt / 5040)))), (e - x) / (x * x))
-    b = np.where(small, 1/2 + dt * (1/3 + dt * (1/8 + dt * (
-        1/30 + dt * (1/144 + dt / 840)))), (x * e - e + x) / (x * x))
+    n_small = np.count_nonzero(small)
+    a, b = np.empty_like(dt), np.empty_like(dt)
+    # a slice, which copies nothing, indexes a branch that fills the call
+    if n_small:
+        k = small if n_small < small.size else slice(None)
+        x = dt[k]
+        a[k] = 1/2 + x * (1/6 + x * (1/24 + x * (1/120 + x * (
+            1/720 + x / 5040))))
+        b[k] = 1/2 + x * (1/3 + x * (1/8 + x * (1/30 + x * (
+            1/144 + x / 840))))
+    if n_small < small.size:
+        k = ~small if n_small else slice(None)
+        x = dt[k]
+        e = np.expm1(x)
+        a[k] = (e - x) / (x * x)
+        b[k] = (x * e - e + x) / (x * x)
     return np.exp(s) * dt * (g_s * a + g_t * b)
 
 

@@ -31,10 +31,19 @@ is the cell sum of mean p times the cell integral (exact for p constant
 on each cell); it only steers, because each job keeps its own certified
 bracket, takes a bisection step whenever a Newton step would leave it or
 I is inf or 0, and ends with two evaluations at lambda * (1 -+ tol/4)
-that certify I(hi) <= 1 < I(lo), or else with plain bisection.  Jobs are
-prepared in batches of at most ``_GROUP_CELLS`` nodes and solved in order
-in groups of at most as many cells (a larger job alone), each group
-evaluating all its jobs' current points together.
+that certify I(hi) <= 1 < I(lo), or else with plain bisection; a slope
+too large for a double (p near 1e300) is no Newton step either.  Jobs
+are prepared in batches of at most ``_GROUP_CELLS`` nodes, and the
+solver takes them in batches of at most as many cells (a larger job
+alone) and collapses each batch in one pass (``_collapse``): every run
+of cells that have one exponent q at both ends and as mean p, read
+from the rows, scales exactly as e^(-sigma q), so it becomes one cell
+holding its sum at sigma = 0, in each job where that drops at least a
+quarter of its cells.  A constant or step p so costs a few cells per
+norm, not the whole grid.  The collapsed jobs are solved in order in
+groups of at most ``_GROUP_CELLS`` cells, each group evaluating all its
+jobs' current points together.  The modular, its truncation bias and
+``inverse_x_scales``' reads take the raw rows.
 
 ``inverse_x_scales`` reads the C2, C4 and C5 of ``criteria`` from one
 preparation of x^-1 on each (a, delta).
@@ -155,7 +164,7 @@ def _prepare(jobs, p: ExponentLike):
     for f, interval in jobs:
         segs = as_segments(f)
         q = on_grid(p, segs[0].grid)
-        grid, jumps = q.grid, q.layout.jumps
+        grid, layout = q.grid, q.layout
         a, b = interval if interval is not None else (grid.x_min, 1.0)
         if not (grid.x_min * (1 - 1e-12) <= a < b <= 1.0 + 1e-12):
             raise ValueError("modular interval must lie inside [x_min, 1]")
@@ -163,13 +172,24 @@ def _prepare(jobs, p: ExponentLike):
         for seg in segs:
             lo, hi = seg.effective_support()
             lo_eff, hi_eff = max(lo, a), min(hi, b)
-            if lo_eff >= hi_eff:
+            ln_lo, ln_hi = math.log(lo_eff), math.log(hi_eff)
+            if ln_lo >= ln_hi:  # no width in u
                 continue
             cut = grid.node_slice(lo_eff, hi_eff)
-            rows.append((bisect.bisect_right(jumps, lo_eff),
-                         bisect.bisect_left(jumps, hi_eff),
-                         cut.start, cut.stop, math.log(lo_eff),
-                         math.log(hi_eff), seg.values[cut], lo, hi,
+            k0 = bisect.bisect_right(layout.jumps, lo_eff)
+            k1 = bisect.bisect_left(layout.jumps, hi_eff)
+            # an end within rounding of a jump that lies on a node leaves a
+            # sliver of no width in u between them, where the row would
+            # hold one node of the jump's far piece (at or past that
+            # piece's last node, or at or before its first): start or stop
+            # the row in the piece beyond the sliver instead
+            last = layout.start[k0] + layout.last[k0] - layout.first[k0] + 1
+            if cut.start >= last:
+                k0 += 1
+            if cut.stop - 1 <= layout.start[k1]:
+                k1 -= 1
+            rows.append((k0, k1, cut.start, cut.stop, ln_lo, ln_hi,
+                         seg.values[cut], lo, hi,
                          lo < grid.x_min and a <= grid.x_min * (1 + 1e-12)))
         nodes = sum(row[3] - row[2] for row in rows)
         if batch and (q is not p or size + nodes > _GROUP_CELLS):
@@ -380,10 +400,13 @@ def _evaluate(rows: np.ndarray, sigma, starts: np.ndarray):
     """The modular I of f/e^sigma and the Newton slope S (the sum of mean
     p times the cell integral, so dI/dsigma ~ -S) for each row of cells
     starting at ``starts``; ``sigma`` is given per cell and lies at or
-    above each row's guard."""
+    above each row's guard.  I stays finite there, but S overflows to inf
+    where mean p times I passes the largest double (p near 1e300), which
+    ``_Search`` takes as no Newton step."""
     cells = _integrals(rows, sigma)
-    return (np.add.reduceat(cells, starts),
-            np.add.reduceat(rows[5] * cells, starts))
+    with np.errstate(over="ignore"):
+        slopes = np.add.reduceat(rows[5] * cells, starts)
+    return np.add.reduceat(cells, starts), slopes
 
 
 def modular(f: FunctionLike, p: ExponentLike,
@@ -512,7 +535,7 @@ class _Search:
             self.points = [self._bisection_point()]
             return
         (sigma,), ((value, slope),) = self.points, evaluated
-        if 0.0 < value < math.inf and slope > 0.0:
+        if 0.0 < value < math.inf and 0.0 < slope < math.inf:
             step = math.log(value) * value / slope
             target = sigma + step
             if abs(step) <= self.tol / 8.0:
@@ -578,16 +601,92 @@ def _solve_group(group: list, results: list) -> None:
         group = [(k, search) for k, search in group if search.result is None]
 
 
+def _collapse(batch: list) -> list:
+    """``batch``, (job index, _Cells) pairs, with each run of two or more
+    adjacent cells that have one exponent q (q_s, q_t and mean p all
+    equal to q) replaced by one cell, in every job where that drops at
+    least a quarter of its cells.  On such a run I(sigma) is
+    e^(-sigma q) times its value at sigma = 0, and its slope q times
+    that, so the run is the one-exponent cell a_s = a_t = m, q_s = q_t =
+    mean p = q and dt = the run's sum at sigma = 0 scaled by e^-m, m the
+    run's largest exponent: ``_exp_cells(m - sigma q, m - sigma q, dt)``
+    is its sum at every sigma, and m - sigma q rounds as the raw cells'
+    own exponents do.  The jobs are collapsed in one pass; a run never
+    crosses a job, so a job collapses alike alone or in any batch, and a
+    job left as it is keeps its rows, uncopied."""
+    rows = [cells.rows for _, cells in batch]
+    q = np.concatenate([r[1::2] for r in rows], axis=1)
+    q_s, q_t, mean = q
+    one = (q_s == q_t) & (mean == q_s)
+    # link[i]: cells i and i + 1 lie in one run, which never crosses a job
+    link = np.empty(q_s.size, dtype=bool)
+    link[:-1] = one[:-1] & one[1:] & (q_s[:-1] == q_s[1:])
+    sizes = np.array([r.shape[1] for r in rows])
+    ends = sizes.cumsum()
+    link[ends - 1] = False
+    # the cells collapsing would drop from each job, one per link; below a
+    # quarter of a job's cells, rebuilding its rows costs more than the
+    # evaluations it saves
+    dropped = np.add.reduceat(link, ends - sizes, dtype=np.intp)
+    chosen = 4 * dropped >= sizes
+    if not chosen.any():
+        return batch
+    picked = chosen.nonzero()[0].tolist()
+    # the chosen jobs' cells, their links, and their a_s, a_t and dt (q
+    # is read from the copy made above); where every job is chosen, as on
+    # a step p, the batch's own
+    at = np.arange(link.size)
+    if len(picked) < len(rows):
+        at = at[np.repeat(chosen, sizes)]
+        link = link[at]
+    e = np.concatenate([rows[j][::2] for j in picked], axis=1)
+    a_s, a_t, dt = e
+    # the segments, each a run or a cell left alone, from their first
+    # cells; m and the scaled sum are taken for every segment in one pass,
+    # and a cell left alone keeps its own row
+    first = np.flatnonzero(np.concatenate(([True], ~link[:-1])))
+    m = np.maximum.reduceat(np.maximum(a_s, a_t), first)
+    shift = np.repeat(m, np.diff(first, append=link.size))
+    scaled = np.add.reduceat(_exp_cells(a_s - shift, a_t - shift, dt), first)
+    out = np.empty((6, first.size))
+    out[::2] = e.take(first, axis=1)
+    out[1::2] = q.take(at[first], axis=1)
+    run = link[first]
+    out[0, run] = out[2, run] = m[run]
+    out[4, run] = scaled[run]
+    bounds = first.searchsorted(
+        np.concatenate(([0], sizes[chosen].cumsum()))).tolist()
+    batch = list(batch)
+    for j, i, k in zip(picked, bounds, bounds[1:]):
+        key, (_, guard, sup, heads) = batch[j]
+        batch[j] = key, _Cells(out[:, i:k], guard, sup, heads)
+    return batch
+
+
 def _solve(prepared, tol: float) -> list:
     """The Luxemburg norm of each prepared modular in the iterable
     ``prepared``, in order (see ``luxemburg_norms``).  Modulars are taken
-    from it as groups of at most ``_GROUP_CELLS`` cells fill, so only one
-    group's cells, and the batch ``_prepare`` is on, need be held at a
-    time."""
+    from it in batches, each collapsed in one pass (``_collapse``), whose
+    jobs join the lockstep group in order; the group is solved when the
+    next job's cells would take it past ``_GROUP_CELLS`` (a larger job
+    alone).  A batch takes at most the cells the group has room for (and
+    at least one job), so the batch and the group together hold at most
+    ``_GROUP_CELLS`` cells, besides the batch ``_prepare`` is on."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     results: list = []
-    group, size = [], 0
+    group, batch = [], []
+    size = raw = 0  # the group's cells, and the batch's
+
+    def fill():
+        nonlocal group, size
+        for k, cells in _collapse(batch):
+            if group and size + cells.size > _GROUP_CELLS:
+                _solve_group(group, results)
+                group, size = [], 0
+            group.append((k, _Search(cells, tol)))
+            size += cells.size
+
     for k, cells in enumerate(prepared):
         results.append(None)
         if cells.sup == 0.0:
@@ -596,11 +695,13 @@ def _solve(prepared, tol: float) -> list:
         if cells.size == 0:
             results[k] = _negligible(tol)
             continue
-        if group and size + cells.size > _GROUP_CELLS:
-            _solve_group(group, results)
-            group, size = [], 0
-        group.append((k, _Search(cells, tol)))
-        size += cells.size
+        if batch and size + raw + cells.size > _GROUP_CELLS:
+            fill()
+            batch, raw = [], 0
+        batch.append((k, cells))
+        raw += cells.size
+    if batch:
+        fill()
     _solve_group(group, results)
     return results
 

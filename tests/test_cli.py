@@ -246,6 +246,10 @@ class TestMain:
     # C4's overflow guard must ignore nodes below a
     ({"exponent": {"family": "constant", "p0": 60},
       "grid": {"x_min": 1e-8, "n": 401}}, "C4", "bounded"),
+    # mean p times the modular passes the largest double: the solver's
+    # Newton slope is inf, and the search bisects without a warning
+    ({"exponent": {"family": "constant", "p0": 1e300},
+      "grid": {"x_min": 1e-8, "n": 401}}, "C5", "bounded"),
     # the modular's overflow guard must ignore nodes outside the piece,
     # and C1 skips the dyadic indicators that have no node inside
     ({"exponent": {"family": "constant", "p0": 2},

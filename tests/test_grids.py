@@ -17,6 +17,7 @@ from hardyvx.grids import (
     GridError,
     _cell_integrals,
     _cumulative_integrals,
+    _linear_cells,
     head_fit,
 )
 
@@ -186,3 +187,28 @@ class TestCellKernel:
             ref = quad(lambda r: (g0 + (g1 - g0) * (w0 + r / h)) * weight(r),
                        0.0, t - s, epsabs=0.0, epsrel=2e-14, limit=500)[0]
         assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("widths", [
+        [1e-2], [np.nextafter(1e-2, 0.0)], [1e-9, 1e-4, 9.99e-3],
+        [0.023, 0.5, 3.0],
+        [0.0, 1e-3, 1e-2, 0.023, 2.0, np.nextafter(1e-2, 0.0)],
+    ])
+    def test_linear_cells_branches_bit_for_bit(self, widths):
+        # each branch on its own cells gives the values of both branches
+        # evaluated everywhere and picked by np.where, on widths at and
+        # on both sides of the Taylor cut-off 1e-2
+        rng = np.random.default_rng(7)
+        s = np.zeros(len(widths))
+        t = s + widths
+        dt = t - s
+        assert np.array_equal(dt, widths)
+        g_s, g_t = rng.uniform(0.0, 5.0, (2, dt.size))
+        small = dt < 1e-2
+        x = np.where(small, 1.0, dt)
+        e = np.expm1(x)
+        a = np.where(small, 1/2 + dt * (1/6 + dt * (1/24 + dt * (
+            1/120 + dt * (1/720 + dt / 5040)))), (e - x) / (x * x))
+        b = np.where(small, 1/2 + dt * (1/3 + dt * (1/8 + dt * (
+            1/30 + dt * (1/144 + dt / 840)))), (x * e - e + x) / (x * x))
+        both = np.exp(s) * dt * (g_s * a + g_t * b)
+        assert np.array_equal(_linear_cells(g_s, g_t, s, t, True), both)

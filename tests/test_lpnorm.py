@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from hardyvx import (
     Constant,
+    LogPerturbed,
     PiecewiseConstant,
     SampledFunction,
+    Tabulated,
     bracket_check,
     luxemburg_norm,
     make_log_grid,
@@ -15,6 +19,7 @@ from hardyvx import (
     norm_of_inverse_x,
 )
 from hardyvx import hardy, lpnorm
+from hardyvx.config import parse_config
 from hardyvx.exponent import ExponentFunction, on_grid
 from hardyvx.grids import integrate
 from hardyvx.hardy import (
@@ -25,6 +30,7 @@ from hardyvx.hardy import (
     random_step_family,
 )
 from hardyvx.lpnorm import UnboundedNormError, checked_norms, luxemburg_norms
+from hardyvx.report import run_scenario
 
 from conftest import power_function, random_piecewise_power, scaled
 
@@ -64,6 +70,37 @@ class TestModular:
         hi_part = (1.0 - 0.5 ** 0.7) / 0.7
         assert modular(f, p).value == pytest.approx(lo_part + hi_part,
                                                     rel=1e-12)
+
+    def test_support_ends_within_an_ulp_of_a_jump_on_a_node(self, grid):
+        # 1e-9, 1e-6 and 1e-3 lie within rounding of nodes 300, 600 and
+        # 900: a support end at, or an ulp either side of, such a jump
+        # leaves a sliver of no width in u between them, which adds
+        # nothing (its true weight is below 1e-16); f = 2, so the modular
+        # is the sum of 2**p times length
+        jumps, values = (1e-9, 1e-6, 1e-3, 0.3), (1.5, 2.5, 3.0, 2.0, 3.5)
+        p = PiecewiseConstant(jumps, values)
+        on_node = [d for d in jumps
+                   if np.isclose(grid.points, d, rtol=1e-14, atol=0).any()]
+        assert on_node == [1e-9, 1e-6, 1e-3]
+        edges = (grid.x_min,) + jumps + (1.0,)
+
+        def closed_form(lo, hi):
+            return math.fsum(2.0 ** v * (min(b, hi) - max(a, lo))
+                             for a, b, v in zip(edges, edges[1:], values)
+                             if min(b, hi) > max(a, lo))
+
+        for d in on_node:
+            ends = (np.nextafter(d, 0.0), d, np.nextafter(d, 1.0))
+            supports = ([(end, 0.5) for end in ends]
+                        + [(1e-10, end) for end in ends] + [ends[::2]])
+            for support in supports:
+                f = SampledFunction(grid, np.full(grid.n, 2.0),
+                                    support=support)
+                assert modular(f, p).value == pytest.approx(
+                    closed_form(*support), rel=1e-12, abs=1e-16)
+                nv = luxemburg_norm(f, p)
+                if nv.value > 0.0:
+                    assert modular(scaled(f, 1.0 / nv.value), p).value <= 1.0
 
 
 class TestLuxemburgNorm:
@@ -463,3 +500,140 @@ class TestNormOfInverseX:
                                make_log_grid(1e-8, 241), a)
         assert nv.value == pytest.approx(((a ** -2 - 1.0) / 2.0) ** (1 / 3),
                                          rel=1e-9)
+
+
+class TestCollapsedRuns:
+    """The solver replaces each run of cells of one exponent q by one
+    cell (``lpnorm._collapse``)."""
+
+    def _jobs(self, grid):
+        """(p, jobs) whose runs collapse: constant, step and tabulated p;
+        Hardy averages with one-zero-end cells; intervals that clip a
+        cell's corner; |f| near 1e250; and p = 60."""
+        tabulated = Tabulated((1e-3, 1e-2, 0.5), (2.0, 4.0, 1.5))
+        step = PiecewiseConstant((2.0 ** -9, 0.01, 0.3), (1.5, 2.5, 2.0, 3.0))
+        dyadic = [hardy_average(m.f) for m in dyadic_indicator_family(grid)[
+            3:30:6]]
+        out = []
+        for p in (Constant(2.5), step, tabulated, Constant(60.0)):
+            jobs = ([(f, None) for f in dyadic]
+                    + [(power_function(grid, -0.3), (0.0123, 0.77)),
+                       (power_function(grid, -0.3, coeff=1e250), None),
+                       (power_function(grid, 0.2, coeff=1e-3), (1e-5, 0.3))]
+                    + lpnorm._inverse_x_jobs(grid, [2.0 ** -20, 0.0123], 1.0))
+            out.append((on_grid(p, grid), jobs))
+        return out
+
+    def test_collapsed_jobs_keep_the_modular_and_slope(self):
+        # at 20 sigma from each job's guard to its ceiling, the collapsed
+        # cells' I and slope are the raw rows' sums within 1e-14, plus
+        # the ulp of ln I that either form's exponents round by (1.1e-13
+        # near the guard, where I ~ e^700); subnormal sums, which carry
+        # few digits, count to the smallest normal double
+        grid = make_log_grid(1e-8, 241)
+        collapsed = 0
+        for p, jobs in self._jobs(grid):
+            for cells in lpnorm._prepare(jobs, p):
+                ((_, short),) = lpnorm._collapse([(0, cells)])
+                collapsed += short.size < cells.size
+                search = lpnorm._Search(cells, 1e-10)
+                low = max(cells.guard, search.floor)
+                for sigma in np.linspace(low, search.ceiling, 20):
+                    raw = lpnorm._integrals(cells.rows, sigma)
+                    values = lpnorm._evaluate(
+                        short.rows, np.full(short.size, sigma), [0])
+                    for (got,), want in zip(values, (
+                            math.fsum(raw), math.fsum(cells.rows[5] * raw))):
+                        rel = 1e-14 + math.ulp(abs(math.log(want or 1.0)))
+                        assert got == pytest.approx(
+                            want, rel=rel, abs=sys.float_info.min)
+        assert collapsed > 20
+
+    def test_one_exponent_rows(self):
+        # a job on a constant p is one cell per run, with q = p, and
+        # keeps its guard, sup and heads
+        grid = make_log_grid(1e-8, 241)
+        f = power_function(grid, -0.3)
+        (cells,) = lpnorm._prepare([(f, None)], Constant(2.5))
+        ((_, short),) = lpnorm._collapse([(0, cells)])
+        assert short.size == 1 and cells.size == grid.n - 1
+        assert np.array_equal(short.rows[[1, 3, 5]], np.full((3, 1), 2.5))
+        assert short.rows[0] == short.rows[2] == cells.rows[[0, 2]].max()
+        assert short[1:] == cells[1:]
+
+    def test_smooth_rows_pass_through(self):
+        # no run of one exponent: every job keeps its rows, uncopied
+        grid = make_log_grid(1e-8, 241)
+        p = LogPerturbed(2.0, 1.0, 1.0)
+        jobs = [(m.f, None) for m in power_family(p, grid)
+                + necessity_family(p, grid, depth=12)]
+        batch = list(enumerate(lpnorm._prepare(jobs, p)))
+        out = lpnorm._collapse(batch)
+        assert all(a is b for (_, a), (_, b) in zip(out, batch))
+
+    def test_runs_never_cross_jobs(self):
+        # two jobs on one constant p, each one run, side by side in one
+        # batch: two cells, each its job's alone
+        grid = make_log_grid(1e-8, 241)
+        jobs = [(power_function(grid, -0.3), (grid.x_min, 0.01)),
+                (power_function(grid, -0.3), (0.01, 1.0))]
+        batch = list(enumerate(lpnorm._prepare(jobs, Constant(2.5))))
+        out = lpnorm._collapse(batch)
+        assert [cells.size for _, cells in out] == [1, 1]
+        for (_, cells), job in zip(out, batch):
+            ((_, alone),) = lpnorm._collapse([job])
+            assert np.array_equal(cells.rows, alone.rows)
+
+    @pytest.mark.parametrize("budget", [1, None, 10 ** 12])
+    def test_batches_collapse_bit_for_bit(self, monkeypatch, budget):
+        # each job's collapsed rows, and so its norm, are those it gets
+        # solved alone, whatever the batch it is solved in
+        grid = make_log_grid(1e-8, 241)
+        for p, jobs in self._jobs(grid):
+            alone = [lpnorm._collapse([(0, cells)])[0][1]
+                     for cells in lpnorm._prepare(jobs, p)]
+            singles = [luxemburg_norms([job], p)[0] for job in jobs]
+            solved = []
+            collapse = lpnorm._collapse
+
+            def recorded(batch):
+                out = collapse(batch)
+                solved.extend(out)
+                return out
+
+            if budget is not None:
+                monkeypatch.setattr(lpnorm, "_GROUP_CELLS", budget)
+            monkeypatch.setattr(lpnorm, "_collapse", recorded)
+            batch = luxemburg_norms(jobs, p)
+            monkeypatch.undo()
+            assert [k for k, _ in solved] == list(range(len(jobs)))
+            for (_, cells), short in zip(solved, alone):
+                assert np.array_equal(cells.rows, short.rows)
+            assert batch == singles
+
+    def test_step_exponent_audit_integrates_few_cells(self, monkeypatch):
+        # a step exponent costs a few cells per norm: two audits on step
+        # exponents with 4 and 6 jumps (509k cell rows each, uncollapsed)
+        configs = [
+            {"exponent": {"family": "dyadic-jump", "p0": 2.13301,
+                          "gammas": [0.152457, 0.151174, 0.336938, 0.325547],
+                          "scales": [0.00100907, 3.32005e-05, 2.0815e-07,
+                                     3.79212e-11]}},
+            {"exponent": {"family": "piecewise-constant",
+                          "breakpoints": [2.02044e-11, 3.52837e-10,
+                                          5.84064e-07, 7.08654e-06,
+                                          0.000125831, 0.0232379],
+                          "values": [2.19782, 2.55462, 2.76628, 2.97839,
+                                     3.27294, 3.64393, 3.84473]}}]
+        rows = []
+        evaluate = lpnorm._evaluate
+
+        def counted(cells, sigma, starts):
+            rows.append(cells.shape[1])
+            return evaluate(cells, sigma, starts)
+
+        monkeypatch.setattr(lpnorm, "_evaluate", counted)
+        for config in configs:
+            rows.clear()
+            run_scenario(parse_config(json.dumps(config)))
+            assert 0 < sum(rows) <= 10_000
