@@ -4,11 +4,12 @@ Two independent evaluation routes are provided for (1/x) * integral_0^x f:
 the cumulative-integral route and the scaled route based on the identity
 Hf(x)/x = integral_0^1 f(t x) dt, used to cross-validate quadrature.
 
-The C1 sweep never builds the averages as sampled functions: the
-numerators of its Rayleigh quotients are prepared from each chunk's
-running totals, as ``grids._cumulative_integrals`` returns them, divided
-by x and cut into cells from p's layout, ``GridExponent.layout``, the
-one every modular job is cut from (``_average_cells``).
+The C1 sweep takes the quotient of a power member x^-beta in closed form,
+1/(1 - beta) for every p, since Hf(x)/x = f(x)/(1 - beta).  It builds no
+other average as a sampled function: each numerator is prepared from its
+chunk's running totals, as ``grids._cumulative_integrals`` returns them,
+divided by x and cut into cells from p's layout, ``GridExponent.layout``,
+the one every modular job is cut from (``_average_cells``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .lpnorm import (
     checked_norms,
     luxemburg_norm,  # bench/selftest.py reads hardy.luxemburg_norm
     luxemburg_norms,
-    modular,  # bench/selftest.py reads hardy.modular
+    modular,
 )
 
 __all__ = [
@@ -238,6 +239,7 @@ class FamilyMember:
     label: str
     f: FunctionLike
     level: int | None = None  # dyadic scale index, when the member has one
+    beta: float | None = None  # f = x^-beta, for a power member
 
 
 def power_family(p: ExponentFunction, grid: LogGrid,
@@ -255,7 +257,7 @@ def power_family(p: ExponentFunction, grid: LogGrid,
     members = []
     for beta in betas:
         f = SampledFunction(grid, grid.points ** (-beta), interp="powerlaw")
-        members.append(FamilyMember(f"power:beta={beta:g}", f))
+        members.append(FamilyMember(f"power:beta={beta:g}", f, beta=beta))
     return members
 
 
@@ -382,25 +384,34 @@ def operator_norm_lower_bound(p: ExponentLike,
                               tol: float = 1e-10) -> OperatorNormResult:
     """Max Rayleigh quotient over a test family.
 
-    Each member is prepared once: ``checked_norms`` gives its modular,
-    whose truncation bias is recorded, and its denominator.  The
-    denominators of all members are solved in one lockstep batch, then
-    the numerators in another.  Members with infinite modular, a
-    divergent Hardy head, an unbounded norm or a zero norm on the grid
-    are skipped and logged, in member order.  The reduction is a
+    A power member x^-beta takes one ``modular``, which decides whether
+    it is in L^p(.) and gives its truncation bias; its quotient is
+    exactly 1/(1 - beta), with a bracket of zero width.  The others are
+    prepared in one stream by ``checked_norms``, which gives each
+    modular and denominator; the denominators are solved in one lockstep
+    batch, then the numerators in another.  Members with infinite
+    modular, a divergent Hardy head, an unbounded norm or a zero norm on
+    the grid are skipped and logged, in member order.  The reduction is a
     deterministic max; ties go to the earliest member.  An empty or fully
     skipped family gives a nan value and no argmax.  The result also
     carries the worst truncation_bias / value over every member whose
     modular was evaluated, skipped members included.
     """
-    outcomes: list = [None] * len(members)  # QuotientResult or skip reason
+    outcomes: list = [None] * len(members)  # (value, lo, hi) or skip reason
+    p = on_grid(p, as_segments(members[0].f)[0].grid) if members else p
+    power = [i for i, m in enumerate(members) if m.beta is not None]
+    others = [i for i, m in enumerate(members) if m.beta is None]
+    checked = ([(modular(members[i].f, p), None) for i in power]
+               + checked_norms([members[i].f for i in others], p, tol))
     worst_bias = 0.0
     live, denominators = [], []
-    for i, (mv, den) in enumerate(checked_norms([m.f for m in members], p,
-                                                tol)):
+    for i, (mv, den) in zip(power + others, checked):
         if mv.finite and mv.value > 0.0:
             worst_bias = max(worst_bias, mv.truncation_bias / mv.value)
-        if den is None:
+        if members[i].beta is not None and mv.finite and not math.isinf(
+                mv.truncation_bias):
+            outcomes[i] = (1.0 / (1.0 - members[i].beta),) * 3
+        elif den is None:
             outcomes[i] = "infinite modular"
         else:
             live.append(i)
@@ -408,15 +419,15 @@ def operator_norm_lower_bound(p: ExponentLike,
     results = _rayleigh_quotients([members[i].f for i in live], denominators,
                                   p, tol)
     for i, result in zip(live, results):
-        outcomes[i] = result
+        outcomes[i] = ((result.value, *result.bounds)
+                       if isinstance(result, QuotientResult) else result)
     quotients, skipped = [], []
     for member, result in zip(members, outcomes):
-        if not isinstance(result, QuotientResult):
+        if not isinstance(result, tuple):
             logger.info("skipping %s: %s", member.label, result)
             skipped.append(member.label)
             continue
-        lo, hi = result.bounds
-        quotients.append((member.label, member.level, result.value, lo, hi))
+        quotients.append((member.label, member.level, *result))
     value, argmax = math.nan, None
     if quotients:
         argmax, _, value, _, _ = max(quotients, key=lambda q: q[2])

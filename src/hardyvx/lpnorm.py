@@ -54,7 +54,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -129,9 +129,6 @@ class _Cells(NamedTuple):
 class ModularValue:
     value: float  # may be math.inf
     truncation_bias: float = 0.0
-    # the prepared f, which ``checked_norms`` solves, so that a checked
-    # f is prepared once
-    cells: _Cells | None = field(default=None, repr=False, compare=False)
 
     @property
     def finite(self) -> bool:
@@ -433,7 +430,7 @@ def _modular_at(cells: _Cells, sigma: float) -> float:
 def _modular(cells: _Cells, grid) -> ModularValue:
     """The modular of prepared cells, with its truncation bias."""
     if cells.guard > 0.0:
-        return ModularValue(math.inf, cells=cells)
+        return ModularValue(math.inf)
     value = _modular_at(cells, 0.0)
     bias = 0.0
     for w_0, w_1 in cells.heads:
@@ -441,7 +438,7 @@ def _modular(cells: _Cells, grid) -> ModularValue:
             bias += head_integral(w_0, w_1, grid)
         except DivergentHeadError:
             bias = math.inf
-    return ModularValue(value, bias, cells)
+    return ModularValue(value, bias)
 
 
 def _negligible(tol: float) -> NormValue:
@@ -725,24 +722,22 @@ def luxemburg_norms(jobs, p: ExponentLike, tol: float = 1e-10) -> list:
 
 
 def checked_norms(fs: list, p: ExponentLike, tol: float = 1e-10) -> list:
-    """(``modular(f, p)``, without its cells, and ||f||) for each f in
-    ``fs``, in order.  The norm is None where the modular or its head
-    below x_min is infinite, so f is not in L^p(.); otherwise it is as in
-    ``luxemburg_norms``.  Each f is prepared once, by its modular, and
-    the solver takes the prepared cells as its groups fill, so only one
-    group's are held at a time."""
-    checked = []  # (modular without its cells, whether f is in L^p(.))
+    """(``modular(f, p)``, ||f||) for each f in ``fs``, in order.  The
+    norm is None where the modular or its head below x_min is infinite,
+    so f is not in L^p(.); otherwise it is as in ``luxemburg_norms``.
+    ``fs`` is prepared in one ``_prepare`` stream, a ``_cut`` per batch of
+    at most ``_GROUP_CELLS`` nodes; each f's modular is read from its
+    cells, which the solver takes as they come, so only one batch and one
+    group are held at a time."""
+    checked = []  # (modular, whether f is in L^p(.))
 
     def finite():
-        gp = p
-        for f in fs:
-            gp = on_grid(gp, as_segments(f)[0].grid)
-            mv = modular(f, gp)
+        for f, cells in zip(fs, _prepare(((f, None) for f in fs), p)):
+            mv = _modular(cells, as_segments(f)[0].grid)
             member = mv.finite and not math.isinf(mv.truncation_bias)
-            checked.append((ModularValue(mv.value, mv.truncation_bias),
-                            member))
+            checked.append((mv, member))
             if member:
-                yield mv.cells
+                yield cells
 
     norms = iter(_solve(finite(), tol))
     return [(mv, next(norms) if member else None) for mv, member in checked]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hardyvx import (
     hardy_average,
     hardy_average_scaled,
     make_log_grid,
+    modular,
     necessity_test_function,
     operator_norm_lower_bound,
     rayleigh_quotient,
@@ -121,7 +123,6 @@ class TestFamilies:
 
     def test_necessity_function_modular_is_log2(self, grid):
         p = LogPerturbed(2.0, 1.0, 1.0, "+")
-        from hardyvx import modular
         f = necessity_test_function(p, grid, 2.0 ** -15)
         assert modular(f, p).value == pytest.approx(math.log(2.0), rel=1e-9)
 
@@ -148,42 +149,118 @@ class TestOperatorNorm:
         assert any("beta=0.49" in s for s in res.skipped)
         assert res.value > 1.0
 
-    def test_each_member_prepared_once(self, grid, monkeypatch):
-        # one prepared job per member serves its modular check, truncation
-        # bias and denominator, and one numerator row per member is cut
-        # from its running totals; both are cut from p's layout, many jobs
-        # per call, so jobs are counted where they enter, not calls
-        prepared, integrated, rows = [], [], []
-        original = lpnorm._prepare
+    @staticmethod
+    def _count_preparation(monkeypatch):
+        """Record, as C1 runs, each function that enters ``_prepare``, each
+        running total ``_cumulative_integrals`` takes, each numerator row
+        ``_gather_averages`` cuts and each job the solver takes.  Jobs are
+        cut from p's layout many per call, so they are counted where they
+        enter, not calls."""
+        seen = {"prepared": [], "integrated": [], "rows": [], "solved": []}
+        prepare, gather = lpnorm._prepare, lpnorm._gather_averages
+        solve = lpnorm._solve
 
         def counted(jobs, p):
-            def seen():
+            def each():
                 for job in jobs:
-                    prepared.append(as_segments(job[0])[0])
+                    seen["prepared"].append(job[0])
                     yield job
-            return original(seen(), p)
+            return prepare(each(), p)
 
         def totals(fs):
-            integrated.extend(fs)
+            seen["integrated"].extend(fs)
             return _cumulative_integrals(fs)
 
         def averages(p, values, starts):
-            rows.extend(starts)
+            seen["rows"].extend(starts)
             return gather(p, values, starts)
 
-        gather = lpnorm._gather_averages
+        def solved(prepared, tol):
+            def each():
+                for cells in prepared:
+                    seen["solved"].append(cells)
+                    yield cells
+            return solve(each(), tol)
+
         monkeypatch.setattr(lpnorm, "_prepare", counted)
         monkeypatch.setattr(lpnorm, "_gather_averages", averages)
+        monkeypatch.setattr(lpnorm, "_solve", solved)
         monkeypatch.setattr(hardy, "_cumulative_integrals", totals)
+        return seen
+
+    def test_each_member_prepared_once(self, grid, monkeypatch):
+        # one prepared job per member serves its modular check, truncation
+        # bias and denominator, and one numerator row per member is cut
+        # from its running totals
+        seen = self._count_preparation(monkeypatch)
+        p = LogPerturbed(2.0, 0.5, 1.0)
+        members = necessity_family(p, grid) + dyadic_indicator_family(grid)
+        res = operator_norm_lower_bound(p, members)
+        assert not res.skipped and len(res.quotients) == len(members)
+        assert len(seen["prepared"]) + len(seen["rows"]) == 2 * len(members)
+        assert len(seen["integrated"]) == len(members)
+        for member in members:
+            assert sum(f is member.f for f in seen["prepared"]) == 1
+            assert sum(f is member.f for f in seen["integrated"]) == 1
+
+    def test_power_member_takes_its_modular_alone(self, grid, monkeypatch):
+        # a power member's quotient is 1/(1 - beta): its one prepared job
+        # is its public modular, and it has no average and no norm solve
+        modulars = []
+
+        def counted_modular(f, p):
+            modulars.append(f)
+            return lpnorm.modular(f, p)
+
+        seen = self._count_preparation(monkeypatch)
+        monkeypatch.setattr(hardy, "modular", counted_modular)
         p = LogPerturbed(2.0, 0.5, 1.0)
         members = power_family(p, grid)
         res = operator_norm_lower_bound(p, members)
         assert not res.skipped and len(res.quotients) == len(members)
-        assert len(prepared) + len(rows) == 2 * len(members)
-        assert len(integrated) == len(members)
+        assert len(modulars) == len(seen["prepared"]) == len(members)
+        for member, f, job in zip(members, modulars, seen["prepared"]):
+            (segment,) = as_segments(job)
+            assert f is member.f and segment is member.f
+        assert seen["integrated"] == seen["rows"] == seen["solved"] == []
+        for member, (label, level, value, lo, hi) in zip(members,
+                                                         res.quotients):
+            assert (label, level) == (member.label, None)
+            assert value == lo == hi == 1.0 / (1.0 - member.beta)
+
+    @pytest.mark.parametrize("p", [
+        Constant(2.0),
+        LogPerturbed(2.0, 1.0, 0.5),
+        PiecewiseConstant((0.1, 0.5), (3.0, 2.0, 1.5)),
+        LogPerturbed(1.0, 1.0, 0.5),  # p_minus = 1: beta reaches 0.99
+    ])
+    @pytest.mark.parametrize("x_min", [None, 1e-300])
+    def test_power_quotients_match_the_numeric_path(self, grid, p, x_min):
+        # H(x^-beta)(x)/x = x^-beta/(1 - beta) and norms are homogeneous;
+        # a member is skipped exactly where the numeric path fails on it:
+        # its modular or head is infinite, or its quotient raises
+        if x_min is not None:
+            grid = make_log_grid(x_min, 1201)
+        members = power_family(p, grid)
+        res = operator_norm_lower_bound(p, members)
+        numeric = operator_norm_lower_bound(
+            p, [replace(m, beta=None) for m in members])
+        assert res.skipped == numeric.skipped
+        assert members[-1].beta == pytest.approx(1.0 / p.bounds((0.0, 1.0))[0]
+                                                 - 0.01)
+        quotients = {q[0]: q[2] for q in res.quotients}
         for member in members:
-            assert sum(f is member.f for f in prepared) == 1
-            assert sum(f is member.f for f in integrated) == 1
+            mv = modular(member.f, p)
+            try:
+                reference = rayleigh_quotient(member.f, p).value
+            except (ArithmeticError, DivergentHeadError):
+                reference = None
+            fails = (reference is None or not mv.finite
+                     or math.isinf(mv.truncation_bias))
+            assert (member.label in res.skipped) == fails
+            if not fails:
+                assert quotients[member.label] == pytest.approx(reference,
+                                                                rel=1e-10)
 
     def test_level_series(self, grid):
         members = dyadic_indicator_family(grid, max_level=6)

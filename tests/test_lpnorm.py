@@ -401,7 +401,8 @@ class TestPreparedCells:
         member = dyadic_indicator_family(grid)[10]
         h = hardy_average(member.f)
         mv = modular(h, p)
-        assert 0 < mv.cells.size < grid.n // 2
+        (cells,) = lpnorm._prepare([(h, None)], p)
+        assert 0 < cells.size < grid.n // 2
         below, above = (SampledFunction(grid, h.values ** p.eval(x))
                         for x in (grid.x_min, 1.0))
         reference = (integrate(below, grid.x_min, 0.01)
@@ -416,14 +417,56 @@ class TestPreparedCells:
         checked = checked_norms(fs, p)
         assert [norm is None for _, norm in checked] == [False, True, False]
         for f, (mv, norm) in zip(fs, checked):
-            assert mv == modular(f, p) and mv.cells is None
+            assert mv == modular(f, p)
             if norm is not None:
                 assert norm == luxemburg_norm(f, p)
+
+    @pytest.mark.parametrize("budget", [None, 500])
+    def test_checked_norms_prepare_in_one_stream(self, grid, monkeypatch,
+                                                 budget):
+        # the whole list enters one _prepare call, cut in batches of at
+        # most _GROUP_CELLS nodes (a larger job alone), and each f keeps
+        # the modular and the norm it gets alone, bit for bit
+        p = PiecewiseConstant((2.0 ** -9, 0.1), (2.0, 2.6, 3.0))
+        fs = ([m.f for m in necessity_family(p, grid)]
+              + [m.f for m in dyadic_indicator_family(grid)]
+              + [m.f for m in random_step_family(grid)])
+        singles = [(modular(f, p), luxemburg_norm(f, p)) for f in fs]
+        calls, batches = [], []
+        prepare, cut = lpnorm._prepare, lpnorm._cut
+
+        def counted(jobs, q):
+            calls.append([])
+
+            def each():
+                for job in jobs:
+                    calls[-1].append(job[0])
+                    yield job
+            return prepare(each(), q)
+
+        def cut_batch(q, batch):
+            batches.append(sum(row[3] - row[2] for job in batch
+                               for row in job) if len(batch) > 1 else 0)
+            return cut(q, batch)
+
+        monkeypatch.setattr(lpnorm, "_prepare", counted)
+        monkeypatch.setattr(lpnorm, "_cut", cut_batch)
+        if budget is not None:
+            monkeypatch.setattr(lpnorm, "_GROUP_CELLS", budget)
+        checked = checked_norms(fs, p)
+        assert len(calls) == 1 and len(calls[0]) == len(fs)
+        assert all(f is g for f, g in zip(calls[0], fs))
+        assert 1 < len(batches) < len(fs)
+        assert max(batches) <= lpnorm._GROUP_CELLS
+        for (mv, norm), (single_mv, single_norm) in zip(checked, singles):
+            assert mv == single_mv
+            assert norm == single_norm
 
     def test_points_past_the_guard_are_inf_unevaluated(self, grid):
         # an exponent 10 p past EXP_GUARD would overflow exp() and so raise
         # the RuntimeWarning the suite turns into an error
-        cells = modular(power_function(grid, -0.3), Constant(3.0)).cells
+        (cells,) = lpnorm._prepare([(power_function(grid, -0.3), None)],
+                                   Constant(3.0))
         search = lpnorm._Search(cells, 1e-10)
         search.points = [cells.guard - 10.0, cells.guard + 1.0]
         ((past, inside),) = lpnorm._evaluate_points([search], cells.rows)
