@@ -22,7 +22,6 @@ from .exponent import (
     Tabulated,
     classify_monotonicity,
     conjugate_reciprocal,
-    phi,
 )
 from .grids import (
     DivergentHeadError,
@@ -40,7 +39,6 @@ from .lpnorm import (
     bracket_check,
     luxemburg_norm,
     modular,
-    norm_of_inverse_x,
 )
 from .hardy import (
     hardy_average,
@@ -52,7 +50,6 @@ from .hardy import (
 from .criteria import (
     BoundednessVerdict,
     CriterionReport,
-    almost_decreasing_constant,
     condition_A,
     condition_B,
     criterion_C2,

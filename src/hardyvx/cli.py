@@ -78,7 +78,12 @@ def _cmd_run(args) -> int:
     fmt = args.format or cfg.format
     out_dir = args.out or cfg.out
     if out_dir:
-        for path in emit(report, fmt, out_dir):
+        try:
+            paths = emit(report, fmt, out_dir)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        for path in paths:
             print(path)
     else:
         sys.stdout.write(report_json(report))

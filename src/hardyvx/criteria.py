@@ -28,6 +28,7 @@ from .exponent import (
 )
 from .grids import LogGrid
 from .hardy import (
+    NECESSITY_DEPTH,
     OperatorNormResult,
     dyadic_indicator_family,
     necessity_family,
@@ -48,7 +49,6 @@ __all__ = [
     "criterion_C3",
     "criterion_C4",
     "criterion_C5",
-    "almost_decreasing_constant",
     "dyadic_oscillation",
     "phi_doubling",
     "equivalence_audit",
@@ -58,6 +58,8 @@ PLATEAU_THRESHOLD = 0.10
 GROWTH_THRESHOLD = 1.5
 # deepest dyadic level a = 2^-j of the C2, C4 and C5 scans
 A_DEPTH = 36
+# depths of C3's suffixes, evenly spaced in ln x down to ln x_min
+C3_DEPTH_STOPS = 12
 
 
 @dataclass(frozen=True)
@@ -81,8 +83,7 @@ class BoundednessVerdict:
         }
 
 
-def classify_series(params, values, plateau: float = PLATEAU_THRESHOLD,
-                    growth: float = GROWTH_THRESHOLD,
+def classify_series(params, values,
                     notes: tuple[str, ...] = ()) -> BoundednessVerdict:
     """Trend verdict for a series of criterion values at dyadic scales."""
     params = np.asarray(params, dtype=float)
@@ -102,11 +103,11 @@ def classify_series(params, values, plateau: float = PLATEAU_THRESHOLD,
     slope = float(np.polyfit(params[i0:], last, 1)[0]) if last.size > 1 else 0.0
     if sup <= 0.0:
         return BoundednessVerdict("bounded", max(sup, 0.0), series, slope, notes)
-    if (run[-1] - run[i0]) / run[-1] < plateau:
+    if (run[-1] - run[i0]) / run[-1] < PLATEAU_THRESHOLD:
         return BoundednessVerdict("bounded", sup, series, slope, notes)
     positive = run[run > 0.0]
     overall = run[-1] / positive[0] if positive.size else math.inf
-    if overall > growth:
+    if overall > GROWTH_THRESHOLD:
         return BoundednessVerdict("divergent", sup, series, slope, notes)
     return BoundednessVerdict("inconclusive", sup, series, slope, notes)
 
@@ -231,22 +232,13 @@ def criterion_C5(p: ExponentLike, grid: LogGrid, a_list=None,
     return _integral_criteria(p, grid, a_list, delta, tol)["C5"]
 
 
-def almost_decreasing_constant(values: np.ndarray) -> float:
-    """sup over i <= j of v_j / v_i, via one reverse suffix-maximum scan."""
-    v = np.asarray(values, dtype=float)
-    if np.any(v <= 0.0):
-        raise ValueError("almost_decreasing_constant requires positive values")
-    suffix_max = np.maximum.accumulate(v[::-1])[::-1]
-    return float(np.max(suffix_max / v))
-
-
-def criterion_C3(p: ExponentLike, grid: LogGrid, eps_list=None,
-                 delta: float = 1.0, eps_depth: int = 13,
-                 depth_stops: int = 12) -> tuple[float | None, float,
-                                                 BoundednessVerdict]:
+def criterion_C3(p: ExponentLike, grid: LogGrid, delta: float = 1.0,
+                 eps_depth: int = 13) -> tuple[float | None, float,
+                                               BoundednessVerdict]:
     """Search for eps making x**eps * phi(x) almost decreasing.
 
-    For each eps the almost-decreasing constant C(eps) is recomputed on
+    For each eps the almost-decreasing constant C(eps), the sup over
+    i <= j of v_j / v_i, is recomputed on ``C3_DEPTH_STOPS``
     progressively deeper suffixes of the grid.  An eps is a valid witness
     only when ln C stops growing with depth; this rejects the finite-grid
     artifact C(eps) ~ x_min**(-eps), which passes any fixed threshold as
@@ -256,15 +248,14 @@ def criterion_C3(p: ExponentLike, grid: LogGrid, eps_list=None,
     mask = grid.points <= delta
     u = grid.u[mask]
     logphi = p.ln_phi[mask]
-    if eps_list is None:
-        _, p_plus, _ = p.p.bounds((0.0, delta))
-        eps0 = 1.0 - 1.0 / p_plus
-        if eps0 < 1e-6:
-            eps0 = 0.5
-        eps_list = [eps0 * 2.0 ** -k for k in range(max(1, eps_depth))]
+    _, p_plus, _ = p.p.bounds((0.0, delta))
+    eps0 = 1.0 - 1.0 / p_plus
+    if eps0 < 1e-6:
+        eps0 = 0.5
+    eps_list = [eps0 * 2.0 ** -k for k in range(max(1, eps_depth))]
 
-    depths = np.linspace(math.log(grid.x_min) / depth_stops,
-                         math.log(grid.x_min), depth_stops)
+    depths = np.linspace(math.log(grid.x_min) / C3_DEPTH_STOPS,
+                         math.log(grid.x_min), C3_DEPTH_STOPS)
     if u.size == 0 or u[-1] < depths[0]:
         return None, math.inf, BoundednessVerdict(
             "inconclusive", math.inf, (), math.nan,
@@ -272,13 +263,14 @@ def criterion_C3(p: ExponentLike, grid: LogGrid, eps_list=None,
              f"x={math.exp(depths[0]):.3g} and delta={delta:.3g}",))
     # ln C of the suffix from node i is the largest drop below a later
     # running max: one suffix max of v, then one of the drops, per eps
-    logv = np.asarray(eps_list, dtype=float)[:, None] * u + logphi
+    logv = np.array(eps_list)[:, None] * u + logphi
     drop = np.maximum.accumulate(logv[:, ::-1], axis=1)[:, ::-1] - logv
     ln_c = np.maximum.accumulate(drop[:, ::-1], axis=1)[:, ::-1]
-    stops = u.searchsorted(depths, "left")
+    full_at, half_at = u.searchsorted(depths[[-1, C3_DEPTH_STOPS // 2 - 1]],
+                                      "left")
     candidates = []
-    for eps, full, half in zip(eps_list, ln_c[:, stops[-1]].tolist(),
-                               ln_c[:, stops[depth_stops // 2 - 1]].tolist()):
+    for eps, full, half in zip(eps_list, ln_c[:, full_at].tolist(),
+                               ln_c[:, half_at].tolist()):
         growing = (full - half) > PLATEAU_THRESHOLD * full + 1e-9
         if not growing:
             candidates.append((math.exp(full), eps))
@@ -378,7 +370,8 @@ def _classes_conflict(a: str, b: str) -> bool:
 def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
                       a_depth: int = A_DEPTH, delta: float | None = None,
                       eps_depth: int = 13,
-                      necessity_depth: int = 33, norm_tol: float = 1e-10,
+                      necessity_depth: int = NECESSITY_DEPTH,
+                      norm_tol: float = 1e-10,
                       criteria_names: tuple[str, ...] = ("A", "B", "C1", "C2",
                                                          "C3", "C4", "C5"),
                       family_kinds: tuple[str, ...] = ("power", "necessity",
@@ -394,7 +387,7 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
         notes.append("p_minus = 1: the nonincreasing-case constant "
                      "p-/(p- - 1) degenerates")
 
-    mono = classify_monotonicity(p, 1.0)
+    mono = classify_monotonicity(p)
     mono_cls = mono.cls
     if delta is None:
         delta = 1.0

@@ -34,7 +34,6 @@ __all__ = [
     "Tabulated",
     "MonotonicityClass",
     "conjugate_reciprocal",
-    "phi",
     "log_phi",
     "GridExponent",
     "ExponentLike",
@@ -52,6 +51,9 @@ ETA_FLOOR = 0.125
 # Largest exponent fed to exp() when evaluating powers in log space.
 EXP_GUARD = 700.0
 
+# Points of the geometric scans that bound p or test its monotonicity.
+SCAN_POINTS = 10_000
+
 
 class DomainError(ValueError):
     """Argument outside the evaluation domain (0, 1]."""
@@ -68,13 +70,10 @@ def _check_domain(x: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class MonotonicityClass:
-    """Monotonicity verdict for an exponent on an interval (0, eps)."""
+    """Monotonicity verdict for an exponent on (0, 1)."""
 
     cls: str  # "nonincreasing" | "nondecreasing" | "nonmonotone"
-    certified_on: tuple[float, float]
-    exact: bool  # derived from family parameters rather than a grid scan
     constant: bool = False
-    grid_points: int = 0
 
 
 class ExponentFunction:
@@ -131,13 +130,13 @@ class ExponentFunction:
                 v0 = self.limit_at_origin()
                 lo, hi = min(lo, v0), max(hi, v0)
             return lo, hi, True
-        xs = _scan_points(a_eff, b, 10_000)
+        xs = _scan_points(a_eff, b)
         vals = self._eval(xs)
         return float(vals.min()), float(vals.max()), False
 
 
-def _scan_points(a: float, b: float, n: int) -> np.ndarray:
-    return np.exp(np.linspace(math.log(a), math.log(b), n))
+def _scan_points(a: float, b: float) -> np.ndarray:
+    return np.exp(np.linspace(math.log(a), math.log(b), SCAN_POINTS))
 
 
 @dataclass(frozen=True)
@@ -370,17 +369,6 @@ def log_phi(p_x, ln_inv_x):
     return (1.0 - 1.0 / p_x) * ln_inv_x
 
 
-def phi(p: ExponentFunction, t) -> np.ndarray:
-    """Kernel phi(t) = t**(-1/p'(t)), computed in log space."""
-    arr = _as_array(t)
-    _check_domain(arr)
-    expo = log_phi(p._eval(arr), -np.log(arr))
-    if np.any(expo > EXP_GUARD):
-        raise OverflowError("phi exceeds the representable range")
-    out = np.exp(expo)
-    return out if arr.shape else float(out)
-
-
 class PieceLayout(NamedTuple):
     """The node slices of pieces (s, t) of p laid end to end: u = ln x
     and p at each position, p one-sided at the piece's jumps (arrays);
@@ -482,21 +470,18 @@ def on_grid(p: ExponentLike, grid: LogGrid) -> GridExponent:
                         tuple(at.tolist()), tuple(sides))
 
 
-def classify_monotonicity(p: ExponentFunction, eps: float,
-                          n_scan: int = 10_000) -> MonotonicityClass:
-    """Monotonicity class of p on (0, eps).
+def classify_monotonicity(p: ExponentFunction) -> MonotonicityClass:
+    """Monotonicity class of p on (0, 1).
 
     Exact for symbolic families; a geometric grid scan otherwise.  A
     constant exponent reports nondecreasing with the ``constant`` flag.
     """
-    if not (0.0 < eps <= 1.0):
-        raise DomainError("eps must lie in (0, 1]")
     if p.is_constant():
-        return MonotonicityClass("nondecreasing", (0.0, eps), True, constant=True)
+        return MonotonicityClass("nondecreasing", constant=True)
     mono = p.monotonicity()
     if mono is not None:
-        return MonotonicityClass(mono, (0.0, eps), True)
-    xs = _scan_points(max(1e-14, eps * 1e-12), eps * (1 - 1e-12), n_scan)
+        return MonotonicityClass(mono)
+    xs = _scan_points(1e-12, 1.0 - 1e-12)
     d = np.diff(p._eval(xs))
     if np.all(d >= 0):
         cls = "nondecreasing"
@@ -504,11 +489,10 @@ def classify_monotonicity(p: ExponentFunction, eps: float,
         cls = "nonincreasing"
     else:
         cls = "nonmonotone"
-    return MonotonicityClass(cls, (0.0, eps), False, grid_points=n_scan)
+    return MonotonicityClass(cls)
 
 
-def monotone_prefix(p: ExponentFunction, x_min: float = 1e-12,
-                    n_scan: int = 10_000) -> float:
+def monotone_prefix(p: ExponentFunction, x_min: float = 1e-12) -> float:
     """Largest delta such that p is nondecreasing on (0, delta).
 
     Returns 1.0 when p is nondecreasing on all of (0,1); used to localize
@@ -516,7 +500,7 @@ def monotone_prefix(p: ExponentFunction, x_min: float = 1e-12,
     """
     if p.monotonicity() == "nondecreasing" or p.is_constant():
         return 1.0
-    xs = _scan_points(x_min, 1.0 - 1e-12, n_scan)
+    xs = _scan_points(x_min, 1.0 - 1e-12)
     vals = p._eval(xs)
     bad = np.nonzero(np.diff(vals) < 0)[0]
     if bad.size == 0:

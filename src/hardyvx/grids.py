@@ -1,18 +1,19 @@
 """Geometric grids on (x_min, 1], sampled functions, and quadrature.
 
-All integration happens in the coordinate u = ln x.  Cells carry either a
-log-linear interpolant (linear in (u, g)) or a power-law interpolant
-(linear in (u, ln g)).  One vectorised closed-form cell formula,
-``_cell_integrals``, takes nodes, node values and each cell's clipped
-range; the quadrature operations feed it the nodes of
-``LogGrid.node_slice(a, b)`` with [ln a, ln b] clipped into each cell, so
-a partial cell evaluates its own interpolant at the clipped end and an
-unclipped end keeps the stored node value.  A power-law cell is computed
-in log space by ``_exp_cells``: with E = ln g (+ u for dx) lerped to the
-clipped ends s and t, it is exp(max(E_s, E_t)) * (t - s) * (1 -
-e^-|E_t - E_s|) / |E_t - E_s|, two transcendentals per cell, exact as
-the cell flattens and with no overflow below the larger end.  A cell with
-a zero end, or a log-linear one, is linear in g (``_linear_cells``).
+All integration happens in the coordinate u = ln x.  Every sampled
+function is read one way, by evaluation, quadrature and the modular
+alike: a cell with both ends positive is a power law (linear in (u,
+ln g)), and a cell with a zero end is linear in (u, g).  One vectorised
+closed-form cell formula, ``_cell_integrals``, takes nodes, node values
+and each cell's clipped range; the quadrature operations feed it the
+nodes of ``LogGrid.node_slice(a, b)`` with [ln a, ln b] clipped into
+each cell, so a partial cell evaluates its own interpolant at the
+clipped end and an unclipped end keeps the stored node value.  A
+power-law cell is computed in log space by ``_exp_cells``: with E = ln g
+(+ u for dx) lerped to the clipped ends s and t, it is exp(max(E_s,
+E_t)) * (t - s) * (1 - e^-|E_t - E_s|) / |E_t - E_s|, two
+transcendentals per cell, exact as the cell flattens and with no
+overflow below the larger end; a linear cell is ``_linear_cells``.
 ``integrate`` and ``integrate_dlog`` sum the cells and
 ``cumulative_integral`` takes their running sum, so pure power integrands
 are exact up to rounding; ``_cumulative_integrals`` does so for a batch
@@ -71,11 +72,6 @@ class LogGrid:
         """Cell width in u = ln x."""
         return float(self.u[1] - self.u[0])
 
-    def index_left(self, x: float) -> int:
-        """Index i with points[i] <= x (clipped to a valid cell start)."""
-        i = int(np.searchsorted(self.points, x, side="right")) - 1
-        return min(max(i, 0), self.n - 2)
-
     def node_slice(self, a: float, b: float) -> slice:
         """The nodes of the cells meeting [a, b], the only nodes an
         integral over [a, b] reads."""
@@ -114,18 +110,16 @@ class SampledFunction:
 
     Outside ``support`` the function is zero; the stored values remain
     the smooth formula values on the whole grid so that boundary cells
-    can be interpolated exactly.  ``interp`` is "powerlaw" (linear in
-    (ln x, ln g); requires positive values where used) or "loglinear".
+    can be interpolated exactly.  Each cell is a power law between
+    positive ends and linear where an end is zero (see the module
+    docstring).
     """
 
     grid: LogGrid
     values: np.ndarray
-    interp: str = "powerlaw"
     support: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.interp not in ("powerlaw", "loglinear"):
-            raise ValueError("interp must be 'powerlaw' or 'loglinear'")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.points.shape:
             raise ValueError("values must match the grid")
@@ -144,7 +138,7 @@ class SampledFunction:
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         if np.any(arr < self.grid.x_min * (1 - 1e-12)) or np.any(arr > 1.0 + 1e-12):
             raise GridError("evaluation point outside the grid range")
-        out = _interp_values(self.grid, self.values, self.interp, np.log(arr))
+        out = _interp_values(self.grid, self.values, np.log(arr))
         if self.support is not None:
             lo, hi = self.support
             out = np.where((arr >= lo) & (arr <= hi), out, 0.0)
@@ -177,10 +171,8 @@ def as_segments(f: FunctionLike) -> list[SampledFunction]:
 _TINY = 1e-300
 
 
-def _interp_values(grid: LogGrid, vals: np.ndarray, interp: str,
+def _interp_values(grid: LogGrid, vals: np.ndarray,
                    uq: np.ndarray) -> np.ndarray:
-    if interp == "loglinear":
-        return np.interp(uq, grid.u, vals)
     if np.all(vals > 0.0):
         return np.exp(np.interp(uq, grid.u, np.log(vals)))
     # power-law interpolation degrades gracefully on cells touching zero
@@ -211,26 +203,26 @@ def _exp_cells(e_s, e_t, dt):
     return np.exp(np.maximum(e_s, e_t)) * dt * (np.expm1(x) / x)
 
 
-def _cell_integrals(u, g, s, t, powerlaw=True, weight_x: bool = True,
+def _cell_integrals(u, g, s, t, weight_x: bool = True,
                     left=None) -> np.ndarray:
     """Integral of g du (or e^u g du) over [s[i], t[i]] inside each cell
     [u[i], u[i+1]] of the nodes u, whose values are g; with ``left``, the
     cells are [u[left[i]], u[left[i] + 1]], so the nodes may hold several
     slices back to back.
 
-    A cell with both ends positive and ``powerlaw`` set (per cell, or for
-    all) is linear in (u, ln g): ``_exp_cells`` of E = ln g (+ u), taken
-    once per node and lerped to s and t.  Any other cell is linear in
-    (u, g), and each cell is evaluated by its own formula only.  s ==
-    u[i] or t == u[i+1] keeps the stored end value, so unclipped cells
-    are exact up to rounding.
+    A cell with both ends positive is linear in (u, ln g):
+    ``_exp_cells`` of E = ln g (+ u), taken once per node and lerped to
+    s and t.  A cell with a zero end is linear in (u, g), and each cell
+    is evaluated by its own formula only.  s == u[i] or t == u[i+1]
+    keeps the stored end value, so unclipped cells are exact up to
+    rounding.
     """
     i, j = (slice(None, -1), slice(1, None)) if left is None else (left,
                                                                    left + 1)
     u0, u1, g0, g1 = u[i], u[j], g[i], g[j]
     w_s, w_t = (s - u0) / (u1 - u0), (t - u0) / (u1 - u0)
     positive = g > 0.0
-    power = positive[i] & positive[j] & powerlaw
+    power = positive[i] & positive[j]
     # a slice, which copies nothing, indexes a kind that fills the call,
     # as the power cells fill most calls
     n_power = np.count_nonzero(power)
@@ -298,8 +290,7 @@ def _clipped_cells(g: SampledFunction, a: float, b: float,
     u = g.grid.u[nodes]
     return _cell_integrals(u, g.values[nodes],
                            np.clip(math.log(a), u[:-1], u[1:]),
-                           np.clip(math.log(b), u[:-1], u[1:]),
-                           powerlaw=g.interp == "powerlaw", weight_x=weight_x)
+                           np.clip(math.log(b), u[:-1], u[1:]), weight_x)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +358,7 @@ def cumulative_integral(f: FunctionLike) -> SampledFunction:
     (total,), _, (error,) = _cumulative_integrals([f])
     if error is not None:
         raise error
-    return SampledFunction(as_segments(f)[0].grid, total, interp="loglinear")
+    return SampledFunction(as_segments(f)[0].grid, total)
 
 
 def _cumulative_integrals(fs: list) -> tuple[np.ndarray, np.ndarray,
@@ -430,9 +421,7 @@ def _cumulative_integrals(fs: list) -> tuple[np.ndarray, np.ndarray,
         u, np.concatenate([seg.values[a:b] for seg, a, b in zip(
             segs, starts.tolist(), stops.tolist())]),
         np.clip(np.repeat(ln_a, cells_per), u0, u1),
-        np.clip(np.repeat(ln_b, cells_per), u0, u1),
-        np.repeat([seg.interp == "powerlaw" for seg in segs], cells_per),
-        True, left)
+        np.clip(np.repeat(ln_b, cells_per), u0, u1), left=left)
     running = np.zeros((len(segs), grid.n))
     running[np.repeat(np.arange(len(segs)), cells_per), idx[left] + 1] = cells
     np.cumsum(running, axis=1, out=running)

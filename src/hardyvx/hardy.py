@@ -61,6 +61,15 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# nodes of each t-grid of ``hardy_average_scaled``
+T_NODES = 257
+# spacing of the exponents beta of ``power_family``
+BETA_STEP = 0.05
+# deepest level j of the necessity family's blocks (2^-j-1, 2^-j)
+NECESSITY_DEPTH = 33
+# pieces of each ``random_step_family`` member
+STEP_PIECES = 6
+
 
 class ResolutionError(ValueError):
     """Too few grid points to resolve a test-function support."""
@@ -73,23 +82,15 @@ def hardy_average(f: FunctionLike) -> SampledFunction:
     """x -> (1/x) * integral_0^x f, sampled on f's grid:
     ``cumulative_integral`` divided by x, raising its DivergentHeadError."""
     H = cumulative_integral(f)
-    vals = H.values / H.grid.points
-    interp = "powerlaw" if np.all(vals > 0.0) else "loglinear"
-    return SampledFunction(H.grid, vals, interp=interp)
+    return SampledFunction(H.grid, H.values / H.grid.points)
 
 
-def _t_quadrature(t0: float, t1: float, vals_fn, n_t: int) -> float:
-    """integral of v(t) dt over (t0, t1) on a fresh geometric t-grid."""
-    u = np.linspace(math.log(t0), math.log(t1), n_t)
-    vs = np.asarray(vals_fn(np.exp(u)), dtype=float)
-    return float(np.sum(_cell_integrals(u, vs, u[:-1], u[1:])))
-
-
-def hardy_average_scaled(f: FunctionLike, n_t: int = 257) -> SampledFunction:
+def hardy_average_scaled(f: FunctionLike) -> SampledFunction:
     """Same operator via Hf(x)/x = integral_0^1 f(t x) dt.
 
     Each segment's support is mapped into t exactly; within a segment the
-    integrand is smooth and a per-segment geometric t-grid is used.
+    integrand is smooth and a per-segment geometric t-grid of
+    ``T_NODES`` nodes is used.
     """
     segs = as_segments(f)
     grid = segs[0].grid
@@ -120,13 +121,11 @@ def hardy_average_scaled(f: FunctionLike, n_t: int = 257) -> SampledFunction:
                 # nodes don't round out and read zero
                 x_lo = max(lo, grid.x_min) * (1.0 + 1e-12)
                 x_hi = hi * (1.0 - 1e-12)
-                acc += _t_quadrature(
-                    t_lo, t_hi,
-                    lambda ts: seg.evaluate(np.clip(ts * x, x_lo, x_hi)),
-                    n_t)
+                u = np.linspace(math.log(t_lo), math.log(t_hi), T_NODES)
+                vs = seg.evaluate(np.clip(np.exp(u) * x, x_lo, x_hi))
+                acc += float(np.sum(_cell_integrals(u, vs, u[:-1], u[1:])))
             out[i] += acc
-    interp = "powerlaw" if np.all(out > 0.0) else "loglinear"
-    return SampledFunction(grid, out, interp=interp)
+    return SampledFunction(grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +136,6 @@ class QuotientResult:
     value: float
     numerator: NormValue
     denominator: NormValue
-
-    def __float__(self) -> float:
-        return self.value
 
     @property
     def bounds(self) -> tuple[float, float]:
@@ -242,21 +238,22 @@ class FamilyMember:
     beta: float | None = None  # f = x^-beta, for a power member
 
 
-def power_family(p: ExponentFunction, grid: LogGrid,
-                 step: float = 0.05) -> list[FamilyMember]:
-    """f(x) = x**(-beta) for beta up to 1/p_minus - 0.01.
+def power_family(p: ExponentFunction, grid: LogGrid) -> list[FamilyMember]:
+    """f(x) = x**(-beta) for beta in steps of ``BETA_STEP`` up to
+    1/p_minus - 0.01.
 
     Non-integrable members are filtered later by the runner; the list is
     built from the exponent bounds alone.
     """
     p_minus, _, _ = p.bounds((0.0, 1.0))
     beta_max = 1.0 / p_minus - 0.01
-    betas = [round(step * k, 10) for k in range(1, int(beta_max / step) + 1)]
+    betas = [round(BETA_STEP * k, 10)
+             for k in range(1, int(beta_max / BETA_STEP) + 1)]
     if beta_max > 0 and (not betas or betas[-1] < beta_max - 1e-12):
         betas.append(round(beta_max, 10))
     members = []
     for beta in betas:
-        f = SampledFunction(grid, grid.points ** (-beta), interp="powerlaw")
+        f = SampledFunction(grid, grid.points ** (-beta))
         members.append(FamilyMember(f"power:beta={beta:g}", f, beta=beta))
     return members
 
@@ -271,8 +268,7 @@ def dyadic_indicator_family(grid: LogGrid,
         lo, hi = 2.0 ** -(k + 1), 2.0 ** -k
         if lo < grid.x_min:
             break
-        f = SampledFunction(grid, np.ones(grid.n), interp="powerlaw",
-                            support=(lo, hi))
+        f = SampledFunction(grid, np.ones(grid.n), support=(lo, hi))
         members.append(FamilyMember(f"dyadic:k={k}", f, level=k))
     return members
 
@@ -301,8 +297,7 @@ def necessity_test_function(p: ExponentLike, grid: LogGrid,
     for s, t in p.pieces(a / 2.0, a):
         vals = np.ones(grid.n)
         vals[block] = np.exp(-np.log(x) / p.p_at(block, s, t))
-        segs.append(SampledFunction(grid, vals, interp="powerlaw",
-                                    support=(s, t)))
+        segs.append(SampledFunction(grid, vals, support=(s, t)))
     return segs
 
 
@@ -312,7 +307,7 @@ def necessity_levels(grid: LogGrid, depth: int) -> list[int]:
 
 
 def necessity_family(p: ExponentLike, grid: LogGrid,
-                     depth: int = 30) -> list[FamilyMember]:
+                     depth: int = NECESSITY_DEPTH) -> list[FamilyMember]:
     """Necessity test functions at the levels of ``necessity_levels``;
     levels the grid cannot resolve are left out and logged."""
     p = on_grid(p, grid)
@@ -327,26 +322,27 @@ def necessity_family(p: ExponentLike, grid: LogGrid,
     return members
 
 
-def random_step_family(grid: LogGrid, seed: int = 0, pieces: int = 6,
+def random_step_family(grid: LogGrid, seed: int = 0,
                        count: int = 8) -> list[FamilyMember]:
-    """Random positive step functions on dyadic-scale partitions; none,
-    logged, when the grid has fewer dyadic levels than the cuts."""
+    """Random positive step functions of ``STEP_PIECES`` pieces on
+    dyadic-scale partitions; none, logged, when the grid has fewer dyadic
+    levels than the cuts."""
     depth = int(math.log2(1.0 / grid.x_min)) - 1
-    if depth < pieces:
+    if depth < STEP_PIECES:
         logger.info("leaving out the random-step family: %d dyadic levels "
-                    "for %d cuts", max(depth - 1, 0), pieces - 1)
+                    "for %d cuts", max(depth - 1, 0), STEP_PIECES - 1)
         return []
     rng = np.random.default_rng(seed)
     members = []
     for m in range(count):
-        cuts = np.sort(rng.choice(np.arange(1, depth), size=pieces - 1,
+        cuts = np.sort(rng.choice(np.arange(1, depth), size=STEP_PIECES - 1,
                                   replace=False))
         edges = [grid.x_min * 2.0] + [2.0 ** -int(c) for c in cuts[::-1]] + [1.0]
-        heights = rng.uniform(0.1, 10.0, size=pieces)
+        heights = rng.uniform(0.1, 10.0, size=STEP_PIECES)
         segs = []
         for (lo, hi), hgt in zip(zip(edges, edges[1:]), heights):
             segs.append(SampledFunction(grid, np.full(grid.n, hgt),
-                                        interp="powerlaw", support=(lo, hi)))
+                                        support=(lo, hi)))
         members.append(FamilyMember(f"step:seed={seed}:m={m}", segs))
     return members
 

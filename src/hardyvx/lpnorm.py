@@ -82,7 +82,6 @@ __all__ = [
     "luxemburg_norms",
     "checked_norms",
     "bracket_check",
-    "norm_of_inverse_x",
     "inverse_x_scales",
 ]
 
@@ -134,18 +133,12 @@ class ModularValue:
     def finite(self) -> bool:
         return math.isfinite(self.value)
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class NormValue:
     value: float
     tol: float
     bracket: tuple[float, float]
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _prepare(jobs, p: ExponentLike):
@@ -804,16 +797,9 @@ def _inverse_x_jobs(grid, a_list, delta: float) -> list:
     for a in a_list:
         if not (grid.x_min <= a < delta <= 1.0):
             raise ValueError("need x_min <= a < delta <= 1")
-        jobs.append((SampledFunction(grid, inverse, interp="powerlaw",
-                                     support=(a, delta)), (a, delta)))
+        jobs.append((SampledFunction(grid, inverse, support=(a, delta)),
+                     (a, delta)))
     return jobs
-
-
-def norm_of_inverse_x(p: ExponentLike, grid, a: float,
-                      delta: float = 1.0, tol: float = 1e-10) -> NormValue:
-    """Luxemburg norm of x -> 1/x over (a, delta)."""
-    ((f, interval),) = _inverse_x_jobs(grid, [a], delta)
-    return luxemburg_norm(f, p, interval, tol)
 
 
 def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,

@@ -78,11 +78,15 @@ def emit(report: RunReport, fmt: str, out_dir: str | Path) -> list[Path]:
     criterion series with header ``a,value,lo,hi``.  lo/hi are the
     certified bracket of the quotient that sets each C1 level and the
     norm bracket divided by phi(a) for C5; they collapse to the value on
-    the other series, which track no interval bound.
+    the other series, which track no interval bound.  The label names
+    the files, so it must be one path component: else ValueError, and
+    nothing is written.
     """
+    label = report.report.exponent_id or "scenario"
+    if label == ".." or Path(label).name != label:
+        raise ValueError(f"label {label!r} is not a single path component")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    label = report.report.exponent_id or "scenario"
     written: list[Path] = []
     if fmt == "json":
         path = out / f"{label}.json"

@@ -21,7 +21,7 @@ def coarse_grid():
 def power_function(grid, beta, coeff=1.0, support=None):
     """c * x**beta sampled on the grid."""
     vals = coeff * grid.points ** beta
-    return SampledFunction(grid, vals, interp="powerlaw", support=support)
+    return SampledFunction(grid, vals, support=support)
 
 
 def scaled(f, c):

@@ -1,0 +1,35 @@
+"""What code outside the package calls: the README's library example
+and the names the benchmark harness in ``bench/`` wraps or reads."""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+from hardyvx.exponent import ExponentFunction
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["report"].verdicts
+
+
+def test_names_bench_needs_exist():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wanted = list(tracer.TRACED) + [("hardy", "operator_norm_lower_bound"),
+                                    ("hardy", "modular"),
+                                    ("hardy", "luxemburg_norm")]
+    missing = [f"{module}.{name}" for module, name in wanted
+               if not callable(getattr(importlib.import_module(
+                   f"hardyvx.{module}"), name, None))]
+    assert not missing
+    assert callable(ExponentFunction.eval)

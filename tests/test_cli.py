@@ -13,7 +13,7 @@ from hardyvx.cli import main
 from hardyvx.config import ConfigError, load_schema, parse_config
 from hardyvx.criteria import equivalence_audit
 from hardyvx.grids import make_log_grid
-from hardyvx.hardy import power_family
+from hardyvx.hardy import necessity_family, power_family
 from hardyvx.lpnorm import modular
 from hardyvx.report import emit, report_json, run_scenario
 
@@ -65,6 +65,9 @@ class TestParseConfig:
                 == grid[key].default
         for key in ("a_depth", "delta", "eps_depth", "necessity_depth"):
             assert props[key]["default"] == audit[key].default
+        # a library call builds the same C1 family as a default audit
+        assert props["necessity_depth"]["default"] == inspect.signature(
+            necessity_family).parameters["depth"].default
         assert props["tolerances"]["properties"]["norm_tol"]["default"] \
             == audit["norm_tol"].default
         assert tuple(props["criteria"]["default"]) \
@@ -192,6 +195,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert "invalid config" in err and "grid.x_min" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("label", ["a/b", "../x"])
+    def test_label_that_is_no_file_name_is_input_error(self, tmp_path,
+                                                         capsys, label):
+        # under --out the label names the report file; on stdout it is
+        # only the report's exponent id
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"label": label,
+                                   "exponent": {"catalog": "constant-2"},
+                                   "grid": {"x_min": 1e-6, "n": 200}}))
+        out = tmp_path / "sub" / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "single path component" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.rglob("*")] == ["cfg.json"]
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["exponent"] \
+            == label
+
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(minimal(grid={"x_min": 1e-6, "n": 200}))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", "--config", str(cfg), "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert "cannot write report" in err and "Traceback" not in err
 
     def test_verbose_logs_skips_to_stderr_only(self, tmp_path, capsys):
         # C1 skips the dyadic indicators that have no node inside

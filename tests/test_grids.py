@@ -109,9 +109,9 @@ class TestCumulativeIntegral:
     def test_supported_segment(self, grid):
         f = power_function(grid, 0.0, support=(0.25, 0.5))
         F = cumulative_integral(f)
-        i = grid.index_left(0.7)
+        i = grid.node_slice(0.7, 1.0).start
         assert F.values[i] == pytest.approx(0.25, rel=1e-9)
-        assert F.values[grid.index_left(0.1)] == 0.0
+        assert F.values[grid.node_slice(0.1, 1.0).start] == 0.0
 
     def test_segments_add_in_order(self, grid):
         # a segment list integrates to the sum of its segments' integrals,
@@ -138,7 +138,7 @@ class TestCumulativeIntegral:
         x = grid.points[int(frac * (grid.n - 1))]
         F = cumulative_integral(f)
         direct = integrate(f, 0.0, float(x))
-        i = grid.index_left(float(x))
+        i = grid.node_slice(float(x), 1.0).start
         assert F.values[i] == pytest.approx(direct, rel=1e-9, abs=1e-300)
 
 

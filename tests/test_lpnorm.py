@@ -16,11 +16,10 @@ from hardyvx import (
     luxemburg_norm,
     make_log_grid,
     modular,
-    norm_of_inverse_x,
 )
 from hardyvx import hardy, lpnorm
 from hardyvx.config import parse_config
-from hardyvx.exponent import ExponentFunction, on_grid
+from hardyvx.exponent import ExponentFunction, log_phi, on_grid
 from hardyvx.grids import integrate
 from hardyvx.hardy import (
     dyadic_indicator_family,
@@ -187,7 +186,7 @@ class TestLockstepSolver:
         # node values outside the support enter the boundary cell, so a
         # spike there keeps the modular above 1 up to 2**200 sup|f|
         spike = np.ones(grid.n)
-        i = grid.index_left(0.25)
+        i = grid.node_slice(0.25, 1.0).start
         spike[i] = 1e300
         unbounded = SampledFunction(grid, spike,
                                     support=(grid.points[i] * 1.0001, 0.5))
@@ -217,7 +216,7 @@ class TestBatchedPreparation:
         necessity = [m.f for m in necessity_family(p, grid, depth=14)]
         assert any(len(f) > 1 for f in necessity)
         spike = np.ones(grid.n)
-        i = grid.index_left(0.25)
+        i = grid.node_slice(0.25, 1.0).start
         spike[i] = 1e300
         fs = (necessity
               + [hardy_average(m.f) for m in dyadic_indicator_family(grid)[2:5]]
@@ -276,7 +275,7 @@ class TestBatchedPreparation:
                    + random_step_family(grid, count=3)]
         lows = []
         for d in (0.01, 0.0123):
-            x = grid.points[grid.index_left(d):][:3]
+            x = grid.points[grid.node_slice(d, 1.0).start:][:3]
             lows += [math.sqrt(x[0] * d), d, math.sqrt(d * x[1]), x[1],
                      math.sqrt(x[1] * x[2])]
         a_list = [grid.x_min, 2.0 ** -20, 2.0 ** -9] + lows[:3]
@@ -356,7 +355,7 @@ class TestBatchedPreparation:
         assert any(len(f) > 1 for f in necessity)
         lows = []
         for d in (0.01, 0.0123):
-            x = grid.points[grid.index_left(d):][:3]
+            x = grid.points[grid.node_slice(d, 1.0).start:][:3]
             lows += [math.sqrt(x[0] * d), d, math.sqrt(d * x[1]), x[1],
                      math.sqrt(x[1] * x[2])]
         fs = ([m.f for m in power_family(p.p, grid)]
@@ -503,6 +502,14 @@ class TestBracket:
             assert rep.passed
 
 
+def _norm_of_inverse_x(p, grid, a, delta=1.0):
+    """||x^-1|| over (a, delta) as C5 takes it: ``inverse_x_scales`` on
+    the one scale a, at sigma = ln phi(a)."""
+    sigma = log_phi(p.eval(a), -math.log(a))
+    ((_, _, nv),) = lpnorm.inverse_x_scales(p, grid, [a], [sigma], delta)
+    return nv
+
+
 class TestNormOfInverseX:
     @pytest.mark.parametrize("p0", [2.0, 30.0, 60.0])
     def test_closed_form_p_two(self, grid, p0):
@@ -511,18 +518,18 @@ class TestNormOfInverseX:
         for a in (0.25, 0.04):
             k = (p0 - 1.0) * math.log(1.0 / a)
             log_mod = k + math.log(-math.expm1(-k)) - math.log(p0 - 1.0)
-            nv = norm_of_inverse_x(Constant(p0), grid, a)
+            nv = _norm_of_inverse_x(Constant(p0), grid, a)
             assert nv.value == pytest.approx(math.exp(log_mod / p0),
                                              rel=1e-9)
 
     def test_p_one_log(self, grid):
         # L^1 norm of 1/x over (a,1) is ln(1/a)
         a = 2.0 ** -8
-        nv = norm_of_inverse_x(Constant(1.0), grid, a)
+        nv = _norm_of_inverse_x(Constant(1.0), grid, a)
         assert nv.value == pytest.approx(math.log(1.0 / a), rel=1e-9)
 
     def test_delta_restriction(self, grid):
-        nv = norm_of_inverse_x(Constant(2.0), grid, 0.1, delta=0.5)
+        nv = _norm_of_inverse_x(Constant(2.0), grid, 0.1, delta=0.5)
         assert nv.value == pytest.approx(math.sqrt(1.0 / 0.1 - 1.0 / 0.5),
                                          rel=1e-9)
 
@@ -530,7 +537,8 @@ class TestNormOfInverseX:
         # ln(1/a) > EXP_GUARD: |f|**p alone passes the guard near a, but
         # the cell exponent p ln|f/lambda| + ln x does not
         a = 2.0 ** -1015
-        nv = norm_of_inverse_x(Constant(2.0), make_log_grid(1e-306, 4001), a)
+        nv = _norm_of_inverse_x(Constant(2.0), make_log_grid(1e-306, 4001),
+                                a)
         k = math.log(1.0 / a)
         log_norm = 0.5 * (k + math.log(-math.expm1(-k)))
         assert math.log(nv.value) == pytest.approx(log_norm, rel=1e-9)
@@ -539,8 +547,8 @@ class TestNormOfInverseX:
         # the jump at 1.85e-6 lies between a = 2^-19 and the node below
         # it, so that node carries p = 3 of (a, 1), not the 3.5 beyond
         a = 2.0 ** -19
-        nv = norm_of_inverse_x(PiecewiseConstant((1.85e-6,), (3.5, 3.0)),
-                               make_log_grid(1e-8, 241), a)
+        nv = _norm_of_inverse_x(PiecewiseConstant((1.85e-6,), (3.5, 3.0)),
+                                make_log_grid(1e-8, 241), a)
         assert nv.value == pytest.approx(((a ** -2 - 1.0) / 2.0) ** (1 / 3),
                                          rel=1e-9)
 
