@@ -46,7 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="run one scenario from a JSON config")
     run.add_argument("--config", required=True, help="path to JSON config")
     run.add_argument("--out", default=None,
-                     help="output directory (default: config 'out' or '.')")
+                     help="output directory (default: config 'out'; "
+                          "without either, the JSON report goes to stdout)")
     run.add_argument("--format", choices=("json", "csv"), default=None,
                      help="output format (default: config 'format' or json)")
 
@@ -57,6 +58,16 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--out", default=None,
                        help="optional directory for per-entry JSON reports")
     return parser
+
+
+def _emit(report, fmt: str, out_dir: str) -> list | None:
+    """``emit``'s paths, or None once it has said on stderr why it could
+    not write."""
+    try:
+        return emit(report, fmt, out_dir)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_run(args) -> int:
@@ -78,10 +89,8 @@ def _cmd_run(args) -> int:
     fmt = args.format or cfg.format
     out_dir = args.out or cfg.out
     if out_dir:
-        try:
-            paths = emit(report, fmt, out_dir)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
+        paths = _emit(report, fmt, out_dir)
+        if paths is None:
             return EXIT_INPUT
         for path in paths:
             print(path)
@@ -109,8 +118,8 @@ def _cmd_audit_all(args) -> int:
                    if k.startswith("C") or k in ("A", "B")}
         print(f"{entry.name:24s} expected={entry.expected:9s} "
               f"{status:12s} {classes}")
-        if args.out:
-            emit(report, "json", args.out)
+        if args.out and _emit(report, "json", args.out) is None:
+            return EXIT_INPUT
         if not rep.agreement:
             worst = EXIT_INCONSISTENT
     return worst

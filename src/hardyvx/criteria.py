@@ -183,14 +183,12 @@ def default_a_list(grid: LogGrid, delta: float, depth: int) -> list[float]:
     return out
 
 
-def _scales(p: ExponentLike, grid: LogGrid, a_list, delta: float):
-    """(p on the grid, the scales a, by default the dyadic scan, their
-    levels -log2 a, ln phi(a) from one evaluation of p at all a)."""
+def _scales(p: ExponentLike, grid: LogGrid, a_list):
+    """(p on the grid, the levels -log2 a of the scales a, ln phi(a) from
+    one evaluation of p at all a)."""
     p = on_grid(p, grid)
-    if a_list is None:
-        a_list = default_a_list(grid, delta, A_DEPTH)
     ln_phi_a = log_phi(p.p.eval(a_list), -np.log(a_list)).tolist()
-    return p, a_list, [-math.log2(a) for a in a_list], ln_phi_a
+    return p, [-math.log2(a) for a in a_list], ln_phi_a
 
 
 def _integral_criteria(p: ExponentLike, grid: LogGrid, a_list, delta: float,
@@ -200,7 +198,7 @@ def _integral_criteria(p: ExponentLike, grid: LogGrid, a_list, delta: float,
     dx/x) / phi(a); s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x,
     the modular of f_a/phi(a), inf where a cell exponent passes
     EXP_GUARD; and ||f_a|| / phi(a), with its certified bracket."""
-    p, a_list, levels, ln_phi_a = _scales(p, grid, a_list, delta)
+    p, levels, ln_phi_a = _scales(p, grid, a_list)
     c2, c4, c5, bounds = [], [], [], []
     for la, (integral, mod, nv) in zip(ln_phi_a, inverse_x_scales(
             p, grid, a_list, ln_phi_a, delta, tol)):
@@ -214,22 +212,25 @@ def _integral_criteria(p: ExponentLike, grid: LogGrid, a_list, delta: float,
             "C5": replace(classify_series(levels, c5), bounds=tuple(bounds))}
 
 
-def criterion_C2(p: ExponentLike, grid: LogGrid, a_list=None,
+def criterion_C2(p: ExponentLike, grid: LogGrid,
                  delta: float = 1.0) -> BoundednessVerdict:
     """r(a) = (integral_a^delta phi dx/x) / phi(a)."""
-    return _integral_criteria(p, grid, a_list, delta, 1e-10)["C2"]
+    return _integral_criteria(p, grid, default_a_list(grid, delta, A_DEPTH),
+                              delta, 1e-10)["C2"]
 
 
-def criterion_C4(p: ExponentLike, grid: LogGrid, a_list=None,
+def criterion_C4(p: ExponentLike, grid: LogGrid,
                  delta: float = 1.0) -> BoundednessVerdict:
     """s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x."""
-    return _integral_criteria(p, grid, a_list, delta, 1e-10)["C4"]
+    return _integral_criteria(p, grid, default_a_list(grid, delta, A_DEPTH),
+                              delta, 1e-10)["C4"]
 
 
-def criterion_C5(p: ExponentLike, grid: LogGrid, a_list=None,
-                 delta: float = 1.0, tol: float = 1e-10) -> BoundednessVerdict:
+def criterion_C5(p: ExponentLike, grid: LogGrid,
+                 delta: float = 1.0) -> BoundednessVerdict:
     """||x^-1|| over (a, delta) divided by a**(-1/p'(a))."""
-    return _integral_criteria(p, grid, a_list, delta, tol)["C5"]
+    return _integral_criteria(p, grid, default_a_list(grid, delta, A_DEPTH),
+                              delta, 1e-10)["C5"]
 
 
 def criterion_C3(p: ExponentLike, grid: LogGrid, delta: float = 1.0,

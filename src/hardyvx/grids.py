@@ -173,19 +173,16 @@ _TINY = 1e-300
 
 def _interp_values(grid: LogGrid, vals: np.ndarray,
                    uq: np.ndarray) -> np.ndarray:
-    if np.all(vals > 0.0):
-        return np.exp(np.interp(uq, grid.u, np.log(vals)))
-    # power-law interpolation degrades gracefully on cells touching zero
-    out = np.empty_like(uq)
-    for k, u in np.ndenumerate(uq):
-        i = min(max(int(np.searchsorted(grid.u, u) - 1), 0), grid.n - 2)
-        g0, g1 = vals[i], vals[i + 1]
-        t = (u - grid.u[i]) / (grid.u[i + 1] - grid.u[i])
-        if g0 > 0.0 and g1 > 0.0:
-            out[k] = g0 * (g1 / g0) ** t
-        else:
-            out[k] = g0 + (g1 - g0) * t
-    return out
+    """g at each u of ``uq`` by the cell rule, in one pass: ``_lerp`` in
+    (u, ln g) where both ends of u's cell are positive, in (u, g)
+    otherwise."""
+    i = np.minimum(np.maximum(grid.u.searchsorted(uq) - 1, 0), grid.n - 2)
+    u0 = grid.u[i]
+    w = (uq - u0) / (grid.u[i + 1] - u0)
+    g0, g1 = vals[i], vals[i + 1]
+    power = (g0 > 0.0) & (g1 > 0.0)
+    ln0, ln1 = (np.log(np.where(power, g, 1.0)) for g in (g0, g1))
+    return np.where(power, np.exp(_lerp(ln0, ln1, w)), _lerp(g0, g1, w))
 
 
 def _lerp(y0, y1, w):

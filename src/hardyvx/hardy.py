@@ -67,8 +67,11 @@ T_NODES = 257
 BETA_STEP = 0.05
 # deepest level j of the necessity family's blocks (2^-j-1, 2^-j)
 NECESSITY_DEPTH = 33
-# pieces of each ``random_step_family`` member
+# pieces of each ``random_step_family`` member, the members, and the
+# seed of the one generator that draws them in order
 STEP_PIECES = 6
+STEP_COUNT = 8
+STEP_SEED = 0
 
 
 class ResolutionError(ValueError):
@@ -223,8 +226,7 @@ def rayleigh_quotient(f: FunctionLike, p: ExponentLike,
     """||x^-1 Hf|| / ||f|| in the Luxemburg norm over (x_min, 1]:
     ``_rayleigh_quotients`` on one f, raising its exception if it
     fails."""
-    (result,) = _rayleigh_quotients([f], luxemburg_norms([(f, None)], p, tol),
-                                    p, tol)
+    (result,) = _rayleigh_quotients([f], luxemburg_norms([f], p, tol), p, tol)
     if isinstance(result, Exception):
         raise result
     return result
@@ -258,13 +260,10 @@ def power_family(p: ExponentFunction, grid: LogGrid) -> list[FamilyMember]:
     return members
 
 
-def dyadic_indicator_family(grid: LogGrid,
-                            max_level: int | None = None) -> list[FamilyMember]:
-    """Indicators of the dyadic blocks (2^-k-1, 2^-k)."""
-    if max_level is None:
-        max_level = int(math.log2(1.0 / grid.x_min)) - 1
+def dyadic_indicator_family(grid: LogGrid) -> list[FamilyMember]:
+    """Indicators of the dyadic blocks (2^-k-1, 2^-k) above x_min."""
     members = []
-    for k in range(1, max_level + 1):
+    for k in range(1, int(math.log2(1.0 / grid.x_min))):
         lo, hi = 2.0 ** -(k + 1), 2.0 ** -k
         if lo < grid.x_min:
             break
@@ -322,19 +321,18 @@ def necessity_family(p: ExponentLike, grid: LogGrid,
     return members
 
 
-def random_step_family(grid: LogGrid, seed: int = 0,
-                       count: int = 8) -> list[FamilyMember]:
-    """Random positive step functions of ``STEP_PIECES`` pieces on
-    dyadic-scale partitions; none, logged, when the grid has fewer dyadic
-    levels than the cuts."""
+def random_step_family(grid: LogGrid) -> list[FamilyMember]:
+    """``STEP_COUNT`` random positive step functions of ``STEP_PIECES``
+    pieces on dyadic-scale partitions; none, logged, when the grid has
+    fewer dyadic levels than the cuts."""
     depth = int(math.log2(1.0 / grid.x_min)) - 1
     if depth < STEP_PIECES:
         logger.info("leaving out the random-step family: %d dyadic levels "
                     "for %d cuts", max(depth - 1, 0), STEP_PIECES - 1)
         return []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(STEP_SEED)
     members = []
-    for m in range(count):
+    for m in range(STEP_COUNT):
         cuts = np.sort(rng.choice(np.arange(1, depth), size=STEP_PIECES - 1,
                                   replace=False))
         edges = [grid.x_min * 2.0] + [2.0 ** -int(c) for c in cuts[::-1]] + [1.0]
@@ -343,7 +341,7 @@ def random_step_family(grid: LogGrid, seed: int = 0,
         for (lo, hi), hgt in zip(zip(edges, edges[1:]), heights):
             segs.append(SampledFunction(grid, np.full(grid.n, hgt),
                                         support=(lo, hi)))
-        members.append(FamilyMember(f"step:seed={seed}:m={m}", segs))
+        members.append(FamilyMember(f"step:seed={STEP_SEED}:m={m}", segs))
     return members
 
 

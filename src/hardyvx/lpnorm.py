@@ -4,11 +4,11 @@ The modular integrand |f(x)/lambda|**p(x) is always assembled in log
 space as exp(p(x) * (ln|f(x)| - sigma)), sigma = ln lambda, with |f| = 0
 contributing 0.  Integration splits at exponent discontinuities and at
 segment support boundaries, so piecewise power data is integrated
-exactly.  ``_prepare`` turns (f, interval) jobs into sigma-independent
-cell rows, once per f and a batch of jobs at a time.  Every job is cut
+exactly.  ``_prepare`` turns functions into sigma-independent cell
+rows, once per f and a batch of functions at a time.  Every f is cut
 from one layout of p, ``GridExponent.layout``: the node slices of p's
 pieces over (x_min, 1] laid end to end, built once per (p, grid).  Each
-segment of f, clipped to the job's interval, is one run of its
+segment of f, its support clipped to (x_min, 1], is one run of its
 positions, as is each of C1's Hardy averages, given as running totals
 divided by x (``_gather_averages``); ``_cut`` cuts a batch of such rows
 for the one cell builder, ``_cells``.  For each cell of a piece's node
@@ -141,27 +141,24 @@ class NormValue:
     bracket: tuple[float, float]
 
 
-def _prepare(jobs, p: ExponentLike):
-    """The prepared modular of each (f, interval) job, in order; interval
-    None means (x_min, 1].  Each segment of f, clipped to the interval as
-    (lo, hi), is one row of ``_cut``: f at the nodes of ``node_slice(lo,
-    hi)``, held by the pieces of p's layout from k0 = bisect_right(jumps,
-    lo) to k1 = bisect_left(jumps, hi), for the jumps where the layout's
-    pieces meet.  Jobs are gathered in batches of at most ``_GROUP_CELLS``
-    such nodes (a larger job alone), each cut in one pass, so only one
-    batch's arrays are held at a time."""
+def _prepare(fs, p: ExponentLike):
+    """The prepared modular of each f of ``fs``, in order.  Each segment
+    of f, its support clipped to (x_min, 1] as (lo, hi), is one row of
+    ``_cut``: f at the nodes of ``node_slice(lo, hi)``, held by the pieces
+    of p's layout from k0 = bisect_right(jumps, lo) to k1 =
+    bisect_left(jumps, hi), for the jumps where the layout's pieces meet.
+    Functions are gathered in batches of at most ``_GROUP_CELLS`` such
+    nodes (a larger f alone), each cut in one pass, so only one batch's
+    arrays are held at a time."""
     batch, size = [], 0
-    for f, interval in jobs:
+    for f in fs:
         segs = as_segments(f)
         q = on_grid(p, segs[0].grid)
         grid, layout = q.grid, q.layout
-        a, b = interval if interval is not None else (grid.x_min, 1.0)
-        if not (grid.x_min * (1 - 1e-12) <= a < b <= 1.0 + 1e-12):
-            raise ValueError("modular interval must lie inside [x_min, 1]")
         rows = []
         for seg in segs:
             lo, hi = seg.effective_support()
-            lo_eff, hi_eff = max(lo, a), min(hi, b)
+            lo_eff, hi_eff = max(lo, grid.x_min), min(hi, 1.0)
             ln_lo, ln_hi = math.log(lo_eff), math.log(hi_eff)
             if ln_lo >= ln_hi:  # no width in u
                 continue
@@ -179,8 +176,7 @@ def _prepare(jobs, p: ExponentLike):
             if cut.stop - 1 <= layout.start[k1]:
                 k1 -= 1
             rows.append((k0, k1, cut.start, cut.stop, ln_lo, ln_hi,
-                         seg.values[cut], lo, hi,
-                         lo < grid.x_min and a <= grid.x_min * (1 + 1e-12)))
+                         seg.values[cut], lo, hi, lo < grid.x_min))
         nodes = sum(row[3] - row[2] for row in rows)
         if batch and (q is not p or size + nodes > _GROUP_CELLS):
             yield from _cut(p, batch)
@@ -195,8 +191,8 @@ def _prepare(jobs, p: ExponentLike):
 def _gather_averages(p: GridExponent, values: np.ndarray,
                      starts: np.ndarray) -> list[_Cells]:
     """The cells of each row of ``values`` (f at every grid node, f >= 0)
-    over (x_min, 1], as ``_prepare`` builds them for f with no support
-    interval, less the head fit, in one ``_cut``: row r is read from grid
+    over (x_min, 1], as ``_prepare`` builds them for f with no support,
+    less the head fit, in one ``_cut``: row r is read from grid
     node ``starts[r]`` on, the caller's promise that every cell ending at
     or below that node has f = 0 at both ends, so would be dropped.  The
     row starts in the first piece whose last node lies above that node;
@@ -399,14 +395,13 @@ def _evaluate(rows: np.ndarray, sigma, starts: np.ndarray):
     return np.add.reduceat(cells, starts), slopes
 
 
-def modular(f: FunctionLike, p: ExponentLike,
-            interval: tuple[float, float] | None = None) -> ModularValue:
-    """integral of |f(x)|**p(x) dx over ``interval`` (default (x_min, 1]).
+def modular(f: FunctionLike, p: ExponentLike) -> ModularValue:
+    """integral of |f(x)|**p(x) dx over (x_min, 1].
 
     The truncation bias is the head below x_min, estimated with the grid's
     two-point power fit of the integrand."""
     segs = as_segments(f)
-    (cells,) = _prepare([(segs, interval)], p)
+    (cells,) = _prepare([segs], p)
     return _modular(cells, segs[0].grid)
 
 
@@ -696,22 +691,21 @@ def _solve(prepared, tol: float) -> list:
     return results
 
 
-def luxemburg_norms(jobs, p: ExponentLike, tol: float = 1e-10) -> list:
-    """inf{lambda > 0 : modular(f/lambda) <= 1} for each (f, interval)
-    job, in order; interval None means (x_min, 1].  p is sampled once for
-    all jobs on one grid.
+def luxemburg_norms(fs, p: ExponentLike, tol: float = 1e-10) -> list:
+    """inf{lambda > 0 : modular(f/lambda) <= 1} for each f of ``fs``, in
+    order.  p is sampled once for all of them on one grid.
 
     Each result is a NormValue with ``value == bracket[1]``, I(bracket[1])
     <= 1 < I(bracket[0]), bracket[0] < bracket[1], and relative bracket
     width ``tol`` at most the requested one (for a tol below double
     resolution, the width at which bisection in ln lambda finds no lambda
     strictly inside the bracket); (0, _LAM_MIN) when f is negligible,
-    and 0 when f vanishes.  A job whose modular stays above 1 up to
+    and 0 when f vanishes.  An f whose modular stays above 1 up to
     2**200 max(1, sup|f|) (at most e^_SIGMA_MAX, about 6.6e307) gets an
-    UnboundedNormError in its slot (not
-    raised), and its neighbours are unaffected.
+    UnboundedNormError in its slot (not raised), and its neighbours are
+    unaffected.
     """
-    return _solve(_prepare(jobs, p), tol)
+    return _solve(_prepare(fs, p), tol)
 
 
 def checked_norms(fs: list, p: ExponentLike, tol: float = 1e-10) -> list:
@@ -725,7 +719,7 @@ def checked_norms(fs: list, p: ExponentLike, tol: float = 1e-10) -> list:
     checked = []  # (modular, whether f is in L^p(.))
 
     def finite():
-        for f, cells in zip(fs, _prepare(((f, None) for f in fs), p)):
+        for f, cells in zip(fs, _prepare(fs, p)):
             mv = _modular(cells, as_segments(f)[0].grid)
             member = mv.finite and not math.isinf(mv.truncation_bias)
             checked.append((mv, member))
@@ -737,11 +731,10 @@ def checked_norms(fs: list, p: ExponentLike, tol: float = 1e-10) -> list:
 
 
 def luxemburg_norm(f: FunctionLike, p: ExponentLike,
-                   interval: tuple[float, float] | None = None,
                    tol: float = 1e-10) -> NormValue:
     """inf{lambda > 0 : modular(f/lambda) <= 1}: ``luxemburg_norms`` on
-    one job, raising UnboundedNormError for an unbounded one."""
-    (result,) = luxemburg_norms([(f, interval)], p, tol)
+    one f, raising UnboundedNormError for an unbounded one."""
+    (result,) = luxemburg_norms([f], p, tol)
     if isinstance(result, UnboundedNormError):
         raise result
     return result
@@ -758,48 +751,43 @@ class BracketReport:
     slack_upper: float  # norm**(inner exponent) - modular
 
 
-def bracket_check(f: FunctionLike, p: ExponentLike,
-                  interval: tuple[float, float] | None = None,
-                  tol: float = 1e-9) -> BracketReport:
+def bracket_check(f: FunctionLike, p: ExponentLike) -> BracketReport:
     """Verify the modular-vs-norm sandwich; failure means a numerics bug.
 
     For ||f|| <= 1 the chain is ||f||**p_plus <= I <= ||f||**p_minus and
-    for ||f|| >= 1 the two exponents swap roles.
+    for ||f|| >= 1 the two exponents swap roles; each side may miss by
+    1e-9 of max(1, I).
     """
     segs = as_segments(f)
     grid = segs[0].grid
-    a, b = interval if interval is not None else (grid.x_min, 1.0)
     p = on_grid(p, grid)
     # f is prepared once, for its modular and its norm
-    (cells,) = _prepare([(segs, (a, b))], p)
+    (cells,) = _prepare([segs], p)
     mv = _modular(cells, grid)
     (nv,) = _solve([cells], 1e-10)
     if isinstance(nv, UnboundedNormError):
         raise nv
-    p_minus, p_plus, _ = p.p.bounds((a, b))
+    p_minus, p_plus, _ = p.p.bounds((grid.x_min, 1.0))
     n = nv.value
     if n <= 1.0:
         low, high = n ** p_plus, n ** p_minus
     else:
         low, high = n ** p_minus, n ** p_plus
-    scale = max(1.0, abs(mv.value)) if mv.finite else 1.0
+    slack = -1e-9 * (max(1.0, abs(mv.value)) if mv.finite else 1.0)
     slack_lower = mv.value - low
     slack_upper = high - mv.value
-    passed = mv.finite and slack_lower >= -tol * scale and slack_upper >= -tol * scale
+    passed = mv.finite and slack_lower >= slack and slack_upper >= slack
     return BracketReport(passed, n, mv.value, p_minus, p_plus,
                          slack_lower, slack_upper)
 
 
 def _inverse_x_jobs(grid, a_list, delta: float) -> list:
-    """The (f, interval) job of x -> 1/x over (a, delta) for each a."""
+    """x -> 1/x on (a, delta) for each a."""
+    if not all(grid.x_min <= a < delta <= 1.0 for a in a_list):
+        raise ValueError("need x_min <= a < delta <= 1")
     inverse = 1.0 / grid.points
-    jobs = []
-    for a in a_list:
-        if not (grid.x_min <= a < delta <= 1.0):
-            raise ValueError("need x_min <= a < delta <= 1")
-        jobs.append((SampledFunction(grid, inverse, support=(a, delta)),
-                     (a, delta)))
-    return jobs
+    return [SampledFunction(grid, inverse, support=(a, delta))
+            for a in a_list]
 
 
 def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,

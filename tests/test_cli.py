@@ -223,6 +223,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert "cannot write report" in err and "Traceback" not in err
 
+    def test_audit_all_unwritable_out_is_input_error(self, tmp_path, capsys):
+        # the first entry's report cannot be written: exit 1, no traceback
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["audit-all", "--out", str(taken)]) == 1
+        out, err = capsys.readouterr()
+        assert "cannot write report" in err and "Traceback" not in err
+        assert len(out.splitlines()) == 1
+        assert taken.read_text() == ""
+
     def test_verbose_logs_skips_to_stderr_only(self, tmp_path, capsys):
         # C1 skips the dyadic indicators that have no node inside
         cfg = tmp_path / "cfg.json"

@@ -23,11 +23,13 @@ from hardyvx import (
 from hardyvx import exponent
 from hardyvx.catalog import catalog_exponent
 from hardyvx.criteria import (
+    A_DEPTH,
     PLATEAU_THRESHOLD,
     _dyadic_block_sup,
     _scales,
     _scan_points,
     classify_series,
+    default_a_list,
 )
 from hardyvx.exponent import DyadicJump, log_phi, on_grid
 from hardyvx.grids import make_log_grid
@@ -243,7 +245,8 @@ class TestIntegralCriteria:
     def test_scales_match_the_scalar_loop(self, grid, p):
         # ln phi(a) from one vector evaluation of p at every scale a
         # against the per-a scalar formula it replaced
-        _, a_list, levels, ln_phi_a = _scales(p, grid, None, 1.0)
+        a_list = default_a_list(grid, 1.0, A_DEPTH)
+        _, levels, ln_phi_a = _scales(p, grid, a_list)
         assert len(a_list) == len(levels) == len(ln_phi_a) > 30
         for a, level, la in zip(a_list, levels, ln_phi_a):
             assert level == -math.log2(a)

@@ -17,6 +17,7 @@ from hardyvx.grids import (
     GridError,
     _cell_integrals,
     _cumulative_integrals,
+    _interp_values,
     _linear_cells,
     head_fit,
 )
@@ -97,6 +98,47 @@ class TestSupportsAndSegments:
         cut = 0.01234
         split = integrate(f, grid.x_min, cut) + integrate(f, cut, 1.0)
         assert split == pytest.approx(whole, rel=1e-12)
+
+
+class TestEvaluate:
+    @staticmethod
+    def _cell_rule(grid, vals, x):
+        """The per-point cell rule: g0 (g1/g0)**w between positive ends,
+        g0 + (g1 - g0) w otherwise."""
+        u = math.log(x)
+        i = min(max(int(np.searchsorted(grid.u, u)) - 1, 0), grid.n - 2)
+        g0, g1 = vals[i], vals[i + 1]
+        w = (u - grid.u[i]) / (grid.u[i + 1] - grid.u[i])
+        if g0 > 0.0 and g1 > 0.0:
+            return g0 * (g1 / g0) ** w
+        return g0 + (g1 - g0) * w
+
+    def test_cell_rule_around_zero_nodes(self, grid):
+        # random points, every node, and the midpoint of each cell next to
+        # one of 10 zero nodes
+        rng = np.random.default_rng(3)
+        vals = grid.points ** -0.3 * rng.uniform(0.5, 2.0, grid.n)
+        zeros = rng.choice(np.arange(1, grid.n - 1), 10, replace=False)
+        vals[zeros] = 0.0
+        near = np.concatenate([zeros - 1, zeros])
+        mid = np.sqrt(grid.points[near] * grid.points[near + 1])
+        x = np.concatenate([np.exp(rng.uniform(grid.u[0], 0.0, 600)),
+                            grid.points, mid])
+        got = SampledFunction(grid, vals).evaluate(x)
+        for xi, gi in zip(x.tolist(), got.tolist()):
+            assert gi == pytest.approx(self._cell_rule(grid, vals, xi),
+                                       rel=4e-15, abs=0.0)
+
+    def test_exact_nodes(self, grid):
+        # at u exactly a node, zero nodes and the nodes of cells with a
+        # zero end read their stored values exactly, the rest within
+        # rounding of exp(ln g)
+        vals = grid.points ** 0.4
+        vals[[100, 500, 501]] = 0.0
+        got = _interp_values(grid, vals, grid.u)
+        linear = [100, 101, 500, 501, 502]
+        assert np.array_equal(got[linear], vals[linear])
+        assert np.allclose(got, vals, rtol=4e-15, atol=0.0)
 
 
 class TestCumulativeIntegral:

@@ -193,26 +193,26 @@ class TestLockstepSolver:
         members = (power_family(p, grid)[::4]
                    + necessity_family(p, grid, depth=12)[::3]
                    + dyadic_indicator_family(grid)[::5])
-        jobs = [(m.f, None) for m in members]
-        jobs.insert(3, (unbounded, None))
-        jobs.append((power_function(grid, -0.3), (0.001, 0.5)))
+        jobs = [m.f for m in members]
+        jobs.insert(3, unbounded)
+        jobs.append(power_function(grid, -0.3, support=(0.001, 0.5)))
         batch = luxemburg_norms(jobs, p)
         assert len(batch) == len(jobs)
-        for (f, interval), result in zip(jobs, batch):
+        for f, result in zip(jobs, batch):
             if f is unbounded:
                 assert isinstance(result, UnboundedNormError)
                 with pytest.raises(UnboundedNormError):
-                    luxemburg_norm(f, p, interval)
+                    luxemburg_norm(f, p)
             else:
-                assert result == luxemburg_norm(f, p, interval)
+                assert result == luxemburg_norm(f, p)
 
 
 class TestBatchedPreparation:
     def _jobs(self, grid, p):
         """Jobs of every shape the preparation batches: multi-segment
         necessity members across jumps, the zero runs of a dyadic
-        indicator's Hardy average, heads below x_min, an interval inside
-        the support, an unbounded, a negligible and a zero job."""
+        indicator's Hardy average, heads below x_min, a support inside
+        the grid, an unbounded, a negligible and a zero job."""
         necessity = [m.f for m in necessity_family(p, grid, depth=14)]
         assert any(len(f) > 1 for f in necessity)
         spike = np.ones(grid.n)
@@ -225,8 +225,8 @@ class TestBatchedPreparation:
                                  support=(grid.points[i] * 1.0001, 0.5)),
                  SampledFunction(grid, np.full(grid.n, 1e-305)),
                  SampledFunction(grid, np.zeros(grid.n))])
-        jobs = [(f, None) for f in fs]
-        jobs.insert(5, (power_function(grid, -0.3), (0.001, 0.5)))
+        jobs = list(fs)
+        jobs.insert(5, power_function(grid, -0.3, support=(0.001, 0.5)))
         return jobs
 
     @pytest.mark.parametrize("budget", [1, None, 10 ** 12])
@@ -252,9 +252,9 @@ class TestBatchedPreparation:
             if isinstance(single, UnboundedNormError):
                 assert isinstance(result, UnboundedNormError)
                 with pytest.raises(UnboundedNormError):
-                    luxemburg_norm(job[0], p, job[1])
+                    luxemburg_norm(job, p)
                 continue
-            assert result == single == luxemburg_norm(job[0], p, job[1])
+            assert result == single == luxemburg_norm(job, p)
 
 
     @pytest.mark.parametrize("budget", [1, None, 10 ** 12])
@@ -262,7 +262,7 @@ class TestBatchedPreparation:
         # each piece (s, t) of p over a job's clipped segment reaches the
         # cell builder as the nodes of node_slice(s, t), with p_at's
         # values and f's: C1 members of every kind and their Hardy
-        # averages, (a, delta) intervals, heads below x_min, and supports
+        # averages, (a, delta) supports, heads below x_min, and supports
         # starting near the jump at 0.01, within rounding of a node, and
         # the one at 0.0123, inside a cell; a support end in a jump's cell
         # leaves the node below it outside f's support on both pieces
@@ -272,21 +272,22 @@ class TestBatchedPreparation:
         members = [m.f for m in power_family(p.p, grid)
                    + dyadic_indicator_family(grid)
                    + necessity_family(p, grid, depth=14)
-                   + random_step_family(grid, count=3)]
+                   + random_step_family(grid)[:3]]
         lows = []
         for d in (0.01, 0.0123):
             x = grid.points[grid.node_slice(d, 1.0).start:][:3]
             lows += [math.sqrt(x[0] * d), d, math.sqrt(d * x[1]), x[1],
                      math.sqrt(x[1] * x[2])]
         a_list = [grid.x_min, 2.0 ** -20, 2.0 ** -9] + lows[:3]
-        jobs = ([(f, None) for f in members]
-                + [(hardy_average(f), None) for f in members[::5]]
+        jobs = (members
+                + [hardy_average(f) for f in members[::5]]
                 + lpnorm._inverse_x_jobs(grid, a_list, 1.0)
                 + lpnorm._inverse_x_jobs(grid, a_list, 0.3)
-                + [(power_function(grid, -0.3),
-                    (grid.x_min * (1 - 1e-12), b)) for b in (0.0123, 1.0)]
-                + [(SampledFunction(grid, np.full(grid.n, 2.0),
-                                    support=(lo, 0.5)), None)
+                + [power_function(grid, -0.3,
+                                  support=(grid.x_min * (1 - 1e-12), b))
+                   for b in (0.0123, 1.0)]
+                + [SampledFunction(grid, np.full(grid.n, 2.0),
+                                   support=(lo, 0.5))
                    for lo in lows])
         batches = []
         cells = lpnorm._cells
@@ -307,14 +308,13 @@ class TestBatchedPreparation:
                 k += count
         assert len(cut) == len(jobs)
         seen = {"outside": 0, "outside on a later piece": 0, "heads": 0}
-        for (f, interval), pieces in zip(jobs, cut):
-            a, b = interval or (grid.x_min, 1.0)
+        for f, pieces in zip(jobs, cut):
             expected = []
             for seg in lpnorm.as_segments(f):
                 lo, hi = seg.effective_support()
-                lo_eff, hi_eff = max(lo, a), min(hi, b)
+                lo_eff, hi_eff = max(lo, grid.x_min), min(hi, 1.0)
                 if lo_eff < hi_eff:
-                    head = lo < grid.x_min and a <= grid.x_min * (1 + 1e-12)
+                    head = lo < grid.x_min
                     expected += [(seg, lo, hi, s, t, head and s == lo_eff,
                                   s > lo_eff)
                                  for s, t in p.pieces(lo_eff, hi_eff)]
@@ -363,13 +363,13 @@ class TestBatchedPreparation:
               + necessity
               + [SampledFunction(grid, np.full(grid.n, 2.0), support=(lo, 0.5))
                  for lo in lows]
-              + [m.f for m in random_step_family(grid, count=3)])
+              + [m.f for m in random_step_family(grid)[:3]])
         if budget is not None:
             monkeypatch.setattr(lpnorm, "_GROUP_CELLS", budget)
         numerators = list(hardy._average_cells(fs, p))
         assert len(numerators) == len(fs)
         for f, cells in zip(fs, numerators):
-            (whole,) = lpnorm._prepare([(hardy_average(f), None)], p)
+            (whole,) = lpnorm._prepare([hardy_average(f)], p)
             assert np.array_equal(cells.rows, whole.rows)
             assert (cells.guard, cells.sup) == (whole.guard, whole.sup)
 
@@ -378,7 +378,7 @@ class TestPreparedCells:
     def test_one_full_grid_p_eval_per_call(self, monkeypatch):
         grid = make_log_grid(1e-8, 241)
         p = PiecewiseConstant((0.01,), (1.5, 2.5))
-        jobs = [(m.f, None) for m in power_family(p, grid)
+        jobs = [m.f for m in power_family(p, grid)
                 + dyadic_indicator_family(grid)]
         sizes = []
         original = ExponentFunction.eval
@@ -400,7 +400,7 @@ class TestPreparedCells:
         member = dyadic_indicator_family(grid)[10]
         h = hardy_average(member.f)
         mv = modular(h, p)
-        (cells,) = lpnorm._prepare([(h, None)], p)
+        (cells,) = lpnorm._prepare([h], p)
         assert 0 < cells.size < grid.n // 2
         below, above = (SampledFunction(grid, h.values ** p.eval(x))
                         for x in (grid.x_min, 1.0))
@@ -439,7 +439,7 @@ class TestPreparedCells:
 
             def each():
                 for job in jobs:
-                    calls[-1].append(job[0])
+                    calls[-1].append(job)
                     yield job
             return prepare(each(), q)
 
@@ -464,7 +464,7 @@ class TestPreparedCells:
     def test_points_past_the_guard_are_inf_unevaluated(self, grid):
         # an exponent 10 p past EXP_GUARD would overflow exp() and so raise
         # the RuntimeWarning the suite turns into an error
-        (cells,) = lpnorm._prepare([(power_function(grid, -0.3), None)],
+        (cells,) = lpnorm._prepare([power_function(grid, -0.3)],
                                    Constant(3.0))
         search = lpnorm._Search(cells, 1e-10)
         search.points = [cells.guard - 10.0, cells.guard + 1.0]
@@ -559,7 +559,7 @@ class TestCollapsedRuns:
 
     def _jobs(self, grid):
         """(p, jobs) whose runs collapse: constant, step and tabulated p;
-        Hardy averages with one-zero-end cells; intervals that clip a
+        Hardy averages with one-zero-end cells; supports that clip a
         cell's corner; |f| near 1e250; and p = 60."""
         tabulated = Tabulated((1e-3, 1e-2, 0.5), (2.0, 4.0, 1.5))
         step = PiecewiseConstant((2.0 ** -9, 0.01, 0.3), (1.5, 2.5, 2.0, 3.0))
@@ -567,10 +567,11 @@ class TestCollapsedRuns:
             3:30:6]]
         out = []
         for p in (Constant(2.5), step, tabulated, Constant(60.0)):
-            jobs = ([(f, None) for f in dyadic]
-                    + [(power_function(grid, -0.3), (0.0123, 0.77)),
-                       (power_function(grid, -0.3, coeff=1e250), None),
-                       (power_function(grid, 0.2, coeff=1e-3), (1e-5, 0.3))]
+            jobs = (dyadic
+                    + [power_function(grid, -0.3, support=(0.0123, 0.77)),
+                       power_function(grid, -0.3, coeff=1e250),
+                       power_function(grid, 0.2, coeff=1e-3,
+                                      support=(1e-5, 0.3))]
                     + lpnorm._inverse_x_jobs(grid, [2.0 ** -20, 0.0123], 1.0))
             out.append((on_grid(p, grid), jobs))
         return out
@@ -605,7 +606,7 @@ class TestCollapsedRuns:
         # keeps its guard, sup and heads
         grid = make_log_grid(1e-8, 241)
         f = power_function(grid, -0.3)
-        (cells,) = lpnorm._prepare([(f, None)], Constant(2.5))
+        (cells,) = lpnorm._prepare([f], Constant(2.5))
         ((_, short),) = lpnorm._collapse([(0, cells)])
         assert short.size == 1 and cells.size == grid.n - 1
         assert np.array_equal(short.rows[[1, 3, 5]], np.full((3, 1), 2.5))
@@ -616,7 +617,7 @@ class TestCollapsedRuns:
         # no run of one exponent: every job keeps its rows, uncopied
         grid = make_log_grid(1e-8, 241)
         p = LogPerturbed(2.0, 1.0, 1.0)
-        jobs = [(m.f, None) for m in power_family(p, grid)
+        jobs = [m.f for m in power_family(p, grid)
                 + necessity_family(p, grid, depth=12)]
         batch = list(enumerate(lpnorm._prepare(jobs, p)))
         out = lpnorm._collapse(batch)
@@ -626,8 +627,8 @@ class TestCollapsedRuns:
         # two jobs on one constant p, each one run, side by side in one
         # batch: two cells, each its job's alone
         grid = make_log_grid(1e-8, 241)
-        jobs = [(power_function(grid, -0.3), (grid.x_min, 0.01)),
-                (power_function(grid, -0.3), (0.01, 1.0))]
+        jobs = [power_function(grid, -0.3, support=(grid.x_min, 0.01)),
+                power_function(grid, -0.3, support=(0.01, 1.0))]
         batch = list(enumerate(lpnorm._prepare(jobs, Constant(2.5))))
         out = lpnorm._collapse(batch)
         assert [cells.size for _, cells in out] == [1, 1]
