@@ -49,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output directory (default: config 'out'; "
                           "without either, the JSON report goes to stdout)")
     run.add_argument("--format", choices=("json", "csv"), default=None,
-                     help="output format (default: config 'format' or json)")
+                     help="output format (default: config 'format' or "
+                          "json); csv needs --out or config 'out'")
 
     sub.add_parser("catalog", help="list built-in exponent functions")
 
@@ -85,9 +86,13 @@ def _cmd_run(args) -> int:
             print(f"  {line}", file=sys.stderr)
         return EXIT_INPUT
 
-    report = run_scenario(cfg)
     fmt = args.format or cfg.format
     out_dir = args.out or cfg.out
+    if fmt == "csv" and not out_dir:
+        print("error: csv output needs --out or config 'out'",
+              file=sys.stderr)
+        return EXIT_INPUT
+    report = run_scenario(cfg)
     if out_dir:
         paths = _emit(report, fmt, out_dir)
         if paths is None:

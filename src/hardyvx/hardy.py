@@ -6,10 +6,10 @@ Hf(x)/x = integral_0^1 f(t x) dt, used to cross-validate quadrature.
 
 The C1 sweep takes the quotient of a power member x^-beta in closed form,
 1/(1 - beta) for every p, since Hf(x)/x = f(x)/(1 - beta).  It builds no
-other average as a sampled function: each numerator is prepared from its
-chunk's running totals, as ``grids._cumulative_integrals`` returns them,
-divided by x and cut into cells from p's layout, ``GridExponent.layout``,
-the one every modular job is cut from (``_average_cells``).
+other average as a sampled function: ``lpnorm.quotient_norms`` prepares
+every other member's numerator from running totals and solves it in the
+stream that solves the denominators, and ``_quotient`` holds the one
+order in which a member in L^p(.) is skipped for want of a quotient.
 """
 
 from __future__ import annotations
@@ -27,19 +27,16 @@ from .grids import (
     LogGrid,
     SampledFunction,
     _cell_integrals,
-    _cumulative_integrals,
     as_segments,
     cumulative_integral,
     head_fit,
 )
-from . import lpnorm
 from .lpnorm import (
     NormValue,
     UnboundedNormError,
-    checked_norms,
     luxemburg_norm,  # bench/selftest.py reads hardy.luxemburg_norm
-    luxemburg_norms,
     modular,
+    quotient_norms,
 )
 
 __all__ = [
@@ -149,84 +146,28 @@ class QuotientResult:
                 nhi / dlo if dlo > 0 else math.inf)
 
 
-def _average_cells(fs: list, p: ExponentLike):
-    """The prepared modular of x^-1 Hf over (x_min, 1] for each f in
-    ``fs``, all on one grid, in order, as they are taken; a function
-    whose head below x_min diverges gets its DivergentHeadError in its
-    place.  The running totals of chunks of at most
-    ``lpnorm._GROUP_CELLS`` segment rows come from one
-    ``_cumulative_integrals`` pass each, and each chunk's averages are
-    cut from p's layout in one ``lpnorm._gather_averages`` pass, so only
-    one chunk is held at a time.  Each average is read from the
-    first node of f's lowest segment's slice on, ``node_slice(lo, 1).start``
-    for f's lowest support lo >= x_min, and node 0 for lo < x_min: the
-    average is exactly 0 below that node, and at it for lo >= x_min."""
-    if not fs:
-        return
-    grid = as_segments(fs[0])[0].grid
-    p = on_grid(p, grid)
-
-    def prepare(chunk):
-        total, firsts, errors = _cumulative_integrals(chunk)
-        ok = [k for k, error in enumerate(errors) if error is None]
-        cells = iter(lpnorm._gather_averages(
-            p, total[ok] / grid.points, firsts[ok]) if ok else ())
-        for error in errors:
-            yield error if error is not None else next(cells)
-
-    chunk, size = [], 0
-    for f in fs:
-        n = len(as_segments(f)) * grid.n
-        if chunk and size + n > lpnorm._GROUP_CELLS:
-            yield from prepare(chunk)
-            chunk, size = [], 0
-        chunk.append(f)
-        size += n
-    if chunk:
-        yield from prepare(chunk)
-
-
-def _rayleigh_quotients(fs: list, denominators: list,
-                        p: ExponentLike, tol: float) -> list:
-    """Rayleigh quotients of each f in ``fs`` given its solved denominator
-    ||f||: every numerator in one lockstep solve, which takes the
-    averages' cells as ``_average_cells`` prepares them.  A failing f's
-    slot holds its exception (ZeroDivisionError, DivergentHeadError or
-    UnboundedNormError), stored without its traceback."""
-    results = list(denominators)
-    live = []
-    for i, den in enumerate(results):
-        if isinstance(den, UnboundedNormError):
-            continue
-        if den.value == 0.0:
-            results[i] = ZeroDivisionError(
-                "Rayleigh quotient of the zero function")
-            continue
-        live.append(i)
-    averaged = []  # the indices of the averages the solver takes
-
-    def averages():
-        for i, cells in zip(live, _average_cells([fs[i] for i in live], p)):
-            if isinstance(cells, DivergentHeadError):
-                results[i] = cells
-            else:
-                averaged.append(i)
-                yield cells
-
-    numerators = lpnorm._solve(averages(), tol)
-    for i, num in zip(averaged, numerators):
-        den = results[i]
-        results[i] = (num if isinstance(num, UnboundedNormError)
-                      else QuotientResult(num.value / den.value, num, den))
-    return results
+def _quotient(den, num):
+    """The QuotientResult of a denominator ||f|| and numerator ||x^-1 Hf||
+    from ``quotient_norms``, or the exception that rules it out, in this
+    order: an unbounded denominator (UnboundedNormError), a zero one
+    (ZeroDivisionError), a divergent Hardy head (DivergentHeadError), an
+    unbounded numerator (UnboundedNormError)."""
+    if isinstance(den, UnboundedNormError):
+        return den
+    if den.value == 0.0:
+        return ZeroDivisionError("Rayleigh quotient of the zero function")
+    if isinstance(num, Exception):
+        return num
+    return QuotientResult(num.value / den.value, num, den)
 
 
 def rayleigh_quotient(f: FunctionLike, p: ExponentLike,
                       tol: float = 1e-10) -> QuotientResult:
-    """||x^-1 Hf|| / ||f|| in the Luxemburg norm over (x_min, 1]:
-    ``_rayleigh_quotients`` on one f, raising its exception if it
-    fails."""
-    (result,) = _rayleigh_quotients([f], luxemburg_norms([f], p, tol), p, tol)
+    """||x^-1 Hf|| / ||f|| in the Luxemburg norm over (x_min, 1], whether
+    or not f lies in L^p(.): ``_quotient`` of f's ``quotient_norms``,
+    raising the exception that rules it out."""
+    ((_, den, num),) = quotient_norms([f], p, tol)
+    result = _quotient(den, num)
     if isinstance(result, Exception):
         raise result
     return result
@@ -380,41 +321,36 @@ def operator_norm_lower_bound(p: ExponentLike,
 
     A power member x^-beta takes one ``modular``, which decides whether
     it is in L^p(.) and gives its truncation bias; its quotient is
-    exactly 1/(1 - beta), with a bracket of zero width.  The others are
-    prepared in one stream by ``checked_norms``, which gives each
-    modular and denominator; the denominators are solved in one lockstep
-    batch, then the numerators in another.  Members with infinite
-    modular, a divergent Hardy head, an unbounded norm or a zero norm on
-    the grid are skipped and logged, in member order.  The reduction is a
-    deterministic max; ties go to the earliest member.  An empty or fully
-    skipped family gives a nan value and no argmax.  The result also
-    carries the worst truncation_bias / value over every member whose
-    modular was evaluated, skipped members included.
+    exactly 1/(1 - beta), with a bracket of zero width.  The others take
+    their modulars, denominators and numerators from one
+    ``quotient_norms`` stream, so from one lockstep solve.  A member with
+    an infinite modular or head is skipped, and so is one whose
+    ``_quotient`` is an exception (an unbounded or zero denominator, a
+    divergent Hardy head, an unbounded numerator), each logged with its
+    reason, in member order.  The reduction is a deterministic max; ties
+    go to the earliest member.  An empty or fully skipped family gives a
+    nan value and no argmax.  The result also carries the worst
+    truncation_bias / value over every member whose modular was
+    evaluated, skipped members included.
     """
     outcomes: list = [None] * len(members)  # (value, lo, hi) or skip reason
     p = on_grid(p, as_segments(members[0].f)[0].grid) if members else p
     power = [i for i, m in enumerate(members) if m.beta is not None]
     others = [i for i, m in enumerate(members) if m.beta is None]
-    checked = ([(modular(members[i].f, p), None) for i in power]
-               + checked_norms([members[i].f for i in others], p, tol))
+    checked = ([(modular(members[i].f, p), None, None) for i in power]
+               + quotient_norms([members[i].f for i in others], p, tol))
     worst_bias = 0.0
-    live, denominators = [], []
-    for i, (mv, den) in zip(power + others, checked):
+    for i, (mv, den, num) in zip(power + others, checked):
         if mv.finite and mv.value > 0.0:
             worst_bias = max(worst_bias, mv.truncation_bias / mv.value)
-        if members[i].beta is not None and mv.finite and not math.isinf(
-                mv.truncation_bias):
-            outcomes[i] = (1.0 / (1.0 - members[i].beta),) * 3
-        elif den is None:
+        if not mv.finite or math.isinf(mv.truncation_bias):
             outcomes[i] = "infinite modular"
+        elif members[i].beta is not None:
+            outcomes[i] = (1.0 / (1.0 - members[i].beta),) * 3
         else:
-            live.append(i)
-            denominators.append(den)
-    results = _rayleigh_quotients([members[i].f for i in live], denominators,
-                                  p, tol)
-    for i, result in zip(live, results):
-        outcomes[i] = ((result.value, *result.bounds)
-                       if isinstance(result, QuotientResult) else result)
+            result = _quotient(den, num)
+            outcomes[i] = ((result.value, *result.bounds)
+                           if isinstance(result, QuotientResult) else result)
     quotients, skipped = [], []
     for member, result in zip(members, outcomes):
         if not isinstance(result, tuple):

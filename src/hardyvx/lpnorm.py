@@ -10,7 +10,7 @@ from one layout of p, ``GridExponent.layout``: the node slices of p's
 pieces over (x_min, 1] laid end to end, built once per (p, grid).  Each
 segment of f, its support clipped to (x_min, 1], is one run of its
 positions, as is each of C1's Hardy averages, given as running totals
-divided by x (``_gather_averages``); ``_cut`` cuts a batch of such rows
+divided by x (``_average_cells``); ``_cut`` cuts a batch of such rows
 for the one cell builder, ``_cells``.  For each cell of a piece's node
 slice, with the piece clipped into it, the exponent E = p ln|f| + u -
 sigma p (u = ln x) at both clipped ends is a - sigma q, so the cell
@@ -24,7 +24,9 @@ neither ``SampledFunction`` nor ``integrate`` appears in a norm solve,
 and I is inf, without evaluation, for sigma below a row's guard, where a
 node's exponent E would exceed EXP_GUARD.
 
-Every norm comes from one lockstep solver, ``luxemburg_norms``.
+Every norm comes from one lockstep solver, ``_solve``, which
+``luxemburg_norms`` feeds, and C1's ``quotient_norms`` too: each test
+function's cells and then each of its Hardy averages', in one stream.
 I(e^sigma) is convex and decreasing in sigma, and so is ln I, so a
 Newton iteration on ln I(sigma) = 0 converges in a few steps.  Its slope
 is the cell sum of mean p times the cell integral (exact for p constant
@@ -65,6 +67,7 @@ from .grids import (
     DivergentHeadError,
     FunctionLike,
     SampledFunction,
+    _cumulative_integrals,
     _exp_cells,
     _lerp,
     _linear_cells,
@@ -80,7 +83,7 @@ __all__ = [
     "modular",
     "luxemburg_norm",
     "luxemburg_norms",
-    "checked_norms",
+    "quotient_norms",
     "bracket_check",
     "inverse_x_scales",
 ]
@@ -188,25 +191,46 @@ def _prepare(fs, p: ExponentLike):
         yield from _cut(p, batch)
 
 
-def _gather_averages(p: GridExponent, values: np.ndarray,
-                     starts: np.ndarray) -> list[_Cells]:
-    """The cells of each row of ``values`` (f at every grid node, f >= 0)
-    over (x_min, 1], as ``_prepare`` builds them for f with no support,
-    less the head fit, in one ``_cut``: row r is read from grid
-    node ``starts[r]`` on, the caller's promise that every cell ending at
-    or below that node has f = 0 at both ends, so would be dropped.  The
-    row starts in the first piece whose last node lies above that node;
-    pieces meet in at most one cell, so that piece's s lies at or below
-    the node, and clipped into the row's first cell it is u there."""
-    layout, n = p.layout, values.shape[1]
-    last = len(layout.first) - 1
+def _average_cells(fs: list, p: GridExponent):
+    """The prepared modular of x^-1 Hf over (x_min, 1] for each f in
+    ``fs``, all on p's grid, in order, as they are taken, or f's
+    DivergentHeadError where its head below x_min diverges.  Chunks of at
+    most ``_GROUP_CELLS`` segment rows take one ``_cumulative_integrals``
+    pass each, and their running totals divided by x are cut from p's
+    layout in one ``_cut``, as ``_prepare`` cuts f with no support, less
+    the head fit.  An average is read from the first node of f's lowest
+    segment's slice on (node 0 for support below x_min): below that node
+    it is exactly 0, and at it too unless a head reaches it, so every
+    cell ending at or below it would be dropped.  The row starts in the
+    first piece whose last node lies above that node; pieces meet in at
+    most one cell, so that piece's s lies at or below the node, and
+    clipped into the row's first cell it is u there."""
+    grid, layout, last = p.grid, p.layout, len(p.layout.first) - 1
     # the last node of each piece
     ends = np.add(layout.start, layout.last) - layout.first + 1
-    return _cut(p, [[(k0, last, start, n, ln_s, 0.0, row[start:], 0.0,
-                      math.inf, False)]
-                     for k0, start, ln_s, row in zip(
-                         ends.searchsorted(starts, "right").tolist(),
-                         starts.tolist(), p.grid.u[starts].tolist(), values)])
+
+    def prepare(chunk):
+        # a function whose head diverges has a row of zeros from node 0,
+        # whose cells are all dropped
+        total, starts, errors = _cumulative_integrals(chunk)
+        cells = _cut(p, [
+            [(k0, last, start, grid.n, ln_s, 0.0, row[start:], 0.0,
+              math.inf, False)]
+            for k0, start, ln_s, row in zip(
+                ends.searchsorted(starts, "right").tolist(), starts.tolist(),
+                grid.u[starts].tolist(), total / grid.points)])
+        return [error or job for error, job in zip(errors, cells)]
+
+    chunk, size = [], 0
+    for f in fs:
+        n = len(as_segments(f)) * grid.n
+        if chunk and size + n > _GROUP_CELLS:
+            yield from prepare(chunk)
+            chunk, size = [], 0
+        chunk.append(f)
+        size += n
+    if chunk:
+        yield from prepare(chunk)
 
 
 def _cut(p: GridExponent, batch: list) -> list[_Cells]:
@@ -330,21 +354,13 @@ def _cells(layout: PieceLayout, f: np.ndarray, counts: list, outside,
         width = c > 0.0
         kept[one[~width]] = False
         one, left_nz, c = one[width], left_nz[width], c[width]
-    # each cell's pair and nodes, and the columns each piece's cells span;
-    # where every pair is kept, slices, which copy nothing, and the pairs'
-    # own indices
-    whole = kept.all()
-    if whole:
-        cells, left, right = slice(None), slice(0, -1), slice(1, None)
-        col_0, col_1, at_0, at_1 = i_0, i_1 + 1, slice(None), slice(None)
-        one_at = one
-    else:
-        cells = kept.nonzero()[0]
-        left, right = cells, cells + 1
-        col_0, col_1 = cells.searchsorted(i_0), cells.searchsorted(i_1, "right")
-        at_0, at_1 = kept[i_0], kept[i_1]
-        one_at = cells.searchsorted(one)
-    rows = np.empty((6, kept.size if whole else cells.size))
+    # each cell's pair and nodes, and the columns each piece's cells span
+    cells = kept.nonzero()[0]
+    left, right = cells, cells + 1
+    col_0, col_1 = cells.searchsorted(i_0), cells.searchsorted(i_1, "right")
+    at_0, at_1 = kept[i_0], kept[i_1]
+    one_at = cells.searchsorted(one)
+    rows = np.empty((6, cells.size))
     rows[0], rows[1], rows[2], rows[3] = a[left], pn[left], a[right], pn[right]
     np.subtract(ct[cells], cs[cells], out=rows[4])
     rows[5] = 0.5 * (rows[1] + rows[3])
@@ -457,8 +473,8 @@ class _Search:
         self.result = None
         # start at max(1, sup|f|), or past the smallest sigma at which no
         # node overflows EXP_GUARD, clear of that bound's rounding
-        guard = cells.guard + 1e-9 * (1.0 + abs(cells.guard))
-        self.points = [min(max(top, guard), self.ceiling)]
+        self.clear = cells.guard + 1e-9 * (1.0 + abs(cells.guard))
+        self.points = [min(max(top, self.clear), self.ceiling)]
 
     def _inside(self, sigma: float) -> bool:
         """Whether e^sigma lies strictly between the certified ends'
@@ -540,8 +556,10 @@ def _evaluate_points(searches: list, rows: np.ndarray) -> list:
     search's guard, where I is inf.  The first point of every search is
     evaluated in one call on ``rows``, the searches' rows side by side;
     the second points, which only certification pairs have, in one more.
-    A point below its guard is evaluated at the guard, where nothing
-    overflows, and dropped."""
+    A point below its guard is evaluated where nothing overflows, and
+    dropped: past the guard and clear of its rounding, at the search's
+    ``clear``, since for p near 1e300 the exponent a - sigma q of a cell
+    can round up by 1e284 at the guard itself."""
     out = [[] for _ in searches]
     live = list(range(len(searches)))
     for i in (0, 1):
@@ -555,9 +573,9 @@ def _evaluate_points(searches: list, rows: np.ndarray) -> list:
         sigmas = [searches[k].points[i] for k in live]
         guards = [searches[k].cells.guard for k in live]
         counts = [searches[k].cells.size for k in live]
-        values, slopes = _evaluate(rows,
-                                   np.repeat(np.maximum(sigmas, guards),
-                                             counts),
+        at = [sigma if sigma >= guard else searches[k].clear
+              for k, sigma, guard in zip(live, sigmas, guards)]
+        values, slopes = _evaluate(rows, np.repeat(at, counts),
                                    np.cumsum([0] + counts[:-1]))
         for k, sigma, guard, value, slope in zip(
                 live, sigmas, guards, values.tolist(), slopes.tolist()):
@@ -650,7 +668,9 @@ def _collapse(batch: list) -> list:
 
 def _solve(prepared, tol: float) -> list:
     """The Luxemburg norm of each prepared modular in the iterable
-    ``prepared``, in order (see ``luxemburg_norms``).  Modulars are taken
+    ``prepared``, in order (see ``luxemburg_norms``); a DivergentHeadError
+    in ``prepared``, an average ``_average_cells`` could not prepare,
+    stays in its slot.  Modulars are taken
     from it in batches, each collapsed in one pass (``_collapse``), whose
     jobs join the lockstep group in order; the group is solved when the
     next job's cells would take it past ``_GROUP_CELLS`` (a larger job
@@ -674,6 +694,9 @@ def _solve(prepared, tol: float) -> list:
 
     for k, cells in enumerate(prepared):
         results.append(None)
+        if isinstance(cells, DivergentHeadError):
+            results[k] = cells
+            continue
         if cells.sup == 0.0:
             results[k] = NormValue(0.0, 0.0, (0.0, 0.0))
             continue
@@ -708,26 +731,28 @@ def luxemburg_norms(fs, p: ExponentLike, tol: float = 1e-10) -> list:
     return _solve(_prepare(fs, p), tol)
 
 
-def checked_norms(fs: list, p: ExponentLike, tol: float = 1e-10) -> list:
-    """(``modular(f, p)``, ||f||) for each f in ``fs``, in order.  The
-    norm is None where the modular or its head below x_min is infinite,
-    so f is not in L^p(.); otherwise it is as in ``luxemburg_norms``.
-    ``fs`` is prepared in one ``_prepare`` stream, a ``_cut`` per batch of
-    at most ``_GROUP_CELLS`` nodes; each f's modular is read from its
-    cells, which the solver takes as they come, so only one batch and one
-    group are held at a time."""
-    checked = []  # (modular, whether f is in L^p(.))
+def quotient_norms(fs: list, p: ExponentLike, tol: float = 1e-10) -> list:
+    """(``modular(f, p)``, ||f||, ||x^-1 Hf||) for each f in ``fs``, all on
+    one grid, in order, the norms as in ``luxemburg_norms``.  One
+    ``_solve`` takes every f's prepared cells from one ``_prepare``
+    stream, each modular read from its cells as they pass, and then every
+    average's cells from ``_average_cells``, so only one batch and one
+    group are held at a time.  A norm's slot holds its UnboundedNormError,
+    and an average's its DivergentHeadError."""
+    if not fs:
+        return []
+    grid = as_segments(fs[0])[0].grid
+    p = on_grid(p, grid)
+    modulars = []
 
-    def finite():
-        for f, cells in zip(fs, _prepare(fs, p)):
-            mv = _modular(cells, as_segments(f)[0].grid)
-            member = mv.finite and not math.isinf(mv.truncation_bias)
-            checked.append((mv, member))
-            if member:
-                yield cells
+    def jobs():
+        for cells in _prepare(fs, p):
+            modulars.append(_modular(cells, grid))
+            yield cells
+        yield from _average_cells(fs, p)
 
-    norms = iter(_solve(finite(), tol))
-    return [(mv, next(norms) if member else None) for mv, member in checked]
+    norms = _solve(jobs(), tol)
+    return list(zip(modulars, norms, norms[len(fs):]))
 
 
 def luxemburg_norm(f: FunctionLike, p: ExponentLike,

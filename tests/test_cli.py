@@ -223,6 +223,24 @@ class TestMain:
         err = capsys.readouterr().err
         assert "cannot write report" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_csv_without_out_is_input_error(self, tmp_path, capsys, route):
+        # csv is written as files only: without a directory it is refused
+        # before the audit runs, by the flag and by the config key alike
+        cfg = tmp_path / "cfg.json"
+        grid = {"x_min": 1e-6, "n": 200}
+        flags = ["--format", "csv"] if route == "flag" else []
+        cfg.write_text(minimal(grid=grid, **({} if flags
+                                            else {"format": "csv"})))
+        assert main(["run", "--config", str(cfg), *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: csv output needs --out or config 'out'" in err
+        assert "Traceback" not in err
+        cfg.write_text(minimal(grid=grid))
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["agreement"]
+
     def test_audit_all_unwritable_out_is_input_error(self, tmp_path, capsys):
         # the first entry's report cannot be written: exit 1, no traceback
         taken = tmp_path / "taken"

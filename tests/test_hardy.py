@@ -20,14 +20,16 @@ from hardyvx.exponent import PiecewiseConstant
 from hardyvx.grids import (DivergentHeadError, _cumulative_integrals,
                            as_segments)
 from hardyvx.hardy import (
+    FamilyMember,
     ResolutionError,
-    _rayleigh_quotients,
+    _quotient,
     dyadic_indicator_family,
     necessity_family,
     power_family,
     random_step_family,
 )
-from hardyvx.lpnorm import luxemburg_norms
+from hardyvx.lpnorm import (NormValue, UnboundedNormError, luxemburg_norm,
+                            quotient_norms)
 
 from conftest import power_function
 
@@ -81,10 +83,11 @@ class TestBatchedAverages:
         fs = self._functions(coarse_grid)
         fs.insert(len(fs) // 2, power_function(coarse_grid, -1.2))
         p = Constant(2.0)
-        denominators = luxemburg_norms(fs, p)
-        reference = _rayleigh_quotients(fs, denominators, p, 1e-10)
+        reference = [_quotient(den, num)
+                     for _, den, num in quotient_norms(fs, p)]
         monkeypatch.setattr(lpnorm, "_GROUP_CELLS", budget)
-        chunked = _rayleigh_quotients(fs, denominators, p, 1e-10)
+        chunked = [_quotient(den, num)
+                   for _, den, num in quotient_norms(fs, p)]
         for k, (f, ref, got) in enumerate(zip(fs, reference, chunked)):
             if k == len(fs) // 2:
                 assert isinstance(got, DivergentHeadError)
@@ -107,6 +110,34 @@ class TestRayleigh:
         f = f.__class__(grid, np.zeros(grid.n))
         with pytest.raises(ZeroDivisionError):
             rayleigh_quotient(f, Constant(2.0))
+
+    def test_quotient_skip_order(self):
+        # the sweep's skip order: an unbounded denominator, a zero one, a
+        # divergent Hardy head, an unbounded numerator
+        one = NormValue(1.0, 1e-10, (1.0 - 1e-10, 1.0))
+        two = NormValue(2.0, 1e-10, (2.0 - 2e-10, 2.0))
+        zero = NormValue(0.0, 0.0, (0.0, 0.0))
+        unbounded, head = UnboundedNormError("den"), DivergentHeadError("h")
+        numerator = UnboundedNormError("num")
+        assert _quotient(unbounded, head) is unbounded
+        assert isinstance(_quotient(zero, numerator), ZeroDivisionError)
+        assert isinstance(_quotient(zero, head), ZeroDivisionError)
+        assert _quotient(one, head) is head
+        assert _quotient(one, numerator) is numerator
+        assert _quotient(one, two).value == 2.0
+
+    def test_function_outside_the_space_keeps_its_quotient(self, grid,
+                                                            caplog):
+        # x^-0.6 has |f|^2 = x^-1.2, whose head below x_min diverges: the
+        # public quotient is still the grid's, the sweep skips the member
+        f, p = power_function(grid, -0.6), Constant(2.0)
+        q = rayleigh_quotient(f, p)
+        assert q.value == (luxemburg_norm(hardy_average(f), p).value
+                           / luxemburg_norm(f, p).value)
+        with caplog.at_level("INFO", logger="hardyvx.hardy"):
+            res = operator_norm_lower_bound(p, [FamilyMember("x^-0.6", f)])
+        assert res.skipped == ["x^-0.6"] and math.isnan(res.value)
+        assert "skipping x^-0.6: infinite modular" in caplog.messages
 
 
 class TestFamilies:
@@ -153,12 +184,14 @@ class TestOperatorNorm:
     def _count_preparation(monkeypatch):
         """Record, as C1 runs, each function that enters ``_prepare``, each
         running total ``_cumulative_integrals`` takes, each numerator row
-        ``_gather_averages`` cuts and each job the solver takes.  Jobs are
+        ``_average_cells`` cuts and each job the solver takes.  Jobs are
         cut from p's layout many per call, so they are counted where they
-        enter, not calls."""
+        enter, not calls; a job cut once ``_average_cells`` has started is
+        a numerator row, since every denominator enters the solver first."""
         seen = {"prepared": [], "integrated": [], "rows": [], "solved": []}
-        prepare, gather = lpnorm._prepare, lpnorm._gather_averages
-        solve = lpnorm._solve
+        prepare, cut, solve = lpnorm._prepare, lpnorm._cut, lpnorm._solve
+        average = lpnorm._average_cells
+        averaging = []
 
         def counted(jobs, p):
             def each():
@@ -171,9 +204,14 @@ class TestOperatorNorm:
             seen["integrated"].extend(fs)
             return _cumulative_integrals(fs)
 
-        def averages(p, values, starts):
-            seen["rows"].extend(starts)
-            return gather(p, values, starts)
+        def averages(fs, p):
+            averaging.append(True)
+            yield from average(fs, p)
+
+        def cut_rows(p, batch):
+            if averaging:
+                seen["rows"].extend(batch)
+            return cut(p, batch)
 
         def solved(prepared, tol):
             def each():
@@ -183,9 +221,10 @@ class TestOperatorNorm:
             return solve(each(), tol)
 
         monkeypatch.setattr(lpnorm, "_prepare", counted)
-        monkeypatch.setattr(lpnorm, "_gather_averages", averages)
+        monkeypatch.setattr(lpnorm, "_average_cells", averages)
+        monkeypatch.setattr(lpnorm, "_cut", cut_rows)
         monkeypatch.setattr(lpnorm, "_solve", solved)
-        monkeypatch.setattr(hardy, "_cumulative_integrals", totals)
+        monkeypatch.setattr(lpnorm, "_cumulative_integrals", totals)
         return seen
 
     def test_each_member_prepared_once(self, grid, monkeypatch):
@@ -227,6 +266,50 @@ class TestOperatorNorm:
                                                          res.quotients):
             assert (label, level) == (member.label, None)
             assert value == lo == hi == 1.0 / (1.0 - member.beta)
+
+    def test_members_outside_the_space_solve_without_overflow(self):
+        # at p = 1e300 every random step, reaching above 1, has an infinite
+        # modular; its norms are still solved, with no overflow (a
+        # RuntimeWarning the suite turns into an error), before it is
+        # skipped
+        grid = make_log_grid(1e-8, 401)
+        members = random_step_family(grid)
+        res = operator_norm_lower_bound(Constant(1e300), members)
+        assert res.skipped == [m.label for m in members]
+
+    def test_sweep_solves_once_denominators_first(self, grid, monkeypatch):
+        # every member's denominator, then every numerator, in one stream
+        # into one lockstep solve
+        calls, prepared, averaged = [], [], []
+        prepare, average = lpnorm._prepare, lpnorm._average_cells
+        solve = lpnorm._solve
+
+        def recorded(source, seen):
+            def wrapper(fs, p):
+                for cells in source(fs, p):
+                    seen.append(cells)
+                    yield cells
+            return wrapper
+
+        def solved(jobs, tol):
+            calls.append([])
+            for cells in jobs:
+                calls[-1].append(cells)
+            return solve(calls[-1], tol)
+
+        monkeypatch.setattr(lpnorm, "_prepare", recorded(prepare, prepared))
+        monkeypatch.setattr(lpnorm, "_average_cells",
+                            recorded(average, averaged))
+        monkeypatch.setattr(lpnorm, "_solve", solved)
+        p = PiecewiseConstant((2.0 ** -9, 0.1), (2.0, 2.6, 3.0))
+        members = (necessity_family(p, grid) + dyadic_indicator_family(grid)
+                   + random_step_family(grid))
+        res = operator_norm_lower_bound(p, members)
+        assert len(res.quotients) == len(members)
+        assert len(calls) == 1
+        assert len(prepared) == len(averaged) == len(members)
+        assert all(a is b for a, b in zip(calls[0], prepared + averaged))
+        assert len(calls[0]) == 2 * len(members)
 
     @pytest.mark.parametrize("p", [
         Constant(2.0),

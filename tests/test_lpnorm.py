@@ -17,18 +17,20 @@ from hardyvx import (
     make_log_grid,
     modular,
 )
-from hardyvx import hardy, lpnorm
+from hardyvx import lpnorm
 from hardyvx.config import parse_config
 from hardyvx.exponent import ExponentFunction, log_phi, on_grid
 from hardyvx.grids import integrate
 from hardyvx.hardy import (
+    FamilyMember,
     dyadic_indicator_family,
     hardy_average,
     necessity_family,
+    operator_norm_lower_bound,
     power_family,
     random_step_family,
 )
-from hardyvx.lpnorm import UnboundedNormError, checked_norms, luxemburg_norms
+from hardyvx.lpnorm import UnboundedNormError, luxemburg_norms, quotient_norms
 from hardyvx.report import run_scenario
 
 from conftest import power_function, random_piecewise_power, scaled
@@ -366,7 +368,7 @@ class TestBatchedPreparation:
               + [m.f for m in random_step_family(grid)[:3]])
         if budget is not None:
             monkeypatch.setattr(lpnorm, "_GROUP_CELLS", budget)
-        numerators = list(hardy._average_cells(fs, p))
+        numerators = list(lpnorm._average_cells(fs, p))
         assert len(numerators) == len(fs)
         for f, cells in zip(fs, numerators):
             (whole,) = lpnorm._prepare([hardy_average(f)], p)
@@ -409,15 +411,19 @@ class TestPreparedCells:
         assert mv.value == pytest.approx(reference, rel=1e-12)
 
     def test_checked_norms_skip_functions_outside_the_space(self, grid):
-        # x^-0.6 has |f|^2 = x^-1.2, whose head below x_min diverges
+        # x^-0.6 has |f|^2 = x^-1.2, whose head below x_min diverges: the
+        # sweep skips it, by its modular, whatever its norms are
         p = Constant(2.0)
         fs = [power_function(grid, -0.2), power_function(grid, -0.6),
               power_function(grid, 0.5, coeff=3.0)]
-        checked = checked_norms(fs, p)
-        assert [norm is None for _, norm in checked] == [False, True, False]
-        for f, (mv, norm) in zip(fs, checked):
+        members = [FamilyMember(f"f{k}", f) for k, f in enumerate(fs)]
+        res = operator_norm_lower_bound(p, members)
+        assert [m.label in res.skipped for m in members] == [False, True,
+                                                             False]
+        for f, member, (mv, norm, _) in zip(fs, members,
+                                            quotient_norms(fs, p)):
             assert mv == modular(f, p)
-            if norm is not None:
+            if member.label not in res.skipped:
                 assert norm == luxemburg_norm(f, p)
 
     @pytest.mark.parametrize("budget", [None, 500])
@@ -425,14 +431,16 @@ class TestPreparedCells:
                                                  budget):
         # the whole list enters one _prepare call, cut in batches of at
         # most _GROUP_CELLS nodes (a larger job alone), and each f keeps
-        # the modular and the norm it gets alone, bit for bit
+        # the modular and the norm it gets alone, bit for bit; the
+        # averages, cut once _average_cells starts, are not f's batches
         p = PiecewiseConstant((2.0 ** -9, 0.1), (2.0, 2.6, 3.0))
         fs = ([m.f for m in necessity_family(p, grid)]
               + [m.f for m in dyadic_indicator_family(grid)]
               + [m.f for m in random_step_family(grid)])
         singles = [(modular(f, p), luxemburg_norm(f, p)) for f in fs]
-        calls, batches = [], []
+        calls, batches, averaging = [], [], []
         prepare, cut = lpnorm._prepare, lpnorm._cut
+        average = lpnorm._average_cells
 
         def counted(jobs, q):
             calls.append([])
@@ -443,21 +451,27 @@ class TestPreparedCells:
                     yield job
             return prepare(each(), q)
 
+        def averages(fs, q):
+            averaging.append(True)
+            yield from average(fs, q)
+
         def cut_batch(q, batch):
-            batches.append(sum(row[3] - row[2] for job in batch
-                               for row in job) if len(batch) > 1 else 0)
+            if not averaging:
+                batches.append(sum(row[3] - row[2] for job in batch
+                                   for row in job) if len(batch) > 1 else 0)
             return cut(q, batch)
 
         monkeypatch.setattr(lpnorm, "_prepare", counted)
+        monkeypatch.setattr(lpnorm, "_average_cells", averages)
         monkeypatch.setattr(lpnorm, "_cut", cut_batch)
         if budget is not None:
             monkeypatch.setattr(lpnorm, "_GROUP_CELLS", budget)
-        checked = checked_norms(fs, p)
+        checked = quotient_norms(fs, p)
         assert len(calls) == 1 and len(calls[0]) == len(fs)
         assert all(f is g for f, g in zip(calls[0], fs))
         assert 1 < len(batches) < len(fs)
         assert max(batches) <= lpnorm._GROUP_CELLS
-        for (mv, norm), (single_mv, single_norm) in zip(checked, singles):
+        for (mv, norm, _), (single_mv, single_norm) in zip(checked, singles):
             assert mv == single_mv
             assert norm == single_norm
 
@@ -471,6 +485,17 @@ class TestPreparedCells:
         ((past, inside),) = lpnorm._evaluate_points([search], cells.rows)
         assert past == (math.inf, 0.0)
         assert 0.0 < inside[0] < math.inf and inside[1] > 0.0
+
+    def test_points_past_the_guard_skip_its_rounding(self):
+        # at p = 1e300 a clipped cell's exponent rounds to about 3e284 at
+        # this step function's guard itself, which would overflow exp()
+        grid = make_log_grid(1e-8, 401)
+        (cells,) = lpnorm._prepare([random_step_family(grid)[3].f],
+                                   Constant(1e300))
+        search = lpnorm._Search(cells, 1e-10)
+        search.points = [cells.guard - 10.0]
+        assert lpnorm._evaluate_points([search], cells.rows) == [
+            [(math.inf, 0.0)]]
 
 
 class TestBracket:
