@@ -35,7 +35,6 @@ from .hardy import (
     necessity_levels,
     operator_norm_lower_bound,
     power_family,
-    random_step_family,
 )
 from .lpnorm import inverse_x_scales
 
@@ -439,8 +438,6 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
                          "has fewer than 8 nodes in (2^-j-1, 2^-j)")
     if "dyadic" in family_kinds:
         members += dyadic_indicator_family(grid)
-    if "random-step" in family_kinds:
-        members += random_step_family(grid)
     c1 = operator_norm_lower_bound(gp, members, tol=norm_tol)
     if "C1" in criteria_names:
         levels, series = c1.level_series()

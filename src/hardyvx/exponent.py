@@ -191,6 +191,10 @@ class LogPerturbed(ExponentFunction):
     def monotonicity(self):
         return "nondecreasing" if self.sign == "+" else "nonincreasing"
 
+    def is_constant(self):
+        # "-" floors p at 1, so p0 = 1 is p = 1 everywhere
+        return self.sign == "-" and self.p0 == 1.0
+
 
 @dataclass(frozen=True)
 class LogLogPerturbed(ExponentFunction):

@@ -52,7 +52,6 @@ __all__ = [
     "dyadic_indicator_family",
     "necessity_family",
     "necessity_levels",
-    "random_step_family",
     "ResolutionError",
 ]
 
@@ -64,11 +63,6 @@ T_NODES = 257
 BETA_STEP = 0.05
 # deepest level j of the necessity family's blocks (2^-j-1, 2^-j)
 NECESSITY_DEPTH = 33
-# pieces of each ``random_step_family`` member, the members, and the
-# seed of the one generator that draws them in order
-STEP_PIECES = 6
-STEP_COUNT = 8
-STEP_SEED = 0
 
 
 class ResolutionError(ValueError):
@@ -259,30 +253,6 @@ def necessity_family(p: ExponentLike, grid: LogGrid,
             logger.info("leaving out necessity level %d: %s", j, exc)
             continue
         members.append(FamilyMember(f"necessity:a=2^-{j}", f, level=j))
-    return members
-
-
-def random_step_family(grid: LogGrid) -> list[FamilyMember]:
-    """``STEP_COUNT`` random positive step functions of ``STEP_PIECES``
-    pieces on dyadic-scale partitions; none, logged, when the grid has
-    fewer dyadic levels than the cuts."""
-    depth = int(math.log2(1.0 / grid.x_min)) - 1
-    if depth < STEP_PIECES:
-        logger.info("leaving out the random-step family: %d dyadic levels "
-                    "for %d cuts", max(depth - 1, 0), STEP_PIECES - 1)
-        return []
-    rng = np.random.default_rng(STEP_SEED)
-    members = []
-    for m in range(STEP_COUNT):
-        cuts = np.sort(rng.choice(np.arange(1, depth), size=STEP_PIECES - 1,
-                                  replace=False))
-        edges = [grid.x_min * 2.0] + [2.0 ** -int(c) for c in cuts[::-1]] + [1.0]
-        heights = rng.uniform(0.1, 10.0, size=STEP_PIECES)
-        segs = []
-        for (lo, hi), hgt in zip(zip(edges, edges[1:]), heights):
-            segs.append(SampledFunction(grid, np.full(grid.n, hgt),
-                                        support=(lo, hi)))
-        members.append(FamilyMember(f"step:seed={STEP_SEED}:m={m}", segs))
     return members
 
 

@@ -1,9 +1,9 @@
 """Run reports: scenario execution and JSON/CSV emission.
 
 JSON reports are deterministic for identical configurations: keys are
-sorted and floats rendered by ``repr``, with the wall-clock fields the
-only varying entries (comparison tooling should strip ``timestamp`` and
-``wall_clock_seconds``).
+sorted and floats rendered by ``repr``, with the top-level fields named
+in ``VARYING_FIELDS`` the only varying entries; comparison tooling
+strips those.
 """
 
 from __future__ import annotations
@@ -19,7 +19,10 @@ from .config import ScenarioConfig
 from .criteria import CriterionReport, equivalence_audit
 from .grids import make_log_grid
 
-__all__ = ["RunReport", "run_scenario", "emit"]
+__all__ = ["RunReport", "VARYING_FIELDS", "run_scenario", "emit"]
+
+# the top-level report fields that differ between runs of one config
+VARYING_FIELDS = ("timestamp", "wall_clock_seconds")
 
 
 @dataclass(frozen=True)

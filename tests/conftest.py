@@ -6,6 +6,7 @@ import pytest
 
 from hardyvx import SampledFunction, make_log_grid
 from hardyvx.grids import as_segments
+from hardyvx.hardy import FamilyMember
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +51,21 @@ def random_piecewise_power(grid, rng, pieces=3, q_range=(-0.6, 0.6),
     if not segs:  # degenerate draw; retry deterministically
         return random_piecewise_power(grid, rng, pieces, q_range, lo_min)
     return segs, data
+
+
+def step_family(grid):
+    """8 positive step functions of 6 pieces, each cut at random dyadic
+    points 2^-k above 2 x_min, with heights in (0.1, 10); one generator
+    of seed 0 draws them in order, so member m never changes."""
+    depth = int(math.log2(1.0 / grid.x_min)) - 1
+    rng = np.random.default_rng(0)
+    members = []
+    for m in range(8):
+        cuts = np.sort(rng.choice(np.arange(1, depth), size=5, replace=False))
+        edges = ([grid.x_min * 2.0] + [2.0 ** -int(c) for c in cuts[::-1]]
+                 + [1.0])
+        heights = rng.uniform(0.1, 10.0, size=6)
+        segs = [SampledFunction(grid, np.full(grid.n, hgt), support=(lo, hi))
+                for (lo, hi), hgt in zip(zip(edges, edges[1:]), heights)]
+        members.append(FamilyMember(f"step:m={m}", segs))
+    return members

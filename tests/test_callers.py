@@ -1,23 +1,38 @@
-"""What code outside the package calls: the README's library example
-and the names the benchmark harness in ``bench/`` wraps or reads."""
+"""What code outside the package calls: the README's library example,
+its CLI configs and the names the benchmark harness in ``bench/`` wraps
+or reads."""
 
 import importlib
 import importlib.util
 import re
 from pathlib import Path
 
+from hardyvx.cli import main
 from hardyvx.exponent import ExponentFunction
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_readme_library_example_runs():
+def _readme_section(title):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
-    (block,) = re.findall(r"```python\n(.*?)```", section, re.S)
+    return readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_example_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", _readme_section("Library"),
+                          re.S)
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["report"].verdicts
+
+
+def test_readme_cli_configs_run(tmp_path, capsys):
+    configs = re.findall(r"```json\n(.*?)```", _readme_section("CLI"), re.S)
+    assert configs
+    path = tmp_path / "cfg.json"
+    for config in configs:
+        path.write_text(config, encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 0, config
 
 
 def test_names_bench_needs_exist():

@@ -15,7 +15,7 @@ from hardyvx.criteria import equivalence_audit
 from hardyvx.grids import make_log_grid
 from hardyvx.hardy import necessity_family, power_family
 from hardyvx.lpnorm import modular
-from hardyvx.report import emit, report_json, run_scenario
+from hardyvx.report import VARYING_FIELDS, emit, report_json, run_scenario
 
 
 def minimal(name="constant-2", **extra):
@@ -130,8 +130,8 @@ class TestRunAndEmit:
         r2 = run_scenario(parse_config(cfg_text))
         d1, d2 = r1.to_dict(), r2.to_dict()
         for d in (d1, d2):
-            d.pop("timestamp")
-            d.pop("wall_clock_seconds")
+            for key in VARYING_FIELDS:
+                d.pop(key)
         assert json.dumps(d1, sort_keys=True) == json.dumps(d2,
                                                             sort_keys=True)
 
@@ -175,6 +175,28 @@ class TestMain:
         cfg.write_text('{"exponent":{"family":"constant","p0":0.5}}')
         assert main(["run", "--config", str(cfg)]) == 1
         assert "p0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", [{}, {"x_min": 1e-8, "n": 401}])
+    def test_log_perturbed_minus_at_one_is_divergent(self, tmp_path, capsys,
+                                                     grid):
+        # "-" floors p at 1, so p0 = 1 is the constant p = 1, which no
+        # Hardy inequality holds for
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"exponent": {
+            "family": "log-perturbed", "p0": 1.0, "c": 1.0, "alpha": 1.0,
+            "sign": "-"}, "grid": grid}))
+        assert main(["run", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["monotonicity"] == "nondecreasing (constant)"
+        assert report["expected_class"] == "divergent"
+
+    def test_removed_family_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(minimal(families=["random-step"]))
+        assert main(["run", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "families.0: 'random-step' is not one of" in err
+        assert "Traceback" not in err
 
     def test_grid_n_past_the_cap_is_input_error(self, tmp_path, capsys):
         # validated by the schema alone: no audit runs at this n
@@ -262,7 +284,8 @@ class TestMain:
             assert main(["run", *flags, "--config", str(cfg)]) == 0
             out, err = capsys.readouterr()
             reports.append(json.loads(out))
-            del reports[-1]["timestamp"], reports[-1]["wall_clock_seconds"]
+            for key in VARYING_FIELDS:
+                del reports[-1][key]
             skips = [line for line in err.splitlines()
                      if "skipping dyadic:k=1:" in line]
             assert len(skips) == (1 if flags else 0)
@@ -308,11 +331,10 @@ class TestMain:
     # and C1 skips the dyadic indicators that have no node inside
     ({"exponent": {"family": "constant", "p0": 2},
       "grid": {"x_min": 1e-300, "n": 16}}, "C5", "bounded"),
-    # too few dyadic levels above x_min for a random-step member's cuts:
-    # the family is left out, so C1 has no quotient
-    ({"exponent": {"family": "constant", "p0": 2},
-      "grid": {"x_min": 0.01, "n": 16}, "families": ["random-step"]},
-     "C1", "inconclusive"),
+    # "-" floors p at 1, so this p is constant 1: not bounded, though
+    # its parameters name a nonincreasing family
+    ({"exponent": {"family": "log-perturbed", "p0": 1.0, "c": 1.0,
+                   "alpha": 1.0, "sign": "-"}}, "C1", "divergent"),
     # scales with ln(1/a) > EXP_GUARD: the solver's overflow guard must
     # count the dx weight, or the norm near a = 2^-1015 is too large
     ({"exponent": {"family": "constant", "p0": 2},

@@ -382,10 +382,9 @@ class TestAudit:
         monkeypatch.setattr(ExponentFunction, "eval", counted)
         monkeypatch.setattr(exponent, "PieceLayout", built)
         p = PiecewiseConstant((1e-4, 0.1), (2.0, 2.5, 3.0))
-        rep = equivalence_audit(p, coarse_grid, family_kinds=(
-            "power", "necessity", "dyadic", "random-step"))
+        rep = equivalence_audit(p, coarse_grid)
         assert set(rep.verdicts) >= {"A", "B", "C1", "C2", "C3", "C4", "C5"}
         labels = {q[0].split(":")[0] for q in rep.empirical_c1.quotients}
-        assert labels == {"power", "necessity", "dyadic", "step"}
+        assert labels == {"power", "necessity", "dyadic"}
         assert sizes.count(coarse_grid.n) == 1
         assert len(layouts) == 1

@@ -26,12 +26,11 @@ from hardyvx.hardy import (
     dyadic_indicator_family,
     necessity_family,
     power_family,
-    random_step_family,
 )
 from hardyvx.lpnorm import (NormValue, UnboundedNormError, luxemburg_norm,
                             quotient_norms)
 
-from conftest import power_function
+from conftest import power_function, step_family
 
 
 class TestOperator:
@@ -66,7 +65,7 @@ class TestBatchedAverages:
         return ([m.f for m in power_family(p, grid)[::3]]
                 + [m.f for m in necessity_family(p, grid, depth=14)[::2]]
                 + [m.f for m in dyadic_indicator_family(grid)[::4]]
-                + [m.f for m in random_step_family(grid)[:2]])
+                + [m.f for m in step_family(grid)[:2]])
 
     def test_batch_matches_single_functions(self, coarse_grid):
         # the numerators divide one pass's running totals by x
@@ -161,15 +160,6 @@ class TestFamilies:
         grid = make_log_grid(1e-12, 41)  # ~1.5 points per octave
         with pytest.raises(ResolutionError):
             necessity_test_function(Constant(2.0), grid, 2.0 ** -10)
-
-    def test_random_step_family_deterministic(self, grid):
-        a = random_step_family(grid)
-        b = random_step_family(grid)
-        for ma, mb in zip(a, b):
-            assert ma.label == mb.label
-            for sa, sb in zip(ma.f, mb.f):
-                assert sa.support == sb.support
-                assert np.array_equal(sa.values, sb.values)
 
 
 class TestOperatorNorm:
@@ -268,14 +258,24 @@ class TestOperatorNorm:
             assert value == lo == hi == 1.0 / (1.0 - member.beta)
 
     def test_members_outside_the_space_solve_without_overflow(self):
-        # at p = 1e300 every random step, reaching above 1, has an infinite
+        # at p = 1e300 every step member, reaching above 1, has an infinite
         # modular; its norms are still solved, with no overflow (a
         # RuntimeWarning the suite turns into an error), before it is
         # skipped
         grid = make_log_grid(1e-8, 401)
-        members = random_step_family(grid)
+        members = step_family(grid)
         res = operator_norm_lower_bound(Constant(1e300), members)
         assert res.skipped == [m.label for m in members]
+
+    @pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason=(
+        "ROADMAP item 7: at p = 1e300 a cell exponent a - sigma q cancels "
+        "and the prepared cells overflow exp"))
+    def test_steps_on_a_huge_p_piece_solve_without_overflow(self):
+        # the constant 1e300 stays clean (the test above); a piece of it
+        # next to p = 2 does not yet
+        grid = make_log_grid(1e-8, 401)
+        p = PiecewiseConstant((0.01,), (1e300, 2.0))
+        operator_norm_lower_bound(p, step_family(grid))
 
     def test_sweep_solves_once_denominators_first(self, grid, monkeypatch):
         # every member's denominator, then every numerator, in one stream
@@ -303,7 +303,7 @@ class TestOperatorNorm:
         monkeypatch.setattr(lpnorm, "_solve", solved)
         p = PiecewiseConstant((2.0 ** -9, 0.1), (2.0, 2.6, 3.0))
         members = (necessity_family(p, grid) + dyadic_indicator_family(grid)
-                   + random_step_family(grid))
+                   + step_family(grid))
         res = operator_norm_lower_bound(p, members)
         assert len(res.quotients) == len(members)
         assert len(calls) == 1

@@ -28,12 +28,12 @@ from hardyvx.hardy import (
     necessity_family,
     operator_norm_lower_bound,
     power_family,
-    random_step_family,
 )
 from hardyvx.lpnorm import UnboundedNormError, luxemburg_norms, quotient_norms
 from hardyvx.report import run_scenario
 
-from conftest import power_function, random_piecewise_power, scaled
+from conftest import (power_function, random_piecewise_power, scaled,
+                      step_family)
 
 
 class TestModular:
@@ -274,7 +274,7 @@ class TestBatchedPreparation:
         members = [m.f for m in power_family(p.p, grid)
                    + dyadic_indicator_family(grid)
                    + necessity_family(p, grid, depth=14)
-                   + random_step_family(grid)[:3]]
+                   + step_family(grid)[:3]]
         lows = []
         for d in (0.01, 0.0123):
             x = grid.points[grid.node_slice(d, 1.0).start:][:3]
@@ -365,7 +365,7 @@ class TestBatchedPreparation:
               + necessity
               + [SampledFunction(grid, np.full(grid.n, 2.0), support=(lo, 0.5))
                  for lo in lows]
-              + [m.f for m in random_step_family(grid)[:3]])
+              + [m.f for m in step_family(grid)[:3]])
         if budget is not None:
             monkeypatch.setattr(lpnorm, "_GROUP_CELLS", budget)
         numerators = list(lpnorm._average_cells(fs, p))
@@ -436,7 +436,7 @@ class TestPreparedCells:
         p = PiecewiseConstant((2.0 ** -9, 0.1), (2.0, 2.6, 3.0))
         fs = ([m.f for m in necessity_family(p, grid)]
               + [m.f for m in dyadic_indicator_family(grid)]
-              + [m.f for m in random_step_family(grid)])
+              + [m.f for m in step_family(grid)])
         singles = [(modular(f, p), luxemburg_norm(f, p)) for f in fs]
         calls, batches, averaging = [], [], []
         prepare, cut = lpnorm._prepare, lpnorm._cut
@@ -490,7 +490,7 @@ class TestPreparedCells:
         # at p = 1e300 a clipped cell's exponent rounds to about 3e284 at
         # this step function's guard itself, which would overflow exp()
         grid = make_log_grid(1e-8, 401)
-        (cells,) = lpnorm._prepare([random_step_family(grid)[3].f],
+        (cells,) = lpnorm._prepare([step_family(grid)[3].f],
                                    Constant(1e300))
         search = lpnorm._Search(cells, 1e-10)
         search.points = [cells.guard - 10.0]
