@@ -5,7 +5,10 @@ Subcommands:
   catalog    list the built-in exponent functions
   audit-all  audit every catalog entry; exit nonzero if any agreement fails
 
-Exit codes: 0 = success/agreement, 1 = input error, 2 = audit inconsistency.
+Exit codes: 0 = agreement, 1 = input error, 2 = audit inconsistency: a
+decided (not inconclusive) C1-C5 class differs from the exponent's theory
+class, or p is monotone near 0 and the decided classes include both
+bounded and divergent.
 
 ``run`` and ``audit-all`` take ``-v``, which sends the ``hardyvx``
 loggers' INFO lines to stderr, among them the reason for each skipped C1

@@ -233,8 +233,7 @@ def criterion_C5(p: ExponentLike, grid: LogGrid,
 
 
 def criterion_C3(p: ExponentLike, grid: LogGrid, delta: float = 1.0,
-                 eps_depth: int = 13) -> tuple[float | None, float,
-                                               BoundednessVerdict]:
+                 eps_depth: int = 13) -> BoundednessVerdict:
     """Search for eps making x**eps * phi(x) almost decreasing.
 
     For each eps the almost-decreasing constant C(eps), the sup over
@@ -242,7 +241,8 @@ def criterion_C3(p: ExponentLike, grid: LogGrid, delta: float = 1.0,
     progressively deeper suffixes of the grid.  An eps is a valid witness
     only when ln C stops growing with depth; this rejects the finite-grid
     artifact C(eps) ~ x_min**(-eps), which passes any fixed threshold as
-    eps -> 0 although no fixed eps works asymptotically.
+    eps -> 0 although no fixed eps works asymptotically.  A bounded
+    verdict's one series entry is (the witness eps, its constant C).
     """
     p = on_grid(p, grid)
     mask = grid.points <= delta
@@ -257,7 +257,7 @@ def criterion_C3(p: ExponentLike, grid: LogGrid, delta: float = 1.0,
     depths = np.linspace(math.log(grid.x_min) / C3_DEPTH_STOPS,
                          math.log(grid.x_min), C3_DEPTH_STOPS)
     if u.size == 0 or u[-1] < depths[0]:
-        return None, math.inf, BoundednessVerdict(
+        return BoundednessVerdict(
             "inconclusive", math.inf, (), math.nan,
             (f"no grid node between the shallowest depth stop "
              f"x={math.exp(depths[0]):.3g} and delta={delta:.3g}",))
@@ -276,25 +276,21 @@ def criterion_C3(p: ExponentLike, grid: LogGrid, delta: float = 1.0,
             candidates.append((math.exp(full), eps))
     if candidates:
         const, best_eps = min(candidates)
-        verdict = BoundednessVerdict(
-            "bounded", const, ((best_eps, const),), 0.0,
-            (f"witness eps={best_eps:.6g}",))
-        return best_eps, const, verdict
+        return BoundednessVerdict("bounded", const, ((best_eps, const),), 0.0,
+                                  (f"witness eps={best_eps:.6g}",))
     # every eps is growing: a stable one would be a candidate
-    return None, math.inf, BoundednessVerdict(
-        "divergent", math.inf, (), math.nan, ("no depth-stable eps found",))
+    return BoundednessVerdict("divergent", math.inf, (), math.nan,
+                              ("no depth-stable eps found",))
 
 
 def dyadic_oscillation(p: ExponentFunction,
-                       grid: LogGrid) -> tuple[float, BoundednessVerdict]:
+                       grid: LogGrid) -> BoundednessVerdict:
     """|1/p'(2x) - 1/p'(x)| * ln(1/x), scanned over x <= 1/4 so the
     doubled argument stays in the origin-governed half of the domain."""
     xs = _scan_points(grid, grid.x_min, 0.25)
     osc = np.abs(conjugate_reciprocal(p, 2.0 * xs)
                  - conjugate_reciprocal(p, xs)) * (-np.log(xs))
-    levels, sups = _dyadic_block_sup(xs, osc)
-    verdict = classify_series(levels, sups)
-    return verdict.sup_value, verdict
+    return classify_series(*_dyadic_block_sup(xs, osc))
 
 
 def phi_doubling(p: ExponentLike, grid: LogGrid) -> float:
@@ -328,9 +324,6 @@ class CriterionReport:
     p_minus: float
     p_plus: float
     verdicts: dict  # name -> BoundednessVerdict
-    c3_best_eps: float | None
-    c3_constant: float
-    oscillation_sup: float
     doubling_constant: float
     expected_class: str | None
     agreement: bool
@@ -338,6 +331,9 @@ class CriterionReport:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
+        c3 = self.verdicts.get("C3")
+        # only a bounded C3 has a series: its one (witness eps, constant)
+        best_eps, const = c3.series[0] if c3 and c3.series else (None, None)
         return {
             "exponent": self.exponent_id,
             "monotonicity": self.monotonicity,
@@ -346,10 +342,10 @@ class CriterionReport:
             "p_minus": self.p_minus,
             "p_plus": self.p_plus,
             "verdicts": {k: v.to_dict() for k, v in self.verdicts.items()},
-            "c3_best_eps": self.c3_best_eps,
-            "c3_constant": (None if math.isinf(self.c3_constant)
-                            else self.c3_constant),
-            "oscillation_sup": self.oscillation_sup,
+            "c3_best_eps": best_eps,
+            "c3_constant": (None if const is None or math.isinf(const)
+                            else const),
+            "oscillation_sup": self.verdicts["oscillation"].sup_value,
             "doubling_constant": self.doubling_constant,
             "expected_class": self.expected_class,
             "agreement": self.agreement,
@@ -361,10 +357,6 @@ class CriterionReport:
             },
             "notes": list(self.notes),
         }
-
-
-def _classes_conflict(a: str, b: str) -> bool:
-    return {a, b} == {"bounded", "divergent"}
 
 
 def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
@@ -412,16 +404,13 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
         scanned = _integral_criteria(gp, grid, a_list, delta, norm_tol)
     if "C2" in criteria_names:
         verdicts["C2"] = scanned["C2"]
-    c3_best_eps, c3_constant = None, math.inf
     if "C3" in criteria_names:
-        c3_best_eps, c3_constant, v3 = criterion_C3(gp, grid, delta=delta,
-                                                    eps_depth=eps_depth)
-        verdicts["C3"] = v3
+        verdicts["C3"] = criterion_C3(gp, grid, delta=delta,
+                                      eps_depth=eps_depth)
     verdicts.update((k, scanned[k]) for k in ("C4", "C5")
                     if k in criteria_names)
 
-    osc_sup, osc_verdict = dyadic_oscillation(p, grid)
-    verdicts["oscillation"] = osc_verdict
+    verdicts["oscillation"] = dyadic_oscillation(p, grid)
     doubling = phi_doubling(gp, grid)
 
     members = []
@@ -448,41 +437,29 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
             classify_series(levels, series, notes=c1_notes),
             bounds=tuple(c1.level_bounds()))
 
-    # expected class and agreement
+    # for p monotone near 0 the criteria are equivalent, so a decided
+    # class may contradict neither the theory class nor another decided
+    # class; an inconclusive criterion abstains
     expected: str | None = None
-    agreement = True
-    c1_cls = verdicts["C1"].cls if "C1" in verdicts else "inconclusive"
-    crit_classes = [verdicts[k].cls for k in ("C2", "C3", "C4", "C5")
-                    if k in verdicts]
-    if mono_cls == "nonincreasing":
-        expected = "bounded"
-        agreement = c1_cls == "bounded"
-        if not agreement:
-            notes.append("nonincreasing exponent but empirical operator "
-                         f"norm trend is {c1_cls}")
-    elif mono_cls == "nondecreasing":
-        if p0 <= 1.0 + 1e-9:
-            expected = "divergent"
-            notes.append("p(0) = 1: boundedness is impossible for "
-                         "nondecreasing exponents")
-        # inconclusive criteria abstain; only bounded next to divergent
-        # is a disagreement
-        decided = set(crit_classes) - {"inconclusive"}
-        if len(decided) > 1:
-            agreement = False
-            notes.append(f"criterion classes disagree: {crit_classes}")
-        else:
-            common = decided.pop() if decided else "inconclusive"
-            if expected is not None and common != expected:
-                agreement = False
-                notes.append(f"classes are {common}, expected {expected}")
-            if _classes_conflict(common, c1_cls):
-                agreement = False
-                notes.append(f"empirical trend {c1_cls} conflicts with "
-                             f"criterion class {common}")
-    else:
+    if mono_cls == "nonmonotone":
         notes.append("exponent is not monotone near 0; the equivalence "
                      "theorem does not apply")
+    elif p0 <= 1.0 + 1e-9:
+        expected = "divergent"
+        notes.append("p(0) = 1: boundedness is impossible for "
+                     "nondecreasing exponents")
+    elif mono_cls == "nonincreasing" or mono.constant:
+        expected = "bounded"
+    decided = {k: verdicts[k].cls for k in ("C1", "C2", "C3", "C4", "C5")
+               if k in verdicts and verdicts[k].cls != "inconclusive"}
+    wrong = [k for k, cls in decided.items() if expected and cls != expected]
+    if wrong:
+        notes.append(f"expected {expected}, contradicted by "
+                     f"{', '.join(wrong)}")
+    conflict = (mono_cls != "nonmonotone"
+                and {"bounded", "divergent"} <= set(decided.values()))
+    if conflict:
+        notes.append(f"criterion classes conflict: {decided}")
 
     return CriterionReport(
         exponent_id=exponent_id,
@@ -492,12 +469,9 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
         p_minus=p_minus,
         p_plus=p_plus,
         verdicts=verdicts,
-        c3_best_eps=c3_best_eps,
-        c3_constant=c3_constant,
-        oscillation_sup=osc_sup,
         doubling_constant=doubling,
         expected_class=expected,
-        agreement=agreement,
+        agreement=not (wrong or conflict),
         empirical_c1=c1,
         notes=tuple(notes),
     )

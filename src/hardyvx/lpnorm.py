@@ -458,7 +458,7 @@ class _Search:
     I has been evaluated there, with I(lo) > 1 >= I(hi).  A point moves an
     end only if its lambda lies strictly between the ends' lambdas, so
     e^lo < e^hi holds even where adjacent doubles in sigma share one
-    lambda.  ``points`` are the sigmas to evaluate next; ``result`` is set
+    lambda.  ``point`` is the sigma to evaluate next; ``result`` is set
     when the job ends.
     """
 
@@ -471,10 +471,12 @@ class _Search:
         self.lo_seen = self.hi_seen = False
         self.mode, self.newton_steps = "newton", 0
         self.result = None
+        # I at the certification pair's lower point, once evaluated
+        self.below = None
         # start at max(1, sup|f|), or past the smallest sigma at which no
         # node overflows EXP_GUARD, clear of that bound's rounding
         self.clear = cells.guard + 1e-9 * (1.0 + abs(cells.guard))
-        self.points = [min(max(top, self.clear), self.ceiling)]
+        self.point = min(max(top, self.clear), self.ceiling)
 
     def _inside(self, sigma: float) -> bool:
         """Whether e^sigma lies strictly between the certified ends'
@@ -496,12 +498,10 @@ class _Search:
         self.result = NormValue(lam_hi, (lam_hi - lam_lo) / lam_hi,
                                 (lam_lo, lam_hi))
 
-    def update(self, evaluated: list) -> None:
-        """Take (I, S) at ``points``; set ``result`` or the next points."""
-        values = [value for value, _ in evaluated]
-        for sigma, value in zip(self.points, values):
-            if not self._inside(sigma):
-                continue
+    def update(self, value: float, slope: float) -> None:
+        """Take (I, S) at ``point``; set ``result`` or the next point."""
+        sigma = self.point
+        if self._inside(sigma):
             if value > 1.0:
                 self.lo, self.lo_seen = sigma, True
             else:
@@ -514,10 +514,14 @@ class _Search:
             self.result = _negligible(self.tol)
             return
         if self.mode == "certify":
+            lo, hi = self.pair
+            if self.below is None:
+                # both points move the bracket before the pair is judged
+                self.below, self.point = value, hi
+                return
             # the result is the certification pair itself, never a Newton
             # iterate, whose I may lie within rounding of 1
-            lo, hi = self.points
-            if values[0] > 1.0 >= values[1] and math.exp(lo) < math.exp(hi):
+            if self.below > 1.0 >= value and math.exp(lo) < math.exp(hi):
                 self._finish(lo, hi)
                 return
             self.mode = "bisect"
@@ -533,55 +537,38 @@ class _Search:
                         or not self._inside(0.5 * (self.lo + self.hi))):
                     self._finish(self.lo, self.hi)
                     return
-            self.points = [self._bisection_point()]
+            self.point = self._bisection_point()
             return
-        (sigma,), ((value, slope),) = self.points, evaluated
         if 0.0 < value < math.inf and 0.0 < slope < math.inf:
             step = math.log(value) * value / slope
             target = sigma + step
             if abs(step) <= self.tol / 8.0:
                 q = min(self.tol, 1.0) / 4.0
-                self.points = [target + math.log1p(-q),
-                               target + math.log1p(q)]
-                self.mode = "certify"
+                self.pair = (target + math.log1p(-q), target + math.log1p(q))
+                self.point, self.mode = self.pair[0], "certify"
                 return
             if self.lo < target < self.hi and self._inside(target):
-                self.points = [target]
+                self.point = target
                 return
-        self.points = [self._bisection_point()]
+        self.point = self._bisection_point()
 
 
 def _evaluate_points(searches: list, rows: np.ndarray) -> list:
-    """(I, S) at every point of each search, except points below their
-    search's guard, where I is inf.  The first point of every search is
-    evaluated in one call on ``rows``, the searches' rows side by side;
-    the second points, which only certification pairs have, in one more.
-    A point below its guard is evaluated where nothing overflows, and
+    """(I, S) at each search's point, in one call on ``rows``, the
+    searches' rows side by side; I is inf at a point below its search's
+    guard.  Such a point is evaluated where nothing overflows, and
     dropped: past the guard and clear of its rounding, at the search's
     ``clear``, since for p near 1e300 the exponent a - sigma q of a cell
     can round up by 1e284 at the guard itself."""
-    out = [[] for _ in searches]
-    live = list(range(len(searches)))
-    for i in (0, 1):
-        if i:
-            live = [k for k in live if len(searches[k].points) > 1]
-            if not live:
-                break
-            if len(live) < len(searches):
-                rows = np.concatenate([searches[k].cells.rows for k in live],
-                                      axis=1)
-        sigmas = [searches[k].points[i] for k in live]
-        guards = [searches[k].cells.guard for k in live]
-        counts = [searches[k].cells.size for k in live]
-        at = [sigma if sigma >= guard else searches[k].clear
-              for k, sigma, guard in zip(live, sigmas, guards)]
-        values, slopes = _evaluate(rows, np.repeat(at, counts),
-                                   np.cumsum([0] + counts[:-1]))
-        for k, sigma, guard, value, slope in zip(
-                live, sigmas, guards, values.tolist(), slopes.tolist()):
-            out[k].append((value, slope) if sigma >= guard
-                          else (math.inf, 0.0))
-    return out
+    above = [search.point >= search.cells.guard for search in searches]
+    counts = [search.cells.size for search in searches]
+    values, slopes = _evaluate(
+        rows, np.repeat([search.point if ok else search.clear
+                         for search, ok in zip(searches, above)], counts),
+        np.cumsum([0] + counts[:-1]))
+    return [(value, slope) if ok else (math.inf, 0.0)
+            for ok, value, slope in zip(above, values.tolist(),
+                                        slopes.tolist())]
 
 
 def _solve_group(group: list, results: list) -> None:
@@ -595,9 +582,9 @@ def _solve_group(group: list, results: list) -> None:
         rows = np.concatenate([search.cells.rows for search in searches],
                               axis=1)
         while all(search.result is None for search in searches):
-            for search, evaluated in zip(searches,
-                                         _evaluate_points(searches, rows)):
-                search.update(evaluated)
+            for search, (value, slope) in zip(
+                    searches, _evaluate_points(searches, rows)):
+                search.update(value, slope)
         for k, search in group:
             if search.result is not None:
                 results[k] = search.result

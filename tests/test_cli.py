@@ -1,3 +1,4 @@
+import importlib.util
 import inspect
 import json
 import os
@@ -16,6 +17,8 @@ from hardyvx.grids import make_log_grid
 from hardyvx.hardy import necessity_family, power_family
 from hardyvx.lpnorm import modular
 from hardyvx.report import VARYING_FIELDS, emit, report_json, run_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def minimal(name="constant-2", **extra):
@@ -190,6 +193,31 @@ class TestMain:
         assert report["monotonicity"] == "nondecreasing (constant)"
         assert report["expected_class"] == "divergent"
 
+    @pytest.mark.parametrize("config, code, named", [
+        # nonincreasing with p(0) > 1, no C1 requested: every criterion
+        # that ran reads bounded, as theory says
+        ({"exponent": {"family": "log-perturbed", "p0": 2.1, "c": 1.0,
+                       "alpha": 0.7, "sign": "-"},
+          "criteria": ["A", "B", "C2", "C3", "C4"], "families": ["power"],
+          "grid": {"x_min": 1e-8, "n": 401}}, 0, None),
+        # nonincreasing, so bounded; C4 alone reads divergent, its
+        # overflow guard tripped by p = 1e300, and the audit says so
+        ({"exponent": {"family": "piecewise-constant", "breakpoints": [0.01],
+                       "values": [1e300, 2.0]},
+          "grid": {"x_min": 1e-8, "n": 401}}, 2, "C4"),
+    ])
+    def test_agreement_is_one_rule(self, tmp_path, capsys, config, code,
+                                   named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["run", "--config", str(cfg)]) == code
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["expected_class"] == "bounded"
+        assert report["agreement"] is (code == 0)
+        if named:
+            assert f"expected bounded, contradicted by {named}" \
+                in report["notes"]
+
     def test_removed_family_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(minimal(families=["random-step"]))
@@ -362,6 +390,22 @@ def test_run_ends_in_a_report(tmp_path, capsys, config, criterion, cls):
     assert main(["run", "--config", str(path)]) in (0, 1, 2)
     report = json.loads(capsys.readouterr().out)["report"]
     assert report["verdicts"][criterion]["class"] == cls
+
+
+def test_screen_inputs_agree_unless_a_class_is_wrong(monkeypatch):
+    # bench/workloads.py builds each input with its theory class known;
+    # an input on which no C1-C5 class is the opposite one must agree
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for case in workloads.make_cases("screen", 11):
+        report = run_scenario(parse_config(json.dumps(case.config))).report
+        classes = {k: v.cls for k, v in report.verdicts.items()}
+        if not workloads.contradictions(classes, case.theory):
+            assert report.agreement, case.label
 
 
 def test_report_json_is_stable_text(tmp_path):

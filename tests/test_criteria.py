@@ -46,7 +46,8 @@ def _reference_ln_c(logv):
 
 
 def _reference_C3(p, grid, delta=1.0, eps_depth=13, depth_stops=12):
-    """(best eps, constant) of criterion_C3's depth-stop loop."""
+    """criterion_C3's series from its depth-stop loop: ((best eps,
+    constant),), or () when no eps is depth-stable."""
     p = on_grid(p, grid)
     mask = grid.points <= delta
     u, logphi = grid.u[mask], p.ln_phi[mask]
@@ -66,9 +67,9 @@ def _reference_C3(p, grid, delta=1.0, eps_depth=13, depth_stops=12):
         if not (full - half) > PLATEAU_THRESHOLD * full + 1e-9:
             candidates.append((math.exp(full), eps))
     if not candidates:
-        return None, math.inf
+        return ()
     const, best_eps = min(candidates)
-    return best_eps, const
+    return ((best_eps, const),)
 
 
 def _reference_doubling(p, grid):
@@ -275,14 +276,15 @@ class TestIntegralCriteria:
         _check_closed_forms(p, make_log_grid(1e-8, 241), delta, 1e-11, 1e-9)
 
     def test_C3_constant_two_witness(self, grid):
-        best_eps, const, v = criterion_C3(Constant(2.0), grid)
+        v = criterion_C3(Constant(2.0), grid)
         assert v.cls == "bounded"
-        assert best_eps is not None and best_eps > 0.0
+        ((best_eps, const),) = v.series
+        assert best_eps > 0.0 and v.sup_value == const
         assert const == pytest.approx(1.0, abs=1e-9)
 
     def test_C3_p_one_divergent(self, grid):
-        best_eps, const, v = criterion_C3(Constant(1.0), grid)
-        assert best_eps is None
+        v = criterion_C3(Constant(1.0), grid)
+        assert v.series == ()
         assert v.cls == "divergent"
 
 
@@ -290,8 +292,8 @@ class TestVectorScansMatchTheLoops:
     @pytest.mark.parametrize("p", REFERENCE_EXPONENTS)
     @pytest.mark.parametrize("delta", [1.0, 0.2])
     def test_C3(self, grid, p, delta):
-        best_eps, const, _ = criterion_C3(p, grid, delta=delta)
-        assert (best_eps, const) == _reference_C3(p, grid, delta)
+        assert (criterion_C3(p, grid, delta=delta).series
+                == _reference_C3(p, grid, delta))
 
     @pytest.mark.parametrize("p", REFERENCE_EXPONENTS + [Constant(1.0)])
     def test_doubling(self, grid, p):
@@ -324,8 +326,8 @@ class TestAlmostDecreasing:
 
 class TestOscillationAndDoubling:
     def test_oscillation_zero_for_constant(self, grid):
-        sup, verdict = dyadic_oscillation(Constant(2.0), grid)
-        assert sup == 0.0 and verdict.cls == "bounded"
+        verdict = dyadic_oscillation(Constant(2.0), grid)
+        assert verdict.sup_value == 0.0 and verdict.cls == "bounded"
 
     def test_doubling_sqrt2_for_constant_two(self, grid):
         assert phi_doubling(Constant(2.0), grid) == pytest.approx(
@@ -362,6 +364,12 @@ class TestAudit:
     def test_expected_divergent_flag_for_p_one(self, grid):
         rep = equivalence_audit(Constant(1.0), grid, exponent_id="p-one")
         assert rep.expected_class == "divergent"
+        assert rep.agreement
+
+    def test_expected_bounded_for_constant_p_two(self, coarse_grid):
+        rep = equivalence_audit(catalog_exponent("constant-2").exponent,
+                                coarse_grid, exponent_id="constant-2")
+        assert rep.expected_class == "bounded"
         assert rep.agreement
 
     def test_one_full_grid_p_eval_per_audit(self, coarse_grid, monkeypatch):

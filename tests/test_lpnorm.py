@@ -480,9 +480,11 @@ class TestPreparedCells:
         # the RuntimeWarning the suite turns into an error
         (cells,) = lpnorm._prepare([power_function(grid, -0.3)],
                                    Constant(3.0))
-        search = lpnorm._Search(cells, 1e-10)
-        search.points = [cells.guard - 10.0, cells.guard + 1.0]
-        ((past, inside),) = lpnorm._evaluate_points([search], cells.rows)
+        searches = [lpnorm._Search(cells, 1e-10) for _ in range(2)]
+        searches[0].point = cells.guard - 10.0
+        searches[1].point = cells.guard + 1.0
+        past, inside = lpnorm._evaluate_points(
+            searches, np.concatenate([cells.rows, cells.rows], axis=1))
         assert past == (math.inf, 0.0)
         assert 0.0 < inside[0] < math.inf and inside[1] > 0.0
 
@@ -493,9 +495,9 @@ class TestPreparedCells:
         (cells,) = lpnorm._prepare([step_family(grid)[3].f],
                                    Constant(1e300))
         search = lpnorm._Search(cells, 1e-10)
-        search.points = [cells.guard - 10.0]
+        search.point = cells.guard - 10.0
         assert lpnorm._evaluate_points([search], cells.rows) == [
-            [(math.inf, 0.0)]]
+            (math.inf, 0.0)]
 
 
 class TestBracket:
