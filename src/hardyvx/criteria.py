@@ -139,7 +139,7 @@ def _scan_points(grid: LogGrid, lo: float, hi: float = 0.5) -> np.ndarray:
     block suprema don't depend on how nodes fall relative to the edges."""
     xs = grid.points[(grid.points >= lo) & (grid.points <= hi)]
     edges = 2.0 ** -np.arange(1, int(math.log2(1.0 / max(lo, grid.x_min))))
-    edges = edges[edges >= lo]
+    edges = edges[(edges >= lo) & (edges <= hi)]
     return np.unique(np.concatenate([xs, edges]))
 
 

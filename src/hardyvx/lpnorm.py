@@ -20,9 +20,9 @@ ends integrate to 0 at every sigma and are dropped; the few cells with
 one zero end are linear in |f/lambda|**p, so each is a constant times
 its nonzero end, stored as a one-exponent cell.  ``_evaluate``
 integrates many such (cells, sigma) rows in one vectorised call, so
-neither ``SampledFunction`` nor ``integrate`` appears in a norm solve,
-and I is inf, without evaluation, for sigma below a row's guard, where a
-node's exponent E would exceed EXP_GUARD.
+neither ``SampledFunction`` nor ``integrate`` appears in a norm solve.
+For sigma below a row's guard, where a node's exponent E would exceed
+EXP_GUARD, I is inf, and no such sigma is evaluated.
 
 Every norm comes from one lockstep solver, ``_solve``, which
 ``luxemburg_norms`` feeds, and C1's ``quotient_norms`` too: each test
@@ -34,18 +34,23 @@ on each cell); it only steers, because each job keeps its own certified
 bracket, takes a bisection step whenever a Newton step would leave it or
 I is inf or 0, and ends with two evaluations at lambda * (1 -+ tol/4)
 that certify I(hi) <= 1 < I(lo), or else with plain bisection; a slope
-too large for a double (p near 1e300) is no Newton step either.  Jobs
-are prepared in batches of at most ``_GROUP_CELLS`` nodes, and the
-solver takes them in batches of at most as many cells (a larger job
-alone) and collapses each batch in one pass (``_collapse``): every run
-of cells that have one exponent q at both ends and as mean p, read
-from the rows, scales exactly as e^(-sigma q), so it becomes one cell
-holding its sum at sigma = 0, in each job where that drops at least a
-quarter of its cells.  A constant or step p so costs a few cells per
-norm, not the whole grid.  The collapsed jobs are solved in order in
-groups of at most ``_GROUP_CELLS`` cells, each group evaluating all its
-jobs' current points together.  The modular, its truncation bias and
-``inverse_x_scales``' reads take the raw rows.
+too large for a double (p near 1e300) is no Newton step either.
+
+One rule cuts the stream, ``_batches``: items in order, in lists of at
+most ``_GROUP_CELLS`` by size, a larger item alone.  Functions are
+prepared in such batches by node count.  The solver takes the prepared
+jobs in batches by cell count and collapses each batch in one pass
+(``_collapse``): every run of cells that have one exponent q at both
+ends and as mean p, read from the rows, scales exactly as e^(-sigma q),
+so it becomes one cell holding its sum at sigma = 0, in each job where
+that drops at least a quarter of its cells.  A constant or step p so
+costs a few cells per norm, not the whole grid.  The collapsed jobs
+are solved in order in lockstep groups, batched again by cell count,
+each group evaluating all its jobs' current points together.  So a
+solve holds one raw batch and one group of at most ``_GROUP_CELLS``
+cells each, besides ``_prepare``'s batch.  A job's cut, collapse and
+search never depend on the batch or group it shares.  The modular, its
+truncation bias and ``inverse_x_scales``' reads take the raw rows.
 
 ``inverse_x_scales`` reads the C2, C4 and C5 of ``criteria`` from one
 preparation of x^-1 on each (a, delta).
@@ -54,6 +59,7 @@ preparation of x^-1 on each (a, delta).
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -88,10 +94,10 @@ __all__ = [
     "inverse_x_scales",
 ]
 
-# nodes per preparation batch, and cells per lockstep group: large enough
-# to amortise numpy's per-call cost over many jobs, small enough that the
-# temporaries stay a small share of peak memory; batches and groups never
-# change a result
+# the budget of ``_batches``: nodes per preparation batch, and cells per
+# raw batch and per lockstep group; large enough to amortise numpy's
+# per-call cost over many jobs, small enough that the temporaries stay a
+# small share of peak memory; batches and groups never change a result
 _GROUP_CELLS = 8192
 # Newton steps before a job falls back to bisection
 _MAX_NEWTON = 50
@@ -144,72 +150,87 @@ class NormValue:
     bracket: tuple[float, float]
 
 
+def _batches(items, size):
+    """``items`` in order, in lists whose ``size`` adds up to at most
+    ``_GROUP_CELLS`` (an item larger than that alone): the one rule by
+    which preparation, collapse and the lockstep groups take a stream."""
+    batch, total = [], 0
+    for item in items:
+        n = size(item)
+        if batch and total + n > _GROUP_CELLS:
+            yield batch
+            batch, total = [], 0
+        batch.append(item)
+        total += n
+    if batch:
+        yield batch
+
+
 def _prepare(fs, p: ExponentLike):
     """The prepared modular of each f of ``fs``, in order.  Each segment
     of f, its support clipped to (x_min, 1] as (lo, hi), is one row of
     ``_cut``: f at the nodes of ``node_slice(lo, hi)``, held by the pieces
     of p's layout from k0 = bisect_right(jumps, lo) to k1 =
     bisect_left(jumps, hi), for the jumps where the layout's pieces meet.
-    Functions are gathered in batches of at most ``_GROUP_CELLS`` such
-    nodes (a larger f alone), each cut in one pass, so only one batch's
-    arrays are held at a time."""
-    batch, size = [], 0
-    for f in fs:
-        segs = as_segments(f)
-        q = on_grid(p, segs[0].grid)
-        grid, layout = q.grid, q.layout
-        rows = []
-        for seg in segs:
-            lo, hi = seg.effective_support()
-            lo_eff, hi_eff = max(lo, grid.x_min), min(hi, 1.0)
-            ln_lo, ln_hi = math.log(lo_eff), math.log(hi_eff)
-            if ln_lo >= ln_hi:  # no width in u
-                continue
-            cut = grid.node_slice(lo_eff, hi_eff)
-            k0 = bisect.bisect_right(layout.jumps, lo_eff)
-            k1 = bisect.bisect_left(layout.jumps, hi_eff)
-            # an end within rounding of a jump that lies on a node leaves a
-            # sliver of no width in u between them, where the row would
-            # hold one node of the jump's far piece (at or past that
-            # piece's last node, or at or before its first): start or stop
-            # the row in the piece beyond the sliver instead
-            last = layout.start[k0] + layout.last[k0] - layout.first[k0] + 1
-            if cut.start >= last:
-                k0 += 1
-            if cut.stop - 1 <= layout.start[k1]:
-                k1 -= 1
-            rows.append((k0, k1, cut.start, cut.stop, ln_lo, ln_hi,
-                         seg.values[cut], lo, hi, lo < grid.x_min))
-        nodes = sum(row[3] - row[2] for row in rows)
-        if batch and (q is not p or size + nodes > _GROUP_CELLS):
-            yield from _cut(p, batch)
-            batch, size = [], 0
-        p = q
-        batch.append(rows)
-        size += nodes
-    if batch:
-        yield from _cut(p, batch)
+    Functions are taken in ``_batches`` by node count, each cut in one
+    pass per run of functions on one grid, so only one batch's arrays
+    are held at a time."""
+
+    def jobs(p):
+        for f in fs:
+            segs = as_segments(f)
+            p = on_grid(p, segs[0].grid)
+            grid, layout, job = p.grid, p.layout, []
+            for seg in segs:
+                lo, hi = seg.effective_support()
+                lo_eff, hi_eff = max(lo, grid.x_min), min(hi, 1.0)
+                ln_lo, ln_hi = math.log(lo_eff), math.log(hi_eff)
+                if ln_lo >= ln_hi:  # no width in u
+                    continue
+                cut = grid.node_slice(lo_eff, hi_eff)
+                k0 = bisect.bisect_right(layout.jumps, lo_eff)
+                k1 = bisect.bisect_left(layout.jumps, hi_eff)
+                # an end within rounding of a jump that lies on a node
+                # leaves a sliver of no width in u between them, where the
+                # row would hold one node of the jump's far piece (at or
+                # past that piece's last node, or at or before its first):
+                # start or stop the row in the piece beyond the sliver
+                last = (layout.start[k0] + layout.last[k0]
+                        - layout.first[k0] + 1)
+                if cut.start >= last:
+                    k0 += 1
+                if cut.stop - 1 <= layout.start[k1]:
+                    k1 -= 1
+                job.append((k0, k1, cut.start, cut.stop, ln_lo, ln_hi,
+                            seg.values[cut], lo, hi, lo < grid.x_min))
+            yield p, job
+
+    for batch in _batches(jobs(p), lambda item: sum(
+            row[3] - row[2] for row in item[1])):
+        for q, run in itertools.groupby(batch, key=lambda item: item[0]):
+            yield from _cut(q, [job for _, job in run])
 
 
 def _average_cells(fs: list, p: GridExponent):
     """The prepared modular of x^-1 Hf over (x_min, 1] for each f in
     ``fs``, all on p's grid, in order, as they are taken, or f's
-    DivergentHeadError where its head below x_min diverges.  Chunks of at
-    most ``_GROUP_CELLS`` segment rows take one ``_cumulative_integrals``
-    pass each, and their running totals divided by x are cut from p's
-    layout in one ``_cut``, as ``_prepare`` cuts f with no support, less
-    the head fit.  An average is read from the first node of f's lowest
-    segment's slice on (node 0 for support below x_min): below that node
-    it is exactly 0, and at it too unless a head reaches it, so every
-    cell ending at or below it would be dropped.  The row starts in the
-    first piece whose last node lies above that node; pieces meet in at
-    most one cell, so that piece's s lies at or below the node, and
-    clipped into the row's first cell it is u there."""
+    DivergentHeadError where its head below x_min diverges.  Functions
+    are taken in ``_batches`` by segments times nodes, each batch in one
+    ``_cumulative_integrals`` pass, and their running totals divided by x
+    are cut from p's layout in one ``_cut``, as ``_prepare`` cuts f with
+    no support, less the head fit.  An average is read from the first
+    node of f's lowest segment's slice on (node 0 for support below
+    x_min): below that node it is exactly 0, and at it too unless a head
+    reaches it, so every cell ending at or below it would be dropped.
+    The row starts in the first piece whose last node lies above that
+    node; pieces meet in at most one cell, so that piece's s lies at or
+    below the node, and clipped into the row's first cell it is u
+    there."""
     grid, layout, last = p.grid, p.layout, len(p.layout.first) - 1
     # the last node of each piece
     ends = np.add(layout.start, layout.last) - layout.first + 1
 
-    def prepare(chunk):
+    for chunk in _batches(fs, lambda f: len(as_segments(f)) * grid.n):
         # a function whose head diverges has a row of zeros from node 0,
         # whose cells are all dropped
         total, starts, errors = _cumulative_integrals(chunk)
@@ -219,18 +240,7 @@ def _average_cells(fs: list, p: GridExponent):
             for k0, start, ln_s, row in zip(
                 ends.searchsorted(starts, "right").tolist(), starts.tolist(),
                 grid.u[starts].tolist(), total / grid.points)])
-        return [error or job for error, job in zip(errors, cells)]
-
-    chunk, size = [], 0
-    for f in fs:
-        n = len(as_segments(f)) * grid.n
-        if chunk and size + n > _GROUP_CELLS:
-            yield from prepare(chunk)
-            chunk, size = [], 0
-        chunk.append(f)
-        size += n
-    if chunk:
-        yield from prepare(chunk)
+        yield from (error or job for error, job in zip(errors, cells))
 
 
 def _cut(p: GridExponent, batch: list) -> list[_Cells]:
@@ -458,8 +468,9 @@ class _Search:
     I has been evaluated there, with I(lo) > 1 >= I(hi).  A point moves an
     end only if its lambda lies strictly between the ends' lambdas, so
     e^lo < e^hi holds even where adjacent doubles in sigma share one
-    lambda.  ``point`` is the sigma to evaluate next; ``result`` is set
-    when the job ends.
+    lambda.  ``point`` is the sigma to evaluate next, never below the
+    guard: I is inf there, which the search takes without evaluating it.
+    ``result`` is set when the job ends.
     """
 
     def __init__(self, cells: _Cells, tol: float):
@@ -474,9 +485,13 @@ class _Search:
         # I at the certification pair's lower point, once evaluated
         self.below = None
         # start at max(1, sup|f|), or past the smallest sigma at which no
-        # node overflows EXP_GUARD, clear of that bound's rounding
-        self.clear = cells.guard + 1e-9 * (1.0 + abs(cells.guard))
-        self.point = min(max(top, self.clear), self.ceiling)
+        # node overflows EXP_GUARD, clear of that bound's rounding: for p
+        # near 1e300 the exponent a - sigma q of a cell can round up by
+        # 1e284 at the guard itself
+        clear = cells.guard + 1e-9 * (1.0 + abs(cells.guard))
+        self.point = min(max(top, clear), self.ceiling)
+        if self.point < cells.guard:  # the whole range lies below it
+            self.update(math.inf, 0.0)
 
     def _inside(self, sigma: float) -> bool:
         """Whether e^sigma lies strictly between the certified ends'
@@ -499,7 +514,13 @@ class _Search:
                                 (lam_lo, lam_hi))
 
     def update(self, value: float, slope: float) -> None:
-        """Take (I, S) at ``point``; set ``result`` or the next point."""
+        """Take (I, S) at ``point``, and I = inf, unevaluated, at each
+        next point below the guard; set ``result`` or the next point."""
+        self._take(value, slope)
+        while self.result is None and self.point < self.cells.guard:
+            self._take(math.inf, 0.0)
+
+    def _take(self, value: float, slope: float) -> None:
         sigma = self.point
         if self._inside(sigma):
             if value > 1.0:
@@ -553,37 +574,24 @@ class _Search:
         self.point = self._bisection_point()
 
 
-def _evaluate_points(searches: list, rows: np.ndarray) -> list:
-    """(I, S) at each search's point, in one call on ``rows``, the
-    searches' rows side by side; I is inf at a point below its search's
-    guard.  Such a point is evaluated where nothing overflows, and
-    dropped: past the guard and clear of its rounding, at the search's
-    ``clear``, since for p near 1e300 the exponent a - sigma q of a cell
-    can round up by 1e284 at the guard itself."""
-    above = [search.point >= search.cells.guard for search in searches]
-    counts = [search.cells.size for search in searches]
-    values, slopes = _evaluate(
-        rows, np.repeat([search.point if ok else search.clear
-                         for search, ok in zip(searches, above)], counts),
-        np.cumsum([0] + counts[:-1]))
-    return [(value, slope) if ok else (math.inf, 0.0)
-            for ok, value, slope in zip(above, values.tolist(),
-                                        slopes.tolist())]
-
-
 def _solve_group(group: list, results: list) -> None:
     """Run the searches of ``group``, (job index, _Search) pairs, in
-    lockstep: each iteration evaluates every open job's points together
-    (``_evaluate_points``).  The open jobs' rows are concatenated once,
-    and again only when jobs end.  Results go to ``results`` at the job's
+    lockstep: each iteration evaluates every open job's point together,
+    in one ``_evaluate``.  The open jobs' rows are concatenated once, and
+    again only when jobs end.  Results go to ``results`` at the job's
     index."""
     while group:
         searches = [search for _, search in group]
         rows = np.concatenate([search.cells.rows for search in searches],
                               axis=1)
+        counts = [search.cells.size for search in searches]
+        starts = np.cumsum([0] + counts[:-1])
         while all(search.result is None for search in searches):
-            for search, (value, slope) in zip(
-                    searches, _evaluate_points(searches, rows)):
+            values, slopes = _evaluate(
+                rows, np.repeat([search.point for search in searches],
+                                counts), starts)
+            for search, value, slope in zip(searches, values.tolist(),
+                                            slopes.tolist()):
                 search.update(value, slope)
         for k, search in group:
             if search.result is not None:
@@ -657,47 +665,36 @@ def _solve(prepared, tol: float) -> list:
     """The Luxemburg norm of each prepared modular in the iterable
     ``prepared``, in order (see ``luxemburg_norms``); a DivergentHeadError
     in ``prepared``, an average ``_average_cells`` could not prepare,
-    stays in its slot.  Modulars are taken
-    from it in batches, each collapsed in one pass (``_collapse``), whose
-    jobs join the lockstep group in order; the group is solved when the
-    next job's cells would take it past ``_GROUP_CELLS`` (a larger job
-    alone).  A batch takes at most the cells the group has room for (and
-    at least one job), so the batch and the group together hold at most
-    ``_GROUP_CELLS`` cells, besides the batch ``_prepare`` is on."""
+    stays in its slot.  One rule, ``_batches`` by cell count, cuts the
+    stream twice: the jobs left to search are taken in batches, each
+    collapsed in one pass (``_collapse``), and the collapsed jobs, in
+    order, are solved in lockstep groups.  So one batch and one group of
+    at most ``_GROUP_CELLS`` cells each (a larger job alone) are held at
+    a time, besides the batch ``_prepare`` is on."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     results: list = []
-    group, batch = [], []
-    size = raw = 0  # the group's cells, and the batch's
 
-    def fill():
-        nonlocal group, size
-        for k, cells in _collapse(batch):
-            if group and size + cells.size > _GROUP_CELLS:
-                _solve_group(group, results)
-                group, size = [], 0
-            group.append((k, _Search(cells, tol)))
-            size += cells.size
+    def jobs():
+        for k, cells in enumerate(prepared):
+            results.append(None)
+            if isinstance(cells, DivergentHeadError):
+                results[k] = cells
+            elif cells.sup == 0.0:
+                results[k] = NormValue(0.0, 0.0, (0.0, 0.0))
+            elif cells.size == 0:
+                results[k] = _negligible(tol)
+            else:
+                yield k, cells
 
-    for k, cells in enumerate(prepared):
-        results.append(None)
-        if isinstance(cells, DivergentHeadError):
-            results[k] = cells
-            continue
-        if cells.sup == 0.0:
-            results[k] = NormValue(0.0, 0.0, (0.0, 0.0))
-            continue
-        if cells.size == 0:
-            results[k] = _negligible(tol)
-            continue
-        if batch and size + raw + cells.size > _GROUP_CELLS:
-            fill()
-            batch, raw = [], 0
-        batch.append((k, cells))
-        raw += cells.size
-    if batch:
-        fill()
-    _solve_group(group, results)
+    def size(job):
+        return job[1].size
+
+    collapsed = (job for batch in _batches(jobs(), size)
+                 for job in _collapse(batch))
+    for group in _batches(collapsed, size):
+        _solve_group([(k, _Search(cells, tol)) for k, cells in group],
+                     results)
     return results
 
 

@@ -329,6 +329,14 @@ class TestOscillationAndDoubling:
         verdict = dyadic_oscillation(Constant(2.0), grid)
         assert verdict.sup_value == 0.0 and verdict.cls == "bounded"
 
+    @pytest.mark.parametrize("name", ["constant-2", "dyadic-jump-default"])
+    def test_oscillation_scans_only_below_a_quarter(self, grid, name):
+        # x <= 1/4 lies in the dyadic blocks j >= 2; the block edge 1/2
+        # must not add a level-1 entry read from p(1) and p(1/2)
+        verdict = dyadic_oscillation(catalog_exponent(name).exponent, grid)
+        levels = [level for level, _ in verdict.series]
+        assert levels and min(levels) >= 2
+
     def test_doubling_sqrt2_for_constant_two(self, grid):
         assert phi_doubling(Constant(2.0), grid) == pytest.approx(
             math.sqrt(2.0), rel=1e-2)

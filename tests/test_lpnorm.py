@@ -1,10 +1,11 @@
 import json
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hardyvx import (
     Constant,
@@ -182,7 +183,9 @@ class TestLockstepSolver:
         assert modular(scaled([f], 1.0 / hi), p).value <= 1.0
         assert modular(scaled([f], 1.0 / lo), p).value > 1.0
 
-    def test_batch_matches_single_jobs(self):
+    @staticmethod
+    def jobs():
+        """(p, jobs, the one unbounded job) for the batched solves."""
         grid = make_log_grid(1e-8, 241)
         p = PiecewiseConstant((0.01,), (1.5, 2.5))
         # node values outside the support enter the boundary cell, so a
@@ -198,6 +201,10 @@ class TestLockstepSolver:
         jobs = [m.f for m in members]
         jobs.insert(3, unbounded)
         jobs.append(power_function(grid, -0.3, support=(0.001, 0.5)))
+        return p, jobs, unbounded
+
+    def test_batch_matches_single_jobs(self):
+        p, jobs, unbounded = self.jobs()
         batch = luxemburg_norms(jobs, p)
         assert len(batch) == len(jobs)
         for f, result in zip(jobs, batch):
@@ -210,6 +217,22 @@ class TestLockstepSolver:
 
 
 class TestBatchedPreparation:
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 12)), st.integers(1, 20))
+    @example([5, 5, 1], 10)
+    def test_batches_keep_order_within_budget(self, sizes, budget):
+        # each item once, in order; a batch past the budget holds one
+        # item, and a batch is cut only where the next item would not fit
+        items = list(enumerate(sizes))
+        with mock.patch.object(lpnorm, "_GROUP_CELLS", budget):
+            batches = list(lpnorm._batches(items, lambda item: item[1]))
+        assert [item for batch in batches for item in batch] == items
+        totals = [sum(n for _, n in batch) for batch in batches]
+        for batch, total in zip(batches, totals):
+            assert batch and (total <= budget or len(batch) == 1)
+        for total, after in zip(totals, batches[1:]):
+            assert total + after[0][1] > budget
+
     def _jobs(self, grid, p):
         """Jobs of every shape the preparation batches: multi-segment
         necessity members across jumps, the zero runs of a dyadic
@@ -476,28 +499,69 @@ class TestPreparedCells:
             assert norm == single_norm
 
     def test_points_past_the_guard_are_inf_unevaluated(self, grid):
-        # an exponent 10 p past EXP_GUARD would overflow exp() and so raise
-        # the RuntimeWarning the suite turns into an error
+        # I <= 1 at the start sends the search to the floor of its range,
+        # far below the guard: it takes I = inf there and at each
+        # bisection point below the guard, in the one update, and moves
+        # its lower end up to the last of them
         (cells,) = lpnorm._prepare([power_function(grid, -0.3)],
                                    Constant(3.0))
-        searches = [lpnorm._Search(cells, 1e-10) for _ in range(2)]
-        searches[0].point = cells.guard - 10.0
-        searches[1].point = cells.guard + 1.0
-        past, inside = lpnorm._evaluate_points(
-            searches, np.concatenate([cells.rows, cells.rows], axis=1))
-        assert past == (math.inf, 0.0)
-        assert 0.0 < inside[0] < math.inf and inside[1] > 0.0
+        search = lpnorm._Search(cells, 1e-10)
+        assert search.floor < cells.guard < search.point
+        search.update(0.0, 0.0)
+        assert search.result is None and search.newton_steps > 2
+        assert search.lo_seen and search.lo < cells.guard <= search.point
+        # a search whose whole range lies below its guard ends as it starts
+        started = lpnorm._Search(cells._replace(guard=search.ceiling + 1.0),
+                                 1e-10)
+        assert isinstance(started.result, UnboundedNormError)
 
     def test_points_past_the_guard_skip_its_rounding(self):
         # at p = 1e300 a clipped cell's exponent rounds to about 3e284 at
-        # this step function's guard itself, which would overflow exp()
+        # this step function's guard itself, which would overflow exp():
+        # the search never evaluates below the guard, and the point it
+        # moves on to evaluates without an overflow
         grid = make_log_grid(1e-8, 401)
         (cells,) = lpnorm._prepare([step_family(grid)[3].f],
                                    Constant(1e300))
         search = lpnorm._Search(cells, 1e-10)
-        search.point = cells.guard - 10.0
-        assert lpnorm._evaluate_points([search], cells.rows) == [
-            (math.inf, 0.0)]
+        search.update(0.0, 0.0)
+        assert search.lo < cells.guard <= search.point < search.hi
+        values, _ = lpnorm._evaluate(
+            cells.rows, np.full(cells.size, search.point), [0])
+        assert values[0] <= 1.0
+
+    def test_evaluate_sees_no_sigma_below_a_guard(self, monkeypatch):
+        # the searches open at each _evaluate call are its lockstep
+        # group's, in order, with the group's rows side by side; at least
+        # one point below a guard is taken, unevaluated, on the way
+        made, skipped = [], []
+        search, take, evaluate = (lpnorm._Search, lpnorm._Search._take,
+                                  lpnorm._evaluate)
+
+        def recorded(cells, tol):
+            made.append(search(cells, tol))
+            return made[-1]
+
+        def counted(self, value, slope):
+            skipped.append(self.point < self.cells.guard)
+            take(self, value, slope)
+
+        def checked(rows, sigma, starts):
+            group = [s for s in made if s.result is None]
+            assert [s.cells.size for s in group] == np.diff(
+                starts, append=rows.shape[1]).tolist()
+            for s, at in zip(group, sigma[starts].tolist()):
+                assert at == s.point >= s.cells.guard
+            return evaluate(rows, sigma, starts)
+
+        monkeypatch.setattr(lpnorm, "_Search", recorded)
+        monkeypatch.setattr(search, "_take", counted)
+        monkeypatch.setattr(lpnorm, "_evaluate", checked)
+        step = step_family(make_log_grid(1e-8, 401))[3].f
+        assert luxemburg_norm(step, Constant(1e300)).value > 0.0
+        p, jobs, _ = TestLockstepSolver.jobs()
+        assert len(luxemburg_norms(jobs, p)) == len(jobs)
+        assert any(skipped)
 
 
 class TestBracket:
