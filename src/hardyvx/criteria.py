@@ -12,6 +12,7 @@ test is not.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -171,15 +172,9 @@ def condition_B(p: ExponentFunction, grid: LogGrid) -> BoundednessVerdict:
 
 
 def default_a_list(grid: LogGrid, delta: float, depth: int) -> list[float]:
-    out = []
-    for j in range(1, depth + 1):
-        a = 2.0 ** -j
-        if a >= delta:
-            continue
-        if a < 2.0 * grid.x_min:
-            break
-        out.append(a)
-    return out
+    """The dyadic scales a = 2^-j, j <= depth, in [2 x_min, delta)."""
+    return [2.0 ** -j for j in range(1, depth + 1)
+            if 2.0 * grid.x_min <= 2.0 ** -j < delta]
 
 
 def _scales(p: ExponentLike, grid: LogGrid, a_list):
@@ -190,46 +185,49 @@ def _scales(p: ExponentLike, grid: LogGrid, a_list):
     return p, [-math.log2(a) for a in a_list], ln_phi_a
 
 
-def _integral_criteria(p: ExponentLike, grid: LogGrid, a_list, delta: float,
-                       tol: float) -> dict[str, BoundednessVerdict]:
-    """C2, C4 and C5 from one preparation of f_a = x^-1 on each (a,
-    delta) (``lpnorm.inverse_x_scales``): r(a) = (integral_a^delta phi
-    dx/x) / phi(a); s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x,
-    the modular of f_a/phi(a), inf where a cell exponent passes
-    EXP_GUARD; and ||f_a|| / phi(a), with its certified bracket."""
+def _integral_criteria(p: ExponentLike, grid: LogGrid, delta: float,
+                       depth: int, tol: float,
+                       solve: bool) -> dict[str, BoundednessVerdict]:
+    """C2 and C4, and C5 when ``solve``, on the scales ``default_a_list``
+    from one preparation of f_a = x^-1 on each (a, delta)
+    (``lpnorm.inverse_x_scales``): r(a) = (integral_a^delta phi dx/x) /
+    phi(a); s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x, the
+    modular of f_a/phi(a), inf where a cell exponent passes EXP_GUARD;
+    and ||f_a|| / phi(a), with its certified bracket: the only solve."""
+    a_list = default_a_list(grid, delta, depth)
     p, levels, ln_phi_a = _scales(p, grid, a_list)
     c2, c4, c5, bounds = [], [], [], []
     for la, (integral, mod, nv) in zip(ln_phi_a, inverse_x_scales(
-            p, grid, a_list, ln_phi_a, delta, tol)):
+            p, grid, a_list, ln_phi_a, delta, tol, solve)):
         scale = math.exp(-la)
         c2.append(integral * scale)
         c4.append(mod)
-        c5.append(nv.value * scale)
-        bounds.append((nv.bracket[0] * scale, nv.bracket[1] * scale))
-    return {"C2": classify_series(levels, c2),
-            "C4": classify_series(levels, c4),
-            "C5": replace(classify_series(levels, c5), bounds=tuple(bounds))}
+        if solve:
+            c5.append(nv.value * scale)
+            bounds.append((nv.bracket[0] * scale, nv.bracket[1] * scale))
+    out = {"C2": classify_series(levels, c2),
+           "C4": classify_series(levels, c4)}
+    if solve:
+        out["C5"] = replace(classify_series(levels, c5), bounds=tuple(bounds))
+    return out
 
 
 def criterion_C2(p: ExponentLike, grid: LogGrid,
                  delta: float = 1.0) -> BoundednessVerdict:
     """r(a) = (integral_a^delta phi dx/x) / phi(a)."""
-    return _integral_criteria(p, grid, default_a_list(grid, delta, A_DEPTH),
-                              delta, 1e-10)["C2"]
+    return _integral_criteria(p, grid, delta, A_DEPTH, 1e-10, False)["C2"]
 
 
 def criterion_C4(p: ExponentLike, grid: LogGrid,
                  delta: float = 1.0) -> BoundednessVerdict:
     """s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x."""
-    return _integral_criteria(p, grid, default_a_list(grid, delta, A_DEPTH),
-                              delta, 1e-10)["C4"]
+    return _integral_criteria(p, grid, delta, A_DEPTH, 1e-10, False)["C4"]
 
 
 def criterion_C5(p: ExponentLike, grid: LogGrid,
                  delta: float = 1.0) -> BoundednessVerdict:
     """||x^-1|| over (a, delta) divided by a**(-1/p'(a))."""
-    return _integral_criteria(p, grid, default_a_list(grid, delta, A_DEPTH),
-                              delta, 1e-10)["C5"]
+    return _integral_criteria(p, grid, delta, A_DEPTH, 1e-10, True)["C5"]
 
 
 def criterion_C3(p: ExponentLike, grid: LogGrid, delta: float = 1.0,
@@ -327,11 +325,12 @@ class CriterionReport:
     doubling_constant: float
     expected_class: str | None
     agreement: bool
-    empirical_c1: OperatorNormResult
+    empirical_c1: OperatorNormResult | None  # None when C1 did not run
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
         c3 = self.verdicts.get("C3")
+        c1 = self.empirical_c1
         # only a bounded C3 has a series: its one (witness eps, constant)
         best_eps, const = c3.series[0] if c3 and c3.series else (None, None)
         return {
@@ -349,11 +348,11 @@ class CriterionReport:
             "doubling_constant": self.doubling_constant,
             "expected_class": self.expected_class,
             "agreement": self.agreement,
-            "operator_norm_lower_bound": {
-                "value": self.empirical_c1.value,
-                "argmax": self.empirical_c1.argmax,
-                "quotients": [list(q) for q in self.empirical_c1.quotients],
-                "skipped": list(self.empirical_c1.skipped),
+            "operator_norm_lower_bound": None if c1 is None else {
+                "value": c1.value,
+                "argmax": c1.argmax,
+                "quotients": [list(q) for q in c1.quotients],
+                "skipped": list(c1.skipped),
             },
             "notes": list(self.notes),
         }
@@ -369,7 +368,10 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
                       family_kinds: tuple[str, ...] = ("power", "necessity",
                                                        "dyadic"),
                       exponent_id: str = "") -> CriterionReport:
-    """Run all criteria on one exponent and cross-check their verdicts."""
+    """Run the criteria ``criteria_names`` requests, and the oscillation
+    and doubling checks, on one exponent and cross-check their verdicts.
+    ``family_kinds`` picks C1's test families; without C1 no family is
+    built and ``empirical_c1`` is None."""
     notes: list[str] = []
     p0 = p.limit_at_origin()
     p_minus, p_plus, exact_bounds = p.bounds((0.0, 1.0))
@@ -391,50 +393,45 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
                 notes.append(f"nondecreasing only on (0, {delta:.3g}); "
                              "criterion integrals cut there")
 
-    a_list = default_a_list(grid, delta, a_depth)
     gp = on_grid(p, grid)
-    verdicts: dict[str, BoundednessVerdict] = {}
+    # the requested stages and oscillation; C2, C4 and C5 share one scan
+    scanned = functools.cache(lambda: _integral_criteria(
+        gp, grid, delta, a_depth, norm_tol, "C5" in criteria_names))
+    stages = {
+        "A": lambda: condition_A(p, grid),
+        "B": lambda: condition_B(p, grid),
+        "C2": lambda: scanned()["C2"],
+        "C3": lambda: criterion_C3(gp, grid, delta=delta, eps_depth=eps_depth),
+        "C4": lambda: scanned()["C4"],
+        "C5": lambda: scanned()["C5"],
+        "oscillation": lambda: dyadic_oscillation(p, grid),
+    }
+    verdicts = {name: stage() for name, stage in stages.items()
+                if name in criteria_names or name == "oscillation"}
 
-    if "A" in criteria_names:
-        verdicts["A"] = condition_A(p, grid)
-    if "B" in criteria_names:
-        verdicts["B"] = condition_B(p, grid)
-    scanned = {}
-    if {"C2", "C4", "C5"} & set(criteria_names):
-        scanned = _integral_criteria(gp, grid, a_list, delta, norm_tol)
-    if "C2" in criteria_names:
-        verdicts["C2"] = scanned["C2"]
-    if "C3" in criteria_names:
-        verdicts["C3"] = criterion_C3(gp, grid, delta=delta,
-                                      eps_depth=eps_depth)
-    verdicts.update((k, scanned[k]) for k in ("C4", "C5")
-                    if k in criteria_names)
-
-    verdicts["oscillation"] = dyadic_oscillation(p, grid)
-    doubling = phi_doubling(gp, grid)
-
-    members = []
-    if "power" in family_kinds:
-        members += power_family(p, grid)
-    if "necessity" in family_kinds:
-        necessity = necessity_family(gp, grid, depth=necessity_depth)
-        members += necessity
-        resolved = {m.level for m in necessity}
-        left_out = [j for j in necessity_levels(grid, necessity_depth)
-                    if j not in resolved]
-        if left_out:
-            notes.append(f"necessity levels j={left_out} left out: the grid "
-                         "has fewer than 8 nodes in (2^-j-1, 2^-j)")
-    if "dyadic" in family_kinds:
-        members += dyadic_indicator_family(grid)
-    c1 = operator_norm_lower_bound(gp, members, tol=norm_tol)
-    if "C1" in criteria_names:
-        levels, series = c1.level_series()
+    c1 = None
+    if "C1" not in criteria_names:
+        notes.append("C1 was not requested: no test family was swept")
+    else:
+        members = []
+        if "power" in family_kinds:
+            members += power_family(p, grid)
+        if "necessity" in family_kinds:
+            necessity = necessity_family(gp, grid, depth=necessity_depth)
+            members += necessity
+            left_out = sorted(set(necessity_levels(grid, necessity_depth))
+                              - {m.level for m in necessity})
+            if left_out:
+                notes.append(f"necessity levels j={left_out} left out: the "
+                             "grid has fewer than 8 nodes in (2^-j-1, 2^-j)")
+        if "dyadic" in family_kinds:
+            members += dyadic_indicator_family(grid)
+        c1 = operator_norm_lower_bound(gp, members, tol=norm_tol)
         c1_notes = () if c1.quotients else (
             "no test function gave a quotient: the family is empty or "
             "every member was skipped",)
         verdicts["C1"] = replace(
-            classify_series(levels, series, notes=c1_notes),
+            classify_series(*c1.level_series(), notes=c1_notes),
             bounds=tuple(c1.level_bounds()))
 
     # for p monotone near 0 the criteria are equivalent, so a decided
@@ -469,7 +466,7 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
         p_minus=p_minus,
         p_plus=p_plus,
         verdicts=verdicts,
-        doubling_constant=doubling,
+        doubling_constant=phi_doubling(gp, grid),
         expected_class=expected,
         agreement=not (wrong or conflict),
         empirical_c1=c1,

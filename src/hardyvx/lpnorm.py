@@ -52,8 +52,8 @@ cells each, besides ``_prepare``'s batch.  A job's cut, collapse and
 search never depend on the batch or group it shares.  The modular, its
 truncation bias and ``inverse_x_scales``' reads take the raw rows.
 
-``inverse_x_scales`` reads the C2, C4 and C5 of ``criteria`` from one
-preparation of x^-1 on each (a, delta).
+``inverse_x_scales`` reads C2 and C4 of ``criteria`` from one preparation
+of x^-1 on each (a, delta), and streams it into ``_solve`` only for C5.
 """
 
 from __future__ import annotations
@@ -800,7 +800,8 @@ def _inverse_x_jobs(grid, a_list, delta: float) -> list:
 
 
 def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,
-                     delta: float = 1.0, tol: float = 1e-10) -> list:
+                     delta: float = 1.0, tol: float = 1e-10,
+                     solve: bool = True) -> list:
     """(integral_a^delta phi dx/x, I(f_a/e^sigma), ||f_a||) for f_a = x^-1
     on (a, delta), for each a of ``a_list`` and its sigma, from one
     preparation of f_a; raises the first UnboundedNormError.
@@ -809,7 +810,8 @@ def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,
     and q = p, one-sided at p's jumps: a/q is ln phi, and at sigma = ln
     phi(a) the cell exponent a - sigma q is p (ln phi(x) - ln phi(a)).
     The integral and the modular are read from each scale's cells as
-    they stream into the solver."""
+    they stream into the solver, which runs only with ``solve``: else
+    ||f_a|| is None."""
     integrals, modulars = [], []
 
     def read():
@@ -822,7 +824,7 @@ def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,
             modulars.append(_modular_at(cells, sigma))
             yield cells
 
-    norms = _solve(read(), tol)
+    norms = _solve(read(), tol) if solve else [None for _ in read()]
     for result in norms:
         if isinstance(result, UnboundedNormError):
             raise result

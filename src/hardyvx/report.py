@@ -29,9 +29,9 @@ VARYING_FIELDS = ("timestamp", "wall_clock_seconds")
 class RunReport:
     config: dict
     report: CriterionReport
-    # worst relative modular truncation bias over the C1 members that were
-    # evaluated; only members supported down to 0 (the power family) have
-    # any, so it reads 0 when ``families`` leaves out "power"
+    # worst relative modular truncation bias over the evaluated C1 members;
+    # only members supported down to 0 (the power family) have any, so it
+    # reads 0 without "power" in ``families``, and None without C1
     truncation: dict
     wall_clock_seconds: float
     timestamp: str
@@ -62,9 +62,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
         family_kinds=cfg.families,
         exponent_id=cfg.label,
     )
-    truncation = {"grid_x_min": cfg.x_min,
-                  "max_relative_modular_bias":
-                      report.empirical_c1.max_relative_modular_bias}
+    c1 = report.empirical_c1
+    truncation = {"grid_x_min": cfg.x_min, "max_relative_modular_bias":
+                  None if c1 is None else c1.max_relative_modular_bias}
     wall = time.perf_counter() - t0
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return RunReport(cfg.echo, report, truncation, wall, stamp)

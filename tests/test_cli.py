@@ -147,7 +147,12 @@ class TestRunAndEmit:
         assert worst > 0.0
         assert small_report.truncation["max_relative_modular_bias"] == worst
 
-    def test_empty_criteria_selection(self, tmp_path):
+    def test_empty_criteria_selection(self, tmp_path, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("C1 swept though not requested")
+
+        monkeypatch.setattr(hardyvx.criteria, "operator_norm_lower_bound",
+                            no_sweep)
         cfg = parse_config(minimal(
             "constant-2", criteria=[], families=["dyadic"],
             grid={"x_min": 1e-8, "n": 401}))
@@ -155,7 +160,27 @@ class TestRunAndEmit:
         paths = emit(report, "csv", tmp_path)
         names = {p.name for p in paths}
         # only the always-computed oscillation series remains
-        assert names <= {"constant-2.oscillation.csv"}
+        assert names == {"constant-2.oscillation.csv"}
+
+    def test_report_without_C1_keeps_every_key(self):
+        # a coarse grid leaves necessity levels out, which only C1 notes
+        grid = {"x_min": 1e-8, "n": 101}
+        full = run_scenario(parse_config(minimal("constant-2", grid=grid)))
+        cut = run_scenario(parse_config(minimal(
+            "constant-2", grid=grid, criteria=["A", "B", "C2", "C3", "C4"])))
+        full, cut = full.to_dict(), cut.to_dict()
+        assert set(cut) == set(full)
+        assert set(cut["report"]) == set(full["report"])
+        assert set(cut["truncation"]) == set(full["truncation"])
+        assert full["report"]["operator_norm_lower_bound"] is not None
+        assert cut["report"]["operator_norm_lower_bound"] is None
+        assert cut["truncation"]["max_relative_modular_bias"] is None
+        assert "C1" not in cut["report"]["verdicts"]
+        assert any("necessity levels" in n for n in full["report"]["notes"])
+        assert not any("necessity levels" in n
+                       for n in cut["report"]["notes"])
+        assert sum("C1 was not requested" in n
+                   for n in cut["report"]["notes"]) == 1
 
 
 class TestMain:

@@ -20,7 +20,7 @@ from hardyvx import (
     equivalence_audit,
     phi_doubling,
 )
-from hardyvx import exponent
+from hardyvx import criteria, exponent, lpnorm
 from hardyvx.catalog import catalog_exponent
 from hardyvx.criteria import (
     A_DEPTH,
@@ -404,3 +404,53 @@ class TestAudit:
         assert labels == {"power", "necessity", "dyadic"}
         assert sizes.count(coarse_grid.n) == 1
         assert len(layouts) == 1
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called for a criterion that was not requested")
+
+
+class TestRequestedCriteria:
+    """The audit computes only what ``criteria_names`` asks for: C5's
+    norm solves only with C5, C1's sweep only with C1."""
+
+    WITHOUT_C1_C5 = ("A", "B", "C2", "C3", "C4")
+
+    @pytest.fixture(params=[LogPerturbed(2.0, 1.0, 0.5),
+                            PiecewiseConstant((1e-4, 0.1), (2.0, 2.5, 3.0))],
+                    ids=["log-perturbed", "step"])
+    def p(self, request):
+        return request.param
+
+    def test_no_norm_solve_without_C5(self, coarse_grid, p, monkeypatch):
+        monkeypatch.setattr(lpnorm, "_solve", _refuse)
+        rep = equivalence_audit(p, coarse_grid,
+                                criteria_names=self.WITHOUT_C1_C5)
+        assert set(rep.verdicts) == {*self.WITHOUT_C1_C5, "oscillation"}
+
+    def test_no_C1_sweep_without_C1(self, coarse_grid, p, monkeypatch):
+        monkeypatch.setattr(criteria, "operator_norm_lower_bound", _refuse)
+        rep = equivalence_audit(p, coarse_grid, criteria_names=("C2", "C5"))
+        assert rep.empirical_c1 is None
+        assert rep.to_dict()["operator_norm_lower_bound"] is None
+        assert "C1" not in rep.verdicts
+        assert any(n.startswith("C1 was not requested") for n in rep.notes)
+
+    def test_C2_and_C4_alone_solve_no_norm(self, coarse_grid, p,
+                                           monkeypatch):
+        monkeypatch.setattr(lpnorm, "_solve", _refuse)
+        assert criterion_C2(p, coarse_grid).series
+        assert criterion_C4(p, coarse_grid).series
+
+    def test_C2_and_C4_do_not_depend_on_C5(self, coarse_grid, p,
+                                           monkeypatch):
+        full = equivalence_audit(p, coarse_grid)
+        monkeypatch.setattr(lpnorm, "_solve", _refuse)
+        alone = equivalence_audit(p, coarse_grid,
+                                  criteria_names=self.WITHOUT_C1_C5)
+        for name in ("C2", "C4"):
+            assert alone.verdicts[name].series == full.verdicts[name].series
+            assert (alone.verdicts[name].to_dict()
+                    == full.verdicts[name].to_dict())
+        assert (criterion_C2(p, coarse_grid).series
+                == full.verdicts["C2"].series)
