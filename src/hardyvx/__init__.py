@@ -16,11 +16,9 @@ from .exponent import (
     ExponentFunction,
     LogLogPerturbed,
     LogPerturbed,
-    MonotonicityClass,
     PiecewiseConstant,
     PiecewiseLinear,
     Tabulated,
-    classify_monotonicity,
     conjugate_reciprocal,
 )
 from .grids import (

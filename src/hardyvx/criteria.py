@@ -21,10 +21,8 @@ import numpy as np
 from .exponent import (
     ExponentFunction,
     ExponentLike,
-    classify_monotonicity,
     conjugate_reciprocal,
     log_phi,
-    monotone_prefix,
     on_grid,
 )
 from .grids import LogGrid
@@ -146,11 +144,11 @@ def _scan_points(grid: LogGrid, lo: float, hi: float = 0.5) -> np.ndarray:
 
 def condition_A(p: ExponentFunction, grid: LogGrid) -> BoundednessVerdict:
     """Trend of |p(x) - p(0)| * ln(1/x) toward the origin."""
-    p0 = p.limit_at_origin()
+    germ = p.germ()
     xs = _scan_points(grid, grid.x_min)
-    vals = np.abs(p.eval(xs) - p0) * (-np.log(xs))
+    vals = np.abs(p.eval(xs) - germ.p0) * (-np.log(xs))
     levels, sups = _dyadic_block_sup(xs, vals)
-    notes = ("p(0) approximate",) if p.origin_approximate else ()
+    notes = () if germ.exact else ("p(0) approximate",)
     return classify_series(levels, sups, notes=notes)
 
 
@@ -161,7 +159,7 @@ def condition_B(p: ExponentFunction, grid: LogGrid) -> BoundednessVerdict:
     vals = (p.eval(xs) - p.eval(xs / 2.0)) * (-np.log(xs))
     levels, sups = _dyadic_block_sup(xs, vals)
     verdict = classify_series(levels, sups)
-    p0 = p.limit_at_origin()
+    p0 = p.germ().p0
     margin = p0 * (p0 - 1.0)
     if verdict.cls == "bounded":
         ok = verdict.sup_value < margin
@@ -246,7 +244,7 @@ def criterion_C3(p: ExponentLike, grid: LogGrid, delta: float = 1.0,
     mask = grid.points <= delta
     u = grid.u[mask]
     logphi = p.ln_phi[mask]
-    _, p_plus, _ = p.p.bounds((0.0, delta))
+    _, p_plus = p.p.bounds((0.0, delta))
     eps0 = 1.0 - 1.0 / p_plus
     if eps0 < 1e-6:
         eps0 = 0.5
@@ -373,25 +371,25 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
     ``family_kinds`` picks C1's test families; without C1 no family is
     built and ``empirical_c1`` is None."""
     notes: list[str] = []
-    p0 = p.limit_at_origin()
-    p_minus, p_plus, exact_bounds = p.bounds((0.0, 1.0))
-    if not exact_bounds:
-        notes.append("p bounds are grid approximations")
+    germ = p.germ()
+    p0 = germ.p0
+    p_minus, p_plus = p.bounds((0.0, 1.0))
     if p_minus <= 1.0 + 1e-9:
         notes.append("p_minus = 1: the nonincreasing-case constant "
                      "p-/(p- - 1) degenerates")
 
-    mono = classify_monotonicity(p)
-    mono_cls = mono.cls
+    # p's class near 0 holds on (0, germ.delta); a nondecreasing class
+    # that ends well above x_min cuts the criterion integrals there
+    mono_cls = germ.monotone if germ.delta == 1.0 else "nonmonotone"
+    constant = germ.constant_below == 1.0
     if delta is None:
         delta = 1.0
-        if mono_cls == "nonmonotone":
-            prefix = monotone_prefix(p, grid.x_min)
-            if prefix > 64.0 * grid.x_min:
-                delta = prefix
-                mono_cls = "nondecreasing"
-                notes.append(f"nondecreasing only on (0, {delta:.3g}); "
-                             "criterion integrals cut there")
+        if (mono_cls == "nonmonotone" and germ.monotone == "nondecreasing"
+                and germ.delta > 64.0 * grid.x_min):
+            delta = germ.delta
+            mono_cls = "nondecreasing"
+            notes.append(f"nondecreasing only on (0, {delta:.3g}); "
+                         "criterion integrals cut there")
 
     gp = on_grid(p, grid)
     # the requested stages and oscillation; C2, C4 and C5 share one scan
@@ -445,7 +443,7 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
         expected = "divergent"
         notes.append("p(0) = 1: boundedness is impossible for "
                      "nondecreasing exponents")
-    elif mono_cls == "nonincreasing" or mono.constant:
+    elif mono_cls == "nonincreasing" or constant:
         expected = "bounded"
     decided = {k: verdicts[k].cls for k in ("C1", "C2", "C3", "C4", "C5")
                if k in verdicts and verdicts[k].cls != "inconclusive"}
@@ -460,7 +458,7 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
 
     return CriterionReport(
         exponent_id=exponent_id,
-        monotonicity=mono_cls + (" (constant)" if mono.constant else ""),
+        monotonicity=mono_cls + (" (constant)" if constant else ""),
         delta=delta,
         p0=p0,
         p_minus=p_minus,

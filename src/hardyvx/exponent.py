@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple, Sequence, Union
 
@@ -32,14 +32,12 @@ __all__ = [
     "PiecewiseLinear",
     "DyadicJump",
     "Tabulated",
-    "MonotonicityClass",
+    "Germ",
     "conjugate_reciprocal",
     "log_phi",
     "GridExponent",
     "ExponentLike",
     "on_grid",
-    "classify_monotonicity",
-    "monotone_prefix",
     "ETA_FLOOR",
     "EXP_GUARD",
 ]
@@ -50,9 +48,6 @@ ETA_FLOOR = 0.125
 
 # Largest exponent fed to exp() when evaluating powers in log space.
 EXP_GUARD = 700.0
-
-# Points of the geometric scans that bound p or test its monotonicity.
-SCAN_POINTS = 10_000
 
 
 class DomainError(ValueError):
@@ -69,11 +64,17 @@ def _check_domain(x: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class MonotonicityClass:
-    """Monotonicity verdict for an exponent on (0, 1)."""
+class Germ:
+    """What an exponent's parameters say about it near the origin."""
 
-    cls: str  # "nonincreasing" | "nondecreasing" | "nonmonotone"
-    constant: bool = False
+    p0: float  # the limit of p at the origin
+    exact: bool  # False where p0 is only p's first sampled value
+    # p's class on (0, delta), with delta the largest such: 1.0 when the
+    # class holds on all of (0, 1); a constant p is nondecreasing
+    monotone: str  # "nondecreasing" | "nonincreasing"
+    delta: float
+    # p is constant on (0, constant_below): 1.0 when p is constant
+    constant_below: float
 
 
 class ExponentFunction:
@@ -88,55 +89,36 @@ class ExponentFunction:
     def _eval(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def limit_at_origin(self) -> float:
+    def germ(self) -> Germ:
         raise NotImplementedError
 
-    @property
-    def origin_approximate(self) -> bool:
-        """True when limit_at_origin is read off a finite sample set."""
-        return False
+    def knots(self) -> tuple[float, ...]:
+        """The points of (0, 1], increasing, between which p is monotone."""
+        return ()
 
     def discontinuities(self) -> list[float]:
         """Interior points where p jumps; integration splits here."""
         return []
 
+    def limit_at_origin(self) -> float:
+        return self.germ().p0
+
     def monotonicity(self) -> str | None:
-        """Exact global monotonicity class, or None if not derivable."""
-        return None
+        """p's class on all of (0, 1), or None where it changes."""
+        germ = self.germ()
+        return germ.monotone if germ.delta == 1.0 else None
 
-    def is_constant(self) -> bool:
-        return False
-
-    def bounds(self,
-               interval: tuple[float, float]) -> tuple[float, float, bool]:
-        """(p_minus, p_plus, exact) on ``interval`` (subset of (0,1])."""
+    def bounds(self, interval: tuple[float, float]) -> tuple[float, float]:
+        """(p_minus, p_plus) on ``interval`` (subset of [0, 1]): p is
+        monotone between its knots, so both are among p at the ends and
+        at the knots inside, with p(0) at 0."""
         a, b = interval
         if not (0.0 <= a < b <= 1.0):
             raise DomainError("interval must satisfy 0 <= a < b <= 1")
-        a_eff = max(a, 1e-300)
-        mono = self.monotonicity()
-        if mono in ("nondecreasing", "nonincreasing"):
-            lo = float(self._eval(_as_array(a_eff)))
-            hi = float(self._eval(_as_array(b)))
-            if mono == "nonincreasing":
-                lo, hi = hi, lo
-            # include interior jump values so half-open conventions cannot
-            # clip the supremum
-            for d in self.discontinuities():
-                if a < d < b:
-                    v = float(self._eval(_as_array(d)))
-                    lo, hi = min(lo, v), max(hi, v)
-            if a == 0.0:
-                v0 = self.limit_at_origin()
-                lo, hi = min(lo, v0), max(hi, v0)
-            return lo, hi, True
-        xs = _scan_points(a_eff, b)
-        vals = self._eval(xs)
-        return float(vals.min()), float(vals.max()), False
-
-
-def _scan_points(a: float, b: float) -> np.ndarray:
-    return np.exp(np.linspace(math.log(a), math.log(b), SCAN_POINTS))
+        inner = self.eval(np.array([x for x in self.knots() if a < x < b]))
+        vals = [*inner.tolist(), self.eval(b),
+                self.eval(a) if a > 0.0 else self.germ().p0]
+        return min(vals), max(vals)
 
 
 @dataclass(frozen=True)
@@ -150,14 +132,8 @@ class Constant(ExponentFunction):
     def _eval(self, x):
         return np.full_like(x, self.p0)
 
-    def limit_at_origin(self):
-        return self.p0
-
-    def monotonicity(self):
-        return "nondecreasing"
-
-    def is_constant(self):
-        return True
+    def germ(self):
+        return Germ(self.p0, True, "nondecreasing", 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -185,15 +161,13 @@ class LogPerturbed(ExponentFunction):
                             np.inf)
         return np.maximum(1.0, self.p0 - pert)
 
-    def limit_at_origin(self):
-        return self.p0
-
-    def monotonicity(self):
-        return "nondecreasing" if self.sign == "+" else "nonincreasing"
-
-    def is_constant(self):
+    def germ(self):
+        if self.sign == "+":
+            return Germ(self.p0, True, "nondecreasing", 1.0, 0.0)
         # "-" floors p at 1, so p0 = 1 is p = 1 everywhere
-        return self.sign == "-" and self.p0 == 1.0
+        if self.p0 == 1.0:
+            return Germ(1.0, True, "nondecreasing", 1.0, 1.0)
+        return Germ(self.p0, True, "nonincreasing", 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -213,13 +187,10 @@ class LogLogPerturbed(ExponentFunction):
         eta = np.maximum(-np.log(np.minimum(x, self._KNEE)), math.e)
         return self.p0 + self.c * np.log(eta) / eta
 
-    def limit_at_origin(self):
-        return self.p0
-
-    def monotonicity(self):
+    def germ(self):
         # ln(eta)/eta decreases in eta = ln(1/x) past eta = e, so p grows
         # with x up to the knee and is constant after it
-        return "nondecreasing"
+        return Germ(self.p0, True, "nondecreasing", 1.0, 0.0)
 
 
 def _check_breaks(breaks: Sequence[float]) -> tuple[float, ...]:
@@ -231,20 +202,32 @@ def _check_breaks(breaks: Sequence[float]) -> tuple[float, ...]:
     return bs
 
 
-class _Piecewise(ExponentFunction):
-    def limit_at_origin(self):
-        return self.values[0]
+class _Knotted(ExponentFunction):
+    """An exponent constant below its first knot and monotone between
+    consecutive knots; one that jumps at its knots is constant between
+    them.  Its germ is read off p at the knots."""
 
-    def monotonicity(self):
-        v = self.values
-        if all(b >= a for a, b in zip(v, v[1:])):
-            return "nondecreasing"
-        if all(b <= a for a, b in zip(v, v[1:])):
-            return "nonincreasing"
-        return None
+    def germ(self):
+        xs = self.knots()
+        # p below the first knot is p(0)
+        p0, *ps = self._eval(np.array([xs[0] / 2.0 if xs else 1.0,
+                                       *xs])).tolist()
+        # p changes on (x_i-1, x_i]: at x_i where it jumps there, else
+        # right after x_i-1
+        starts = xs if self.discontinuities() else (0.0, *xs[:-1])
+        moves = [(x, q - q_prev)
+                 for x, q_prev, q in zip(starts, [p0, *ps], ps) if q != q_prev]
+        if not moves:
+            return Germ(p0, True, "nondecreasing", 1.0, 1.0)
+        first, step = moves[0]
+        turn = next((x for x, d in moves if d * step < 0.0), 1.0)
+        return Germ(p0, True, "nondecreasing" if step > 0.0
+                    else "nonincreasing", turn, first)
 
-    def is_constant(self):
-        return len(set(self.values)) == 1
+
+class _Piecewise(_Knotted):
+    def knots(self):
+        return self.breakpoints
 
 
 @dataclass(frozen=True)
@@ -291,7 +274,7 @@ class PiecewiseLinear(_Piecewise):
 
 
 @dataclass(frozen=True)
-class DyadicJump(ExponentFunction):
+class DyadicJump(_Knotted):
     """p0 plus upward jumps gamma_k added cumulatively for x >= x_k.
 
     Scales must be strictly decreasing and the jump heights summable, so
@@ -322,18 +305,15 @@ class DyadicJump(ExponentFunction):
             out = out + g * (x >= s)
         return out
 
-    def limit_at_origin(self):
-        return self.p0
+    def knots(self):
+        return self.scales[::-1]
 
     def discontinuities(self):
         return sorted(self.scales)
 
-    def monotonicity(self):
-        return "nondecreasing"
-
 
 @dataclass(frozen=True)
-class Tabulated(ExponentFunction):
+class Tabulated(_Knotted):
     """Samples interpolated linearly in (ln x, p); clamped outside."""
 
     xs: tuple[float, ...]
@@ -354,12 +334,12 @@ class Tabulated(ExponentFunction):
     def _eval(self, x):
         return np.interp(np.log(x), np.log(self.xs), self.ps)
 
-    def limit_at_origin(self):
-        return self.ps[0]
+    def knots(self):
+        return self.xs
 
-    @property
-    def origin_approximate(self):
-        return True
+    def germ(self):
+        # p(0) is only known to be the first sample's value
+        return replace(super().germ(), exact=False)
 
 
 def conjugate_reciprocal(p: ExponentFunction, x) -> np.ndarray:
@@ -472,41 +452,3 @@ def on_grid(p: ExponentLike, grid: LogGrid) -> GridExponent:
         sides = zip(p.eval(at * (1.0 - 1e-15)).tolist(), p.eval(at).tolist())
     return GridExponent(p, grid, p_nodes, log_phi(p_nodes, -grid.u),
                         tuple(at.tolist()), tuple(sides))
-
-
-def classify_monotonicity(p: ExponentFunction) -> MonotonicityClass:
-    """Monotonicity class of p on (0, 1).
-
-    Exact for symbolic families; a geometric grid scan otherwise.  A
-    constant exponent reports nondecreasing with the ``constant`` flag.
-    """
-    if p.is_constant():
-        return MonotonicityClass("nondecreasing", constant=True)
-    mono = p.monotonicity()
-    if mono is not None:
-        return MonotonicityClass(mono)
-    xs = _scan_points(1e-12, 1.0 - 1e-12)
-    d = np.diff(p._eval(xs))
-    if np.all(d >= 0):
-        cls = "nondecreasing"
-    elif np.all(d <= 0):
-        cls = "nonincreasing"
-    else:
-        cls = "nonmonotone"
-    return MonotonicityClass(cls)
-
-
-def monotone_prefix(p: ExponentFunction, x_min: float = 1e-12) -> float:
-    """Largest delta such that p is nondecreasing on (0, delta).
-
-    Returns 1.0 when p is nondecreasing on all of (0,1); used to localize
-    criterion integrals for exponents that are only monotone near 0.
-    """
-    if p.monotonicity() == "nondecreasing" or p.is_constant():
-        return 1.0
-    xs = _scan_points(x_min, 1.0 - 1e-12)
-    vals = p._eval(xs)
-    bad = np.nonzero(np.diff(vals) < 0)[0]
-    if bad.size == 0:
-        return 1.0
-    return float(xs[bad[0]])

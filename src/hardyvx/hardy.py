@@ -182,7 +182,7 @@ def power_family(p: ExponentFunction, grid: LogGrid) -> list[FamilyMember]:
     Non-integrable members are filtered later by the runner; the list is
     built from the exponent bounds alone.
     """
-    p_minus, _, _ = p.bounds((0.0, 1.0))
+    p_minus, _ = p.bounds((0.0, 1.0))
     beta_max = 1.0 / p_minus - 0.01
     betas = [round(BETA_STEP * k, 10)
              for k in range(1, int(beta_max / BETA_STEP) + 1)]

@@ -776,7 +776,7 @@ def bracket_check(f: FunctionLike, p: ExponentLike) -> BracketReport:
     (nv,) = _solve([cells], 1e-10)
     if isinstance(nv, UnboundedNormError):
         raise nv
-    p_minus, p_plus, _ = p.p.bounds((grid.x_min, 1.0))
+    p_minus, p_plus = p.p.bounds((grid.x_min, 1.0))
     n = nv.value
     if n <= 1.0:
         low, high = n ** p_plus, n ** p_minus

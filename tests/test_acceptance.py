@@ -165,7 +165,7 @@ def test_acceptance_08_c5_dominates_c4(grid, audits):
         for level, s_val in s_series.items():
             r_val = r_series[level]
             a = 2.0 ** -level
-            p_lo, p_hi, _ = exponent.bounds((a, rep.delta))
+            p_lo, p_hi = exponent.bounds((a, rep.delta))
             bound = max(r_val ** p_lo, r_val ** p_hi)
             assert s_val <= bound * (1.0 + 1e-6) + 1e-9, (name, level)
     _ok(8, "s(a) <= bracket bound from the C5 ratio on every entry/scale")
@@ -175,7 +175,7 @@ def test_acceptance_09_dual_path_hardy(grid):
     worst = 0.0
     for entry in CATALOG:
         p = entry.exponent
-        p_minus, _, _ = p.bounds((0.0, 1.0))
+        p_minus, _ = p.bounds((0.0, 1.0))
         beta = min(0.3, 0.5 / p_minus)
         tests = [
             necessity_test_function(p, grid, 2.0 ** -8),

@@ -4,10 +4,13 @@ or reads."""
 
 import importlib
 import importlib.util
+import json
 import re
+import sys
 from pathlib import Path
 
 from hardyvx.cli import main
+from hardyvx.config import parse_config
 from hardyvx.exponent import ExponentFunction
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +51,15 @@ def test_names_bench_needs_exist():
                    f"hardyvx.{module}"), name, None))]
     assert not missing
     assert callable(ExponentFunction.eval)
+    # the exponent readers bench/selftest.py calls on a parsed case
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    case = workloads.make_cases("jumps", 1)[0]
+    p = parse_config(json.dumps(case.config)).exponent
+    assert p.limit_at_origin() > 1.0
+    assert p.monotonicity() == "nondecreasing"
+    assert 4 <= len(p.discontinuities()) <= 8

@@ -10,6 +10,7 @@ from hardyvx import (
     ExponentFunction,
     LogPerturbed,
     PiecewiseConstant,
+    PiecewiseLinear,
     condition_A,
     condition_B,
     criterion_C2,
@@ -51,7 +52,7 @@ def _reference_C3(p, grid, delta=1.0, eps_depth=13, depth_stops=12):
     p = on_grid(p, grid)
     mask = grid.points <= delta
     u, logphi = grid.u[mask], p.ln_phi[mask]
-    _, p_plus, _ = p.p.bounds((0.0, delta))
+    _, p_plus = p.p.bounds((0.0, delta))
     eps0 = 1.0 - 1.0 / p_plus
     if eps0 < 1e-6:
         eps0 = 0.5
@@ -355,12 +356,15 @@ class TestAudit:
 
     def test_nonmonotone_with_clean_prefix(self, grid):
         # rises then falls: nondecreasing only on (0, 0.6), so the
-        # criterion integrals are cut there
-        p = PiecewiseConstant((0.3, 0.6), (2.0, 3.0, 2.5))
-        rep = equivalence_audit(p, grid, exponent_id="up-down-step")
-        assert rep.delta == pytest.approx(0.6, abs=0.01)
-        assert rep.monotonicity.startswith("nondecreasing")
-        assert rep.agreement
+        # criterion integrals are cut exactly there; p's peak is exact
+        for p in (PiecewiseConstant((0.3, 0.6), (2.0, 3.0, 2.5)),
+                  PiecewiseLinear((0.3, 0.6, 0.9), (2.0, 3.0, 2.5))):
+            rep = equivalence_audit(p, grid, exponent_id="up-down")
+            assert rep.delta == 0.6
+            assert rep.monotonicity == "nondecreasing"
+            assert rep.p_plus == 3.0
+            assert not any("approximat" in note for note in rep.notes)
+            assert rep.agreement
 
     def test_report_serializes(self, grid):
         import json

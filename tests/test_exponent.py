@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hardyvx import (
     Constant,
@@ -12,10 +12,9 @@ from hardyvx import (
     PiecewiseConstant,
     PiecewiseLinear,
     Tabulated,
-    classify_monotonicity,
     conjugate_reciprocal,
 )
-from hardyvx.exponent import DomainError, log_phi, monotone_prefix
+from hardyvx.exponent import DomainError, Germ, log_phi
 
 
 class TestConstruction:
@@ -85,21 +84,52 @@ class TestEvaluation:
         assert p.eval(1e-3) == pytest.approx(3.0)
 
 
+UP_DOWN = PiecewiseLinear((0.3, 0.6, 0.9), (2.0, 3.0, 2.5))
+
+# one case per schema family, and the constant members of two
+GERMS = {
+    "constant": (Constant(2.0), Germ(2.0, True, "nondecreasing", 1.0, 1.0)),
+    "log-perturbed+": (LogPerturbed(2.0, 1.0, 1.0, "+"),
+                       Germ(2.0, True, "nondecreasing", 1.0, 0.0)),
+    "log-perturbed-": (LogPerturbed(3.0, 1.0, 0.5, "-"),
+                       Germ(3.0, True, "nonincreasing", 1.0, 0.0)),
+    "log-perturbed-one": (LogPerturbed(1.0, 1.0, 1.0, "-"),
+                          Germ(1.0, True, "nondecreasing", 1.0, 1.0)),
+    "loglog-perturbed": (LogLogPerturbed(2.0, 1.0),
+                         Germ(2.0, True, "nondecreasing", 1.0, 0.0)),
+    # the fall at 1e-15 sets the class, the rise at 0.5 ends it
+    "piecewise-constant": (PiecewiseConstant((1e-15, 0.5), (3.0, 2.0, 4.0)),
+                           Germ(3.0, True, "nonincreasing", 0.5, 1e-15)),
+    "piecewise-linear": (UP_DOWN, Germ(2.0, True, "nondecreasing", 0.6, 0.3)),
+    "dyadic-jump": (DyadicJump(2.0, (0.5, 0.25), (0.25, 0.0625)),
+                    Germ(2.0, True, "nondecreasing", 1.0, 0.0625)),
+    "tabulated": (Tabulated((1e-9, 1e-3, 0.5, 1.0), (2.0, 4.0, 1.5, 3.0)),
+                  Germ(2.0, False, "nondecreasing", 1e-3, 1e-9)),
+    "tabulated-constant": (Tabulated((1e-3, 1.0), (2.5, 2.5)),
+                           Germ(2.5, False, "nondecreasing", 1.0, 1.0)),
+}
+
+
 class TestMonotonicity:
+    @pytest.mark.parametrize("name", GERMS)
+    def test_germ(self, name):
+        p, germ = GERMS[name]
+        assert p.germ() == germ
+
     def test_classes(self):
-        assert classify_monotonicity(Constant(2.0)).cls == "nondecreasing"
-        assert classify_monotonicity(
-            LogPerturbed(2.0, 1.0, 1.0, "+")).cls == "nondecreasing"
-        assert classify_monotonicity(
-            LogPerturbed(3.0, 1.0, 0.5, "-")).cls == "nonincreasing"
-        assert classify_monotonicity(
-            DyadicJump(2.0, (0.5,), (0.25,))).cls == "nondecreasing"
+        # the readers the benchmark harness calls: the class on all of
+        # (0, 1), or None where it changes
+        assert Constant(2.0).monotonicity() == "nondecreasing"
+        assert LogPerturbed(2.0, 1.0, 1.0, "+").monotonicity() == "nondecreasing"
+        assert LogPerturbed(3.0, 1.0, 0.5, "-").monotonicity() == "nonincreasing"
+        assert DyadicJump(2.0, (0.5,), (0.25,)).monotonicity() == "nondecreasing"
+        assert UP_DOWN.monotonicity() is None
+        assert UP_DOWN.limit_at_origin() == 2.0
 
     def test_nonmonotone_prefix(self):
-        p = PiecewiseLinear((0.3, 0.6, 0.9), (2.0, 3.0, 2.5))
-        assert classify_monotonicity(p).cls == "nonmonotone"
-        prefix = monotone_prefix(p)
-        assert 0.55 <= prefix <= 0.65
+        # nondecreasing up to the peak at the breakpoint 0.6, exactly
+        germ = UP_DOWN.germ()
+        assert (germ.monotone, germ.delta) == ("nondecreasing", 0.6)
 
 
 class TestConjugateAndKernel:
@@ -127,17 +157,58 @@ class TestConjugateAndKernel:
 
 class TestBounds:
     def test_constant_bounds_exact(self):
-        lo, hi, exact = Constant(2.5).bounds((0.0, 1.0))
-        assert (lo, hi) == (2.5, 2.5) and exact
+        assert Constant(2.5).bounds((0.0, 1.0)) == (2.5, 2.5)
 
     def test_monotone_bounds_from_endpoints(self):
         p = LogPerturbed(2.0, 1.0, 1.0, "+")
-        lo, hi, exact = p.bounds((0.0, math.exp(-1.0)))
-        assert lo == pytest.approx(2.0)
+        lo, hi = p.bounds((0.0, math.exp(-1.0)))
+        assert lo == 2.0
         assert hi == pytest.approx(3.0)
-        assert exact
 
     def test_jump_bounds_include_jump_values(self):
         p = PiecewiseConstant((0.5,), (2.0, 3.0))
-        lo, hi, _ = p.bounds((0.0, 1.0))
-        assert (lo, hi) == (2.0, 3.0)
+        assert p.bounds((0.0, 1.0)) == (2.0, 3.0)
+        # the peak of a nonmonotone p is its value at a breakpoint
+        assert UP_DOWN.bounds((0.0, 1.0)) == (2.0, 3.0)
+        assert UP_DOWN.bounds((0.5, 0.95)) == (2.5, 3.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bounds_and_germ_hold_on_a_dense_sample(self, data):
+        """The knot families' bounds and germs against p at 2000
+        log-spaced points of [a, b]."""
+        family = data.draw(st.sampled_from(
+            ["piecewise-constant", "piecewise-linear", "tabulated"]))
+        # depths -log10 x in steps of 0.01
+        depths = data.draw(st.lists(st.integers(1, 900), min_size=2,
+                                    max_size=6, unique=True))
+        knots = tuple(sorted(10.0 ** (-d / 100) for d in depths))
+        if family == "tabulated" and data.draw(st.booleans()):
+            knots += (1.0,)
+        n = len(knots) + (family == "piecewise-constant")
+        # few levels, so p is often flat between knots
+        values = tuple(data.draw(st.lists(st.sampled_from(
+            [1.0, 1.5, 2.0, 2.5, 3.0]), min_size=n, max_size=n)))
+        p = {"piecewise-constant": PiecewiseConstant,
+             "piecewise-linear": PiecewiseLinear,
+             "tabulated": Tabulated}[family](knots, values)
+        a_depth, b_depth = sorted(data.draw(st.lists(
+            st.integers(0, 1000), min_size=2, max_size=2, unique=True)),
+            reverse=True)
+        a = 0.0 if data.draw(st.booleans()) else 10.0 ** (-a_depth / 100)
+        b = 10.0 ** (-b_depth / 100)
+        xs = np.geomspace(a or 1e-12, b, 2000)
+        vals = p.eval(xs)
+
+        lo, hi = p.bounds((a, b))
+        assert lo <= vals.min() and vals.max() <= hi
+        germ = p.germ()
+        attained = {p.eval(x) for x in (a, b, *knots) if 0.0 < x <= b}
+        attained.add(germ.p0 if a == 0.0 else p.eval(a))
+        assert lo in attained and hi in attained
+
+        below = vals[xs < germ.delta]
+        step = np.diff(below) * (1.0 if germ.monotone == "nondecreasing"
+                                 else -1.0)
+        assert np.all(step >= -1e-12)
+        assert np.all(vals[xs < germ.constant_below] == germ.p0)
