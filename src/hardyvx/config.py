@@ -49,7 +49,6 @@ class ScenarioConfig:
     x_min: float
     n: int
     a_depth: int
-    delta: float | None
     eps_depth: int
     necessity_depth: int
     norm_tol: float
@@ -88,7 +87,6 @@ _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
-    "null": lambda v: v is None,
     "number": _is_number,
     # 401.0 is an integer in JSON Schema
     "integer": lambda v: _is_number(v) and (isinstance(v, int)
@@ -103,11 +101,9 @@ def _equal(a, b) -> bool:
     return a == b
 
 
-def _type(types, instance, path, errors, schema):
-    names = [types] if isinstance(types, str) else types
-    if not any(_TYPES[name](instance) for name in names):
-        errors.append((path, f"{instance!r} is not of type "
-                             f"{', '.join(map(repr, names))}"))
+def _type(name, instance, path, errors, schema):
+    if not _TYPES[name](instance):
+        errors.append((path, f"{instance!r} is not of type {name!r}"))
 
 
 def _properties(props, instance, path, errors, schema):
@@ -166,7 +162,7 @@ def _enum(values, instance, path, errors, schema):
 
 
 def _bound(holds, relation):
-    """A numeric bound check; it ignores non-numbers, null among them."""
+    """A numeric bound check; it ignores non-numbers."""
     def check(limit, instance, path, errors, schema):
         if _is_number(instance) and not holds(instance, limit):
             errors.append((path, f"{instance!r} is {relation} {limit!r}"))
@@ -322,7 +318,6 @@ def parse_config(text: str) -> ScenarioConfig:
         x_min=cfg["grid"]["x_min"],
         n=cfg["grid"]["n"],
         a_depth=cfg["a_depth"],
-        delta=cfg["delta"],
         eps_depth=cfg["eps_depth"],
         necessity_depth=cfg["necessity_depth"],
         norm_tol=cfg["tolerances"]["norm_tol"],

@@ -35,7 +35,7 @@ from .hardy import (
     operator_norm_lower_bound,
     power_family,
 )
-from .lpnorm import inverse_x_scales
+from .lpnorm import NORM_TOL, inverse_x_scales
 
 __all__ = [
     "BoundednessVerdict",
@@ -56,6 +56,8 @@ PLATEAU_THRESHOLD = 0.10
 GROWTH_THRESHOLD = 1.5
 # deepest dyadic level a = 2^-j of the C2, C4 and C5 scans
 A_DEPTH = 36
+# number of C3's eps values, eps0 2^-k for k < EPS_DEPTH
+EPS_DEPTH = 13
 # depths of C3's suffixes, evenly spaced in ln x down to ln x_min
 C3_DEPTH_STOPS = 12
 
@@ -213,32 +215,34 @@ def _integral_criteria(p: ExponentLike, grid: LogGrid, delta: float,
 def criterion_C2(p: ExponentLike, grid: LogGrid,
                  delta: float = 1.0) -> BoundednessVerdict:
     """r(a) = (integral_a^delta phi dx/x) / phi(a)."""
-    return _integral_criteria(p, grid, delta, A_DEPTH, 1e-10, False)["C2"]
+    return _integral_criteria(p, grid, delta, A_DEPTH, NORM_TOL, False)["C2"]
 
 
 def criterion_C4(p: ExponentLike, grid: LogGrid,
                  delta: float = 1.0) -> BoundednessVerdict:
     """s(a) = integral_a^delta (phi(x)/phi(a))**p(x) dx/x."""
-    return _integral_criteria(p, grid, delta, A_DEPTH, 1e-10, False)["C4"]
+    return _integral_criteria(p, grid, delta, A_DEPTH, NORM_TOL, False)["C4"]
 
 
 def criterion_C5(p: ExponentLike, grid: LogGrid,
                  delta: float = 1.0) -> BoundednessVerdict:
     """||x^-1|| over (a, delta) divided by a**(-1/p'(a))."""
-    return _integral_criteria(p, grid, delta, A_DEPTH, 1e-10, True)["C5"]
+    return _integral_criteria(p, grid, delta, A_DEPTH, NORM_TOL, True)["C5"]
 
 
 def criterion_C3(p: ExponentLike, grid: LogGrid, delta: float = 1.0,
-                 eps_depth: int = 13) -> BoundednessVerdict:
+                 eps_depth: int = EPS_DEPTH) -> BoundednessVerdict:
     """Search for eps making x**eps * phi(x) almost decreasing.
 
     For each eps the almost-decreasing constant C(eps), the sup over
-    i <= j of v_j / v_i, is recomputed on ``C3_DEPTH_STOPS``
-    progressively deeper suffixes of the grid.  An eps is a valid witness
-    only when ln C stops growing with depth; this rejects the finite-grid
-    artifact C(eps) ~ x_min**(-eps), which passes any fixed threshold as
-    eps -> 0 although no fixed eps works asymptotically.  A bounded
-    verdict's one series entry is (the witness eps, its constant C).
+    i <= j of v_j / v_i, is compared on the grid's suffixes at full depth
+    (down to x_min) and at half depth (down to x_min**(1/2)).  An eps is
+    a valid witness only when ln C stops growing with depth; this rejects
+    the finite-grid artifact C(eps) ~ x_min**(-eps), which passes any
+    fixed threshold as eps -> 0 although no fixed eps works
+    asymptotically.  The shallowest of the ``C3_DEPTH_STOPS`` stops only
+    gates ``inconclusive``.  A bounded verdict's one series entry is (the
+    witness eps, its constant C).
     """
     p = on_grid(p, grid)
     mask = grid.points <= delta
@@ -258,15 +262,14 @@ def criterion_C3(p: ExponentLike, grid: LogGrid, delta: float = 1.0,
             (f"no grid node between the shallowest depth stop "
              f"x={math.exp(depths[0]):.3g} and delta={delta:.3g}",))
     # ln C of the suffix from node i is the largest drop below a later
-    # running max: one suffix max of v, then one of the drops, per eps
+    # running max: one suffix max of v, then the max of the drops, per eps
     logv = np.array(eps_list)[:, None] * u + logphi
     drop = np.maximum.accumulate(logv[:, ::-1], axis=1)[:, ::-1] - logv
-    ln_c = np.maximum.accumulate(drop[:, ::-1], axis=1)[:, ::-1]
     full_at, half_at = u.searchsorted(depths[[-1, C3_DEPTH_STOPS // 2 - 1]],
                                       "left")
+    ln_c = [drop[:, at:].max(axis=1).tolist() for at in (full_at, half_at)]
     candidates = []
-    for eps, full, half in zip(eps_list, ln_c[:, full_at].tolist(),
-                               ln_c[:, half_at].tolist()):
+    for eps, full, half in zip(eps_list, *ln_c):
         growing = (full - half) > PLATEAU_THRESHOLD * full + 1e-9
         if not growing:
             candidates.append((math.exp(full), eps))
@@ -357,10 +360,9 @@ class CriterionReport:
 
 
 def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
-                      a_depth: int = A_DEPTH, delta: float | None = None,
-                      eps_depth: int = 13,
+                      a_depth: int = A_DEPTH, eps_depth: int = EPS_DEPTH,
                       necessity_depth: int = NECESSITY_DEPTH,
-                      norm_tol: float = 1e-10,
+                      norm_tol: float = NORM_TOL,
                       criteria_names: tuple[str, ...] = ("A", "B", "C1", "C2",
                                                          "C3", "C4", "C5"),
                       family_kinds: tuple[str, ...] = ("power", "necessity",
@@ -380,16 +382,14 @@ def equivalence_audit(p: ExponentFunction, grid: LogGrid, *,
 
     # p's class near 0 holds on (0, germ.delta); a nondecreasing class
     # that ends well above x_min cuts the criterion integrals there
-    mono_cls = germ.monotone if germ.delta == 1.0 else "nonmonotone"
+    cut = (germ.monotone == "nondecreasing"
+           and 64.0 * grid.x_min < germ.delta < 1.0)
+    delta = germ.delta if cut else 1.0
+    mono_cls = germ.monotone if cut or germ.delta == 1.0 else "nonmonotone"
     constant = germ.constant_below == 1.0
-    if delta is None:
-        delta = 1.0
-        if (mono_cls == "nonmonotone" and germ.monotone == "nondecreasing"
-                and germ.delta > 64.0 * grid.x_min):
-            delta = germ.delta
-            mono_cls = "nondecreasing"
-            notes.append(f"nondecreasing only on (0, {delta:.3g}); "
-                         "criterion integrals cut there")
+    if cut:
+        notes.append(f"nondecreasing only on (0, {delta:.3g}); "
+                     "criterion integrals cut there")
 
     gp = on_grid(p, grid)
     # the requested stages and oscillation; C2, C4 and C5 share one scan

@@ -32,6 +32,7 @@ from .grids import (
     head_fit,
 )
 from .lpnorm import (
+    NORM_TOL,
     NormValue,
     UnboundedNormError,
     luxemburg_norm,  # bench/selftest.py reads hardy.luxemburg_norm
@@ -156,7 +157,7 @@ def _quotient(den, num):
 
 
 def rayleigh_quotient(f: FunctionLike, p: ExponentLike,
-                      tol: float = 1e-10) -> QuotientResult:
+                      tol: float = NORM_TOL) -> QuotientResult:
     """||x^-1 Hf|| / ||f|| in the Luxemburg norm over (x_min, 1], whether
     or not f lies in L^p(.): ``_quotient`` of f's ``quotient_norms``,
     raising the exception that rules it out."""
@@ -286,7 +287,7 @@ class OperatorNormResult:
 
 def operator_norm_lower_bound(p: ExponentLike,
                               members: list[FamilyMember],
-                              tol: float = 1e-10) -> OperatorNormResult:
+                              tol: float = NORM_TOL) -> OperatorNormResult:
     """Max Rayleigh quotient over a test family.
 
     A power member x^-beta takes one ``modular``, which decides whether

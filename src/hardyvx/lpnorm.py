@@ -94,6 +94,8 @@ __all__ = [
     "inverse_x_scales",
 ]
 
+# the default relative width of a certified norm bracket (``norm_tol``)
+NORM_TOL = 1e-10
 # the budget of ``_batches``: nodes per preparation batch, and cells per
 # raw batch and per lockstep group; large enough to amortise numpy's
 # per-call cost over many jobs, small enough that the temporaries stay a
@@ -698,7 +700,7 @@ def _solve(prepared, tol: float) -> list:
     return results
 
 
-def luxemburg_norms(fs, p: ExponentLike, tol: float = 1e-10) -> list:
+def luxemburg_norms(fs, p: ExponentLike, tol: float = NORM_TOL) -> list:
     """inf{lambda > 0 : modular(f/lambda) <= 1} for each f of ``fs``, in
     order.  p is sampled once for all of them on one grid.
 
@@ -715,7 +717,7 @@ def luxemburg_norms(fs, p: ExponentLike, tol: float = 1e-10) -> list:
     return _solve(_prepare(fs, p), tol)
 
 
-def quotient_norms(fs: list, p: ExponentLike, tol: float = 1e-10) -> list:
+def quotient_norms(fs: list, p: ExponentLike, tol: float = NORM_TOL) -> list:
     """(``modular(f, p)``, ||f||, ||x^-1 Hf||) for each f in ``fs``, all on
     one grid, in order, the norms as in ``luxemburg_norms``.  One
     ``_solve`` takes every f's prepared cells from one ``_prepare``
@@ -740,7 +742,7 @@ def quotient_norms(fs: list, p: ExponentLike, tol: float = 1e-10) -> list:
 
 
 def luxemburg_norm(f: FunctionLike, p: ExponentLike,
-                   tol: float = 1e-10) -> NormValue:
+                   tol: float = NORM_TOL) -> NormValue:
     """inf{lambda > 0 : modular(f/lambda) <= 1}: ``luxemburg_norms`` on
     one f, raising UnboundedNormError for an unbounded one."""
     (result,) = luxemburg_norms([f], p, tol)
@@ -773,7 +775,7 @@ def bracket_check(f: FunctionLike, p: ExponentLike) -> BracketReport:
     # f is prepared once, for its modular and its norm
     (cells,) = _prepare([segs], p)
     mv = _modular(cells, grid)
-    (nv,) = _solve([cells], 1e-10)
+    (nv,) = _solve([cells], NORM_TOL)
     if isinstance(nv, UnboundedNormError):
         raise nv
     p_minus, p_plus = p.p.bounds((grid.x_min, 1.0))
@@ -800,7 +802,7 @@ def _inverse_x_jobs(grid, a_list, delta: float) -> list:
 
 
 def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,
-                     delta: float = 1.0, tol: float = 1e-10,
+                     delta: float = 1.0, tol: float = NORM_TOL,
                      solve: bool = True) -> list:
     """(integral_a^delta phi dx/x, I(f_a/e^sigma), ||f_a||) for f_a = x^-1
     on (a, delta), for each a of ``a_list`` and its sigma, from one

@@ -54,7 +54,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunReport:
     report = equivalence_audit(
         cfg.exponent, grid,
         a_depth=cfg.a_depth,
-        delta=cfg.delta,
         eps_depth=cfg.eps_depth,
         necessity_depth=cfg.necessity_depth,
         norm_tol=cfg.norm_tol,
@@ -78,12 +77,13 @@ def emit(report: RunReport, fmt: str, out_dir: str | Path) -> list[Path]:
     """Write the report; returns the paths written.
 
     JSON: one file with the full nested report.  CSV: one file per
-    criterion series with header ``a,value,lo,hi``.  lo/hi are the
-    certified bracket of the quotient that sets each C1 level and the
-    norm bracket divided by phi(a) for C5; they collapse to the value on
-    the other series, which track no interval bound.  The label names
-    the files, so it must be one path component: else ValueError, and
-    nothing is written.
+    criterion series with header ``level,value,lo,hi``, level the dyadic
+    level j = -log2 a (``eps,value,lo,hi`` for C3's one witness row).
+    lo/hi are the certified bracket of the quotient that sets each C1
+    level and the norm bracket divided by phi(a) for C5; they collapse
+    to the value on the other series, which track no interval bound.
+    The label names the files, so it must be one path component: else
+    ValueError, and nothing is written.
     """
     label = report.report.exponent_id or "scenario"
     if label == ".." or Path(label).name != label:
@@ -100,7 +100,7 @@ def emit(report: RunReport, fmt: str, out_dir: str | Path) -> list[Path]:
             if not verdict.series:
                 continue
             path = out / f"{label}.{name}.csv"
-            lines = ["a,value,lo,hi"]
+            lines = [f"{'eps' if name == 'C3' else 'level'},value,lo,hi"]
             bounds = verdict.bounds or [(v, v) for _, v in verdict.series]
             for (param, value), (lo, hi) in zip(verdict.series, bounds):
                 lines.append(f"{param!r},{value!r},{lo!r},{hi!r}")

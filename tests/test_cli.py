@@ -11,10 +11,14 @@ import hardyvx
 from hardyvx.catalog import CATALOG, catalog_exponent
 from hardyvx.cli import main
 from hardyvx.config import ConfigError, load_schema, parse_config
-from hardyvx.criteria import equivalence_audit
+from hardyvx.criteria import (A_DEPTH, EPS_DEPTH, criterion_C3,
+                               equivalence_audit)
 from hardyvx.grids import make_log_grid
-from hardyvx.hardy import necessity_family, power_family
-from hardyvx.lpnorm import modular
+from hardyvx.hardy import (NECESSITY_DEPTH, necessity_family,
+                           operator_norm_lower_bound, power_family,
+                           rayleigh_quotient)
+from hardyvx.lpnorm import (NORM_TOL, inverse_x_scales, luxemburg_norm,
+                            luxemburg_norms, modular, quotient_norms)
 from hardyvx.report import VARYING_FIELDS, emit, report_json, run_scenario
 
 
@@ -63,13 +67,28 @@ class TestParseConfig:
         for key in ("x_min", "n"):
             assert props["grid"]["properties"][key]["default"] \
                 == grid[key].default
-        for key in ("a_depth", "delta", "eps_depth", "necessity_depth"):
-            assert props[key]["default"] == audit[key].default
-        # a library call builds the same C1 family as a default audit
-        assert props["necessity_depth"]["default"] == inspect.signature(
-            necessity_family).parameters["depth"].default
+        # each library default has one home, which the schema repeats
+        # and every signature that takes it defaults to
+        homes = {"a_depth": A_DEPTH, "eps_depth": EPS_DEPTH,
+                 "necessity_depth": NECESSITY_DEPTH}
+        for key, value in homes.items():
+            assert props[key]["default"] == value
         assert props["tolerances"]["properties"]["norm_tol"]["default"] \
-            == audit["norm_tol"].default
+            == NORM_TOL
+        for func, key, value in [
+                (equivalence_audit, "a_depth", A_DEPTH),
+                (equivalence_audit, "eps_depth", EPS_DEPTH),
+                (criterion_C3, "eps_depth", EPS_DEPTH),
+                (equivalence_audit, "necessity_depth", NECESSITY_DEPTH),
+                (necessity_family, "depth", NECESSITY_DEPTH),
+                (equivalence_audit, "norm_tol", NORM_TOL),
+                (luxemburg_norms, "tol", NORM_TOL),
+                (quotient_norms, "tol", NORM_TOL),
+                (luxemburg_norm, "tol", NORM_TOL),
+                (inverse_x_scales, "tol", NORM_TOL),
+                (rayleigh_quotient, "tol", NORM_TOL),
+                (operator_norm_lower_bound, "tol", NORM_TOL)]:
+            assert inspect.signature(func).parameters[key].default == value
         assert tuple(props["criteria"]["default"]) \
             == audit["criteria_names"].default
         assert tuple(props["families"]["default"]) \
@@ -113,8 +132,12 @@ class TestRunAndEmit:
         assert "constant-2.C2.csv" in names
         c2 = next(p for p in paths if p.name == "constant-2.C2.csv")
         lines = c2.read_text().splitlines()
-        assert lines[0] == "a,value,lo,hi"
+        # the first column is the dyadic level j = -log2 a, and C3's one
+        # row is its witness eps
+        assert lines[0] == "level,value,lo,hi"
         assert len(lines) >= 10
+        c3 = next(p for p in paths if p.name == "constant-2.C3.csv")
+        assert c3.read_text().splitlines()[0] == "eps,value,lo,hi"
         c1 = next(p for p in paths if p.name == "constant-2.C1.csv")
         rows = [[float(x) for x in line.split(",")]
                 for line in c1.read_text().splitlines()[1:]]
@@ -240,12 +263,20 @@ class TestMain:
             assert f"expected bounded, contradicted by {named}" \
                 in report["notes"]
 
-    def test_removed_family_is_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra, message", [
+        ({"families": ["random-step"]},
+         "families.0: 'random-step' is not one of"),
+        ({"delta": 0.5},
+         "Additional properties are not allowed ('delta' was unexpected)"),
+    ], ids=["random-step", "delta"])
+    def test_removed_family_is_input_error(self, tmp_path, capsys, extra,
+                                           message):
+        # a family and a config key that the program no longer has
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(minimal(families=["random-step"]))
+        cfg.write_text(minimal(**extra))
         assert main(["run", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert "families.0: 'random-step' is not one of" in err
+        assert message in err
         assert "Traceback" not in err
 
     def test_grid_n_past_the_cap_is_input_error(self, tmp_path, capsys):

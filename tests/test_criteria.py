@@ -366,6 +366,24 @@ class TestAudit:
             assert not any("approximat" in note for note in rep.notes)
             assert rep.agreement
 
+    @pytest.mark.parametrize("multiple, monotonicity, cut", [
+        (65, "nondecreasing", True), (63, "nonmonotone", False)])
+    def test_delta_cut_needs_the_turn_past_64_x_min(self, coarse_grid,
+                                                     multiple, monotonicity,
+                                                     cut):
+        # rises then falls at t: the integrals are cut at t only for t >
+        # 64 x_min; C1 contradicts C2-C5 on both inputs (ROADMAP item 1),
+        # so only the labels, delta and the notes are pinned
+        t = multiple * coarse_grid.x_min
+        rep = equivalence_audit(PiecewiseConstant((t / 3, t), (2.0, 3.0, 2.5)),
+                                coarse_grid)
+        assert rep.monotonicity == monotonicity
+        assert rep.delta == (t if cut else 1.0)
+        assert (f"nondecreasing only on (0, {t:.3g}); criterion integrals "
+                "cut there" in rep.notes) == cut
+        assert ("exponent is not monotone near 0; the equivalence theorem "
+                "does not apply" in rep.notes) == (not cut)
+
     def test_report_serializes(self, grid):
         import json
         rep = equivalence_audit(catalog_exponent("constant-2").exponent, grid,

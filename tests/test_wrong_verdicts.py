@@ -4,7 +4,7 @@
 of the audit: a (workload, seed, label, criterion) whose C1-C5 class is
 the opposite of the theory class, and, with "agreement" as the
 criterion, every input whose report agrees although a class is wrong.
-The corpus is the catalog, three hand-built inputs and the ``jumps``
+The corpus is the catalog, five hand-built inputs and the ``jumps``
 and ``screen`` inputs of ``bench/workloads.py`` for seeds 1-20, each
 built with its theory class known.  A check fails on a wrong line the
 file does not list, on an input that disagrees though no class is
@@ -36,8 +36,9 @@ LISTED = Path(__file__).with_name("wrong_verdicts.json")
 SEEDS = range(1, 21)
 TIER1_SEEDS = (11,)
 # inputs the generated workloads leave out, with their theory class:
-# p = 1 near 0 by a floored log perturbation and by a step, and p =
-# 1e300, whose Newton slope overflows a double
+# p = 1 near 0 by a floored log perturbation and by a step, p = 1e300,
+# whose Newton slope overflows a double, and constant p just above 1,
+# where C2's series nears p' too slowly for the plateau test
 HAND = (
     ("log-perturbed-one",
      {"exponent": {"family": "log-perturbed", "p0": 1.0, "c": 1.0,
@@ -48,6 +49,10 @@ HAND = (
     ("constant-1e300",
      {"exponent": {"family": "constant", "p0": 1e300},
       "grid": {"x_min": 1e-8, "n": 401}}, "bounded"),
+    ("constant-1.05", {"exponent": {"family": "constant", "p0": 1.05}},
+     "bounded"),
+    ("constant-1.1", {"exponent": {"family": "constant", "p0": 1.1}},
+     "bounded"),
 )
 
 
