@@ -150,13 +150,19 @@ class LogPerturbed(ExponentFunction):
             raise ValueError("require p0 >= 1, c > 0, alpha > 0")
         if self.sign not in ("+", "-"):
             raise ValueError("sign must be '+' or '-'")
+        if self.sign == "+" and not math.isfinite(self._eval(np.ones(1))[0]):
+            raise ValueError("p_plus = p0 + c/ETA_FLOOR**alpha must be a "
+                             "finite double")
 
     def _eval(self, x):
         eta = -np.log(x)
+        # eta**alpha past the largest double is inf, where c/eta**alpha
+        # takes its limit 0
         if self.sign == "+":
             eta = np.maximum(eta, ETA_FLOOR)
-            return self.p0 + self.c / eta ** self.alpha
-        with np.errstate(divide="ignore"):
+            with np.errstate(over="ignore", divide="ignore"):
+                return self.p0 + self.c / eta ** self.alpha
+        with np.errstate(over="ignore", divide="ignore"):
             pert = np.where(eta > 0.0, self.c / np.maximum(eta, 1e-300) ** self.alpha,
                             np.inf)
         return np.maximum(1.0, self.p0 - pert)
@@ -332,7 +338,10 @@ class Tabulated(_Knotted):
             raise ValueError("all sampled values must be >= 1")
 
     def _eval(self, x):
-        return np.interp(np.log(x), np.log(self.xs), self.ps)
+        # clamped below xs[0], as np.interp clamps: so _Knotted.germ's
+        # xs[0]/2, 0 where xs[0] is the smallest double, takes no ln 0
+        return np.interp(np.log(np.maximum(x, self.xs[0])), np.log(self.xs),
+                         self.ps)
 
     def knots(self):
         return self.xs
@@ -433,6 +442,14 @@ class GridExponent:
             starts, first.tolist(), (first + lengths - 2).tolist(),
             [math.log(s) for s, _ in pieces], [math.log(t) for _, t in pieces],
             tuple(t for _, t in pieces[:-1]))
+
+    @cached_property
+    def inverse_x(self):
+        """x^-1 on (x_min, 1] prepared from ``layout`` on first use
+        (``lpnorm._inverse_x``): the row C1's Hardy averages end in and
+        C2, C4 and C5's scales are slices of."""
+        from .lpnorm import _inverse_x
+        return _inverse_x(self)
 
 
 ExponentLike = Union[ExponentFunction, GridExponent]

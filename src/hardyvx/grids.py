@@ -18,9 +18,10 @@ overflow below the larger end; a linear cell is ``_linear_cells``.
 ``cumulative_integral`` takes their running sum, so pure power integrands
 are exact up to rounding; ``_cumulative_integrals`` does so for a batch
 of functions in one pass, the node slices of all their segments laid end
-to end, and returns the running totals as one 2-D array, which the C1
-numerators read directly; ``cumulative_integral`` wraps its one row as
-a ``SampledFunction``.  The Luxemburg-norm solver in ``lpnorm`` feeds
+to end, and returns each function's running totals over its own node
+range only, which the C1 numerators read directly; past that range the
+total keeps its last value, with which ``cumulative_integral`` pads its
+one row to the whole grid.  The Luxemburg-norm solver in ``lpnorm`` feeds
 ``_exp_cells`` the exponents of its own prepared cells.  The only
 truncation bias is the head extrapolation below x_min, a two-point
 power-law fit.
@@ -346,37 +347,42 @@ def integrate(g: SampledFunction, a: float, b: float) -> float:
 
 def cumulative_integral(f: FunctionLike) -> SampledFunction:
     """x -> integral_0^x f, as a sampled function on f's grid:
-    ``_cumulative_integrals`` of f alone, raising its DivergentHeadError.
+    ``_cumulative_integrals`` of f alone, 0 below its own node range and
+    its last total above it, raising its DivergentHeadError.
 
     Accepts a single segment or a list of disjoint segments.  Segments
     whose support reaches below x_min contribute the closed-form head of
     their two-point power-law fit.
     """
-    (total,), _, (error,) = _cumulative_integrals([f])
+    (total,), (first,), (length,), (error,) = _cumulative_integrals([f])
     if error is not None:
         raise error
-    return SampledFunction(as_segments(f)[0].grid, total)
+    grid = as_segments(f)[0].grid
+    return SampledFunction(grid, np.concatenate((
+        np.zeros(first), total, np.full(grid.n - first - length, total[-1]))))
 
 
 def _cumulative_integrals(fs: list) -> tuple[np.ndarray, np.ndarray,
-                                              list]:
+                                              np.ndarray, list]:
     """The running totals of ``cumulative_integral`` of each function in
-    ``fs``, all on one grid, in one pass, as one row per function of a
-    2-D array; per function the first node of its lowest segment's node
-    slice, below which its total is 0, and at which it is 0 too unless a
-    head below x_min reaches it; and per function its DivergentHeadError,
+    ``fs``, all on one grid, in one pass, over its own node range only:
+    from the first node of its lowest segment's node slice, below which
+    its total is 0 (and at which it is 0 too unless a head below x_min
+    reaches it), to the last node of its highest, past which it keeps its
+    last value.  Returns one row per function, its totals from its first
+    node on, padded to the longest own range; per function its first node
+    and its own range's length; and per function its DivergentHeadError,
     or None.  The cells of every segment's node slice, laid end to end,
-    are integrated in one ``_cell_integrals`` call, placed at their grid
-    positions in one row per segment, after each slice's first node, and
-    summed by ``np.cumsum(axis=1)``, which keeps each row's summation
-    order.  A function whose head below x_min diverges keeps a row of
-    zeros and first node 0 (its error is returned, not raised), and its
-    neighbours are unaffected.
+    are integrated in one ``_cell_integrals`` call, placed in one row per
+    segment, and summed by ``np.cumsum(axis=1)``, which keeps each row's
+    summation order.  A function whose head below x_min diverges keeps a
+    row of zeros, first node 0 and length 1 (its error is returned, not
+    raised), and its neighbours are unaffected.
     """
     grid = as_segments(fs[0])[0].grid
     errors: list = [None] * len(fs)
-    total = np.zeros((len(fs), grid.n))
     firsts = np.zeros(len(fs), np.intp)
+    lengths = np.ones(len(fs), np.intp)
     segs, heads = [], []
     owners = []  # (function, its first segment, its segment count)
     for k, f in enumerate(fs):
@@ -386,8 +392,6 @@ def _cumulative_integrals(fs: list) -> tuple[np.ndarray, np.ndarray,
                 if seg.grid is not grid and not np.array_equal(
                         seg.grid.points, grid.points):
                     raise GridError("all segments must share one grid")
-                if np.any(seg.values < 0.0):
-                    raise ValueError("cumulative_integral requires g >= 0")
                 lo, _ = seg.effective_support()
                 my_heads.append(head_integral(seg.values[0], seg.values[1],
                                               grid) if lo < grid.x_min
@@ -399,34 +403,43 @@ def _cumulative_integrals(fs: list) -> tuple[np.ndarray, np.ndarray,
         segs += mine
         heads += my_heads
     if not segs:
-        return total, firsts, errors
+        return np.zeros((len(fs), 1)), firsts, lengths, errors
     ln_a, ln_b = np.array([(math.log(max(lo, grid.x_min)),
                             math.log(min(hi, 1.0)))
                            for lo, hi in (seg.effective_support()
                                           for seg in segs)]).T
     starts, stops = grid.node_slices(ln_a, ln_b)
-    lengths = stops - starts
-    idx, offsets = _ranges(starts, lengths)
+    # each function's own node range, from its segments' slices
+    rows = [k for k, _, _ in owners]
+    segs_at = [j for _, j, _ in owners]  # each function's first segment
+    firsts[rows] = np.minimum.reduceat(starts, segs_at)
+    lengths[rows] = np.maximum.reduceat(stops, segs_at) - firsts[rows]
+    lengths_per = stops - starts
+    idx, offsets = _ranges(starts, lengths_per)
     # every node but each slice's last starts a cell
     pairs = np.ones(idx.size - 1, bool)
     pairs[offsets[1:] - 1] = False
     left = pairs.nonzero()[0]
     u = grid.u[idx]
     u0, u1 = u[left], u[left + 1]
-    cells_per = lengths - 1
+    cells_per = lengths_per - 1
+    values = np.concatenate([seg.values[a:b] for seg, a, b in zip(
+        segs, starts.tolist(), stops.tolist())])
+    if np.any(values < 0.0):
+        raise ValueError("cumulative_integral requires g >= 0")
     cells = _cell_integrals(
-        u, np.concatenate([seg.values[a:b] for seg, a, b in zip(
-            segs, starts.tolist(), stops.tolist())]),
+        u, values,
         np.clip(np.repeat(ln_a, cells_per), u0, u1),
         np.clip(np.repeat(ln_b, cells_per), u0, u1), left=left)
-    running = np.zeros((len(segs), grid.n))
-    running[np.repeat(np.arange(len(segs)), cells_per), idx[left] + 1] = cells
+    # each segment's cells at their nodes' places in its function's range
+    origin = np.repeat(firsts[rows], [count for _, _, count in owners])
+    running = np.zeros((len(segs), int(lengths.max())))
+    running[np.repeat(np.arange(len(segs)), cells_per),
+            idx[left] + 1 - np.repeat(origin, cells_per)] = cells
     np.cumsum(running, axis=1, out=running)
     running += np.array(heads)[:, None]
     # each function's total adds its segments in order
-    rows = [k for k, _, _ in owners]
-    segs_at = [j for _, j, _ in owners]  # each function's first segment
-    firsts[rows] = np.minimum.reduceat(starts, segs_at)
+    total = np.zeros((len(fs), running.shape[1]))
     total[rows] = running[segs_at]
     for m in range(1, max(count for _, _, count in owners)):
         more = [i for i, (_, _, count) in enumerate(owners) if count > m]
@@ -436,4 +449,4 @@ def _cumulative_integrals(fs: list) -> tuple[np.ndarray, np.ndarray,
               < -1e-12 * np.maximum(1.0, total[:, -1:])):
         raise AssertionError("cumulative integral must be nondecreasing")
     np.maximum.accumulate(total, axis=1, out=total)
-    return total, firsts, errors
+    return total, firsts, lengths, errors

@@ -7,9 +7,11 @@ Hf(x)/x = integral_0^1 f(t x) dt, used to cross-validate quadrature.
 The C1 sweep takes the quotient of a power member x^-beta in closed form,
 1/(1 - beta) for every p, since Hf(x)/x = f(x)/(1 - beta).  It builds no
 other average as a sampled function: ``lpnorm.quotient_norms`` prepares
-every other member's numerator from running totals and solves it in the
-stream that solves the denominators, and ``_quotient`` holds the one
-order in which a member in L^p(.) is skipped for want of a quotient.
+every other member's numerator from running totals over the member's own
+nodes, and past them from p's one prepared x^-1, since there Hf(x)/x is
+(integral of f)/x, and solves it in the stream that solves the
+denominators; ``_quotient`` holds the one order in which a member in
+L^p(.) is skipped for want of a quotient.
 """
 
 from __future__ import annotations

@@ -9,9 +9,14 @@ rows, once per f and a batch of functions at a time.  Every f is cut
 from one layout of p, ``GridExponent.layout``: the node slices of p's
 pieces over (x_min, 1] laid end to end, built once per (p, grid).  Each
 segment of f, its support clipped to (x_min, 1], is one run of its
-positions, as is each of C1's Hardy averages, given as running totals
-divided by x (``_average_cells``); ``_cut`` cuts a batch of such rows
-for the one cell builder, ``_cells``.  For each cell of a piece's node
+positions (``_locate``); ``_cut`` cuts a batch of such rows for the one
+cell builder, ``_cells``.  x^-1 on (x_min, 1] is cut once per (p, grid)
+too (``GridExponent.inverse_x``), and every row of the shape I/x is read
+from it: past its support, each of C1's Hardy averages x^-1 Hf is I/x,
+so only its running totals over f's own nodes are cut, and its tail
+takes x^-1's cells with a = p ln(I/x) + u (``_average_cells``); each
+scale (a, delta) of C2, C4 and C5 is a slice of x^-1's cells, clipped
+at both ends (``inverse_x_scales``).  For each cell of a piece's node
 slice, with the piece clipped into it, the exponent E = p ln|f| + u -
 sigma p (u = ln x) at both clipped ends is a - sigma q, so the cell
 integral is the grid's log-space cell formula ``_exp_cells`` of two such
@@ -50,10 +55,8 @@ each group evaluating all its jobs' current points together.  So a
 solve holds one raw batch and one group of at most ``_GROUP_CELLS``
 cells each, besides ``_prepare``'s batch.  A job's cut, collapse and
 search never depend on the batch or group it shares.  The modular, its
-truncation bias and ``inverse_x_scales``' reads take the raw rows.
-
-``inverse_x_scales`` reads C2 and C4 of ``criteria`` from one preparation
-of x^-1 on each (a, delta), and streams it into ``_solve`` only for C5.
+truncation bias and ``inverse_x_scales``' reads of C2 and C4, which
+stream into ``_solve`` only for C5, take the raw rows.
 """
 
 from __future__ import annotations
@@ -72,11 +75,11 @@ from .exponent import (EXP_GUARD, ExponentLike, GridExponent, PieceLayout,
 from .grids import (
     DivergentHeadError,
     FunctionLike,
-    SampledFunction,
     _cumulative_integrals,
     _exp_cells,
     _lerp,
     _linear_cells,
+    _ranges,
     as_segments,
     head_integral,
 )
@@ -182,29 +185,14 @@ def _prepare(fs, p: ExponentLike):
         for f in fs:
             segs = as_segments(f)
             p = on_grid(p, segs[0].grid)
-            grid, layout, job = p.grid, p.layout, []
+            job = []
             for seg in segs:
                 lo, hi = seg.effective_support()
-                lo_eff, hi_eff = max(lo, grid.x_min), min(hi, 1.0)
-                ln_lo, ln_hi = math.log(lo_eff), math.log(hi_eff)
-                if ln_lo >= ln_hi:  # no width in u
-                    continue
-                cut = grid.node_slice(lo_eff, hi_eff)
-                k0 = bisect.bisect_right(layout.jumps, lo_eff)
-                k1 = bisect.bisect_left(layout.jumps, hi_eff)
-                # an end within rounding of a jump that lies on a node
-                # leaves a sliver of no width in u between them, where the
-                # row would hold one node of the jump's far piece (at or
-                # past that piece's last node, or at or before its first):
-                # start or stop the row in the piece beyond the sliver
-                last = (layout.start[k0] + layout.last[k0]
-                        - layout.first[k0] + 1)
-                if cut.start >= last:
-                    k0 += 1
-                if cut.stop - 1 <= layout.start[k1]:
-                    k1 -= 1
-                job.append((k0, k1, cut.start, cut.stop, ln_lo, ln_hi,
-                            seg.values[cut], lo, hi, lo < grid.x_min))
+                row = _locate(p, lo, hi)
+                if row is not None:
+                    k0, k1, cut, ln_lo, ln_hi = row
+                    job.append((k0, k1, cut.start, cut.stop, ln_lo, ln_hi,
+                                seg.values[cut], lo, hi, lo < p.grid.x_min))
             yield p, job
 
     for batch in _batches(jobs(p), lambda item: sum(
@@ -213,36 +201,125 @@ def _prepare(fs, p: ExponentLike):
             yield from _cut(q, [job for _, job in run])
 
 
+def _locate(p: GridExponent, lo: float, hi: float):
+    """(k0, k1, cut, ln lo, ln hi): the pieces k0 to k1 of p's layout at the
+    nodes of ``cut = node_slice(lo, hi)`` that hold (lo, hi) clipped to
+    (x_min, 1], or None where that has no width in u."""
+    grid, layout = p.grid, p.layout
+    lo, hi = max(lo, grid.x_min), min(hi, 1.0)
+    ln_lo, ln_hi = math.log(lo), math.log(hi)
+    if ln_lo >= ln_hi:
+        return None
+    cut = grid.node_slice(lo, hi)
+    k0 = bisect.bisect_right(layout.jumps, lo)
+    k1 = bisect.bisect_left(layout.jumps, hi)
+    # an end within rounding of a jump that lies on a node leaves a sliver
+    # of no width in u between them, where the row would hold one node of
+    # the jump's far piece (at or past that piece's last node, or at or
+    # before its first): start or stop the row in the piece beyond it
+    if cut.start >= layout.start[k0] + layout.last[k0] - layout.first[k0] + 1:
+        k0 += 1
+    if cut.stop - 1 <= layout.start[k1]:
+        k1 -= 1
+    return k0, k1, cut, ln_lo, ln_hi
+
+
+class _InverseX(NamedTuple):
+    """x^-1 on (x_min, 1] prepared once per (p, grid), and what every row
+    of the shape I/x shares with it: q_s, q_t, dt and mean p (its rows 1,
+    3, 4 and 5), each cell's left layout position, x and (u -
+    EXP_GUARD)/p at each position, and each piece's first and last cell
+    with the lerp weight of s and t there."""
+    cells: _Cells
+    left: np.ndarray
+    x: np.ndarray
+    shift: np.ndarray
+    corners: tuple  # (first cells, w_s, last cells, w_t)
+
+
+def _inverse_x(p: GridExponent) -> _InverseX:
+    """The ``_InverseX`` of p: every pair of positions within a piece is a
+    cell of x^-1, cut from the whole layout in one ``_cut``."""
+    grid, layout = p.grid, p.layout
+    (cells,) = _cut(p, [[(0, len(layout.first) - 1, 0, grid.n, grid.u[0],
+                          0.0, 1.0 / grid.points, grid.x_min, 1.0, False)]])
+    u, first, last = layout.u, np.array(layout.first), np.array(layout.last)
+    left = np.delete(np.arange(u.size - 1), first[1:] - 1)
+    nodes, _ = _ranges(np.array(layout.start), last - first + 2)
+    return _InverseX(cells, left, grid.points[nodes],
+                     (u - EXP_GUARD) / layout.p,
+                     (left.searchsorted(first),
+                      _clip(layout.ln_s, u[first], u[first + 1])[1],
+                      left.searchsorted(last),
+                      _clip(layout.ln_t, u[last], u[last + 1])[1]))
+
+
 def _average_cells(fs: list, p: GridExponent):
     """The prepared modular of x^-1 Hf over (x_min, 1] for each f in
-    ``fs``, all on p's grid, in order, as they are taken, or f's
-    DivergentHeadError where its head below x_min diverges.  Functions
-    are taken in ``_batches`` by segments times nodes, each batch in one
-    ``_cumulative_integrals`` pass, and their running totals divided by x
-    are cut from p's layout in one ``_cut``, as ``_prepare`` cuts f with
-    no support, less the head fit.  An average is read from the first
-    node of f's lowest segment's slice on (node 0 for support below
-    x_min): below that node it is exactly 0, and at it too unless a head
-    reaches it, so every cell ending at or below it would be dropped.
-    The row starts in the first piece whose last node lies above that
-    node; pieces meet in at most one cell, so that piece's s lies at or
-    below the node, and clipped into the row's first cell it is u
-    there."""
-    grid, layout, last = p.grid, p.layout, len(p.layout.first) - 1
-    # the last node of each piece
-    ends = np.add(layout.start, layout.last) - layout.first + 1
-
-    for chunk in _batches(fs, lambda f: len(as_segments(f)) * grid.n):
-        # a function whose head diverges has a row of zeros from node 0,
-        # whose cells are all dropped
-        total, starts, errors = _cumulative_integrals(chunk)
-        cells = _cut(p, [
-            [(k0, last, start, grid.n, ln_s, 0.0, row[start:], 0.0,
-              math.inf, False)]
-            for k0, start, ln_s, row in zip(
-                ends.searchsorted(starts, "right").tolist(), starts.tolist(),
-                grid.u[starts].tolist(), total / grid.points)])
-        yield from (error or job for error, job in zip(errors, cells))
+    ``fs``, all on p's grid, in order, or f's DivergentHeadError where its
+    head below x_min diverges.  f's running totals over its own nodes, s
+    (below which x^-1 Hf is 0) to e, divided by x, are cut from p's layout
+    in one ``_cut``, from the first piece whose last node lies above s to
+    the last one starting below e.  Past e, x^-1 Hf is I/x, I = Hf(e): the
+    tail is x^-1's cells (``_InverseX``) from e's position in the first
+    piece whose last node lies above e, with a = p ln(I/x) + u and the
+    guard terms in ``_cells``'s float operations, so each row is bit for
+    bit the one the whole grid gives.  Tails are built in ``_batches`` by
+    cell count."""
+    grid, layout, inverse = p.grid, p.layout, p.inverse_x
+    totals, firsts, lengths, errors = _cumulative_integrals(fs)
+    ends = np.add(layout.start, layout.last) - layout.first + 1  # last nodes
+    lasts = firsts + lengths - 1
+    k0 = ends.searchsorted(firsts, "right").tolist()
+    k1 = (np.searchsorted(layout.start, lasts) - 1).tolist()
+    own = iter(_cut(p, [
+        [(k0[k], k1[k], s, e + 1, grid.u[s], layout.ln_t[k1[k]],
+          totals[k, :e + 1 - s] / grid.points[s:e + 1], 0.0, math.inf,
+          False)]
+        for k, (s, e) in enumerate(zip(firsts.tolist(), lasts.tolist()))
+        if errors[k] is None]))
+    # each tail's first position and cell; none where I = 0 or e is 1
+    u, pn, end, whole = layout.u, layout.p, layout.u.size, inverse.left.size
+    integral = totals[np.arange(len(fs)), lengths - 1]
+    kt = np.minimum(ends.searchsorted(lasts, "right"), len(ends) - 1)
+    at = np.take(layout.first, kt) + lasts - np.take(layout.start, kt)
+    at = np.where((integral > 0.0) & (lasts < grid.n - 1), at, end)
+    cell = inverse.left.searchsorted(at)
+    for batch in _batches(range(len(fs)), lambda k: whole - cell[k]):
+        out = [errors[k] or next(own) for k in batch]
+        tails = [n for n, k in enumerate(batch) if cell[k] < whole]
+        if not tails:
+            yield from out
+            continue
+        members = np.take(batch, tails)
+        c, i, sizes = cell[members], at[members], whole - cell[members]
+        # each average's own cells, then x^-1's from its tail's first
+        rows = np.concatenate([part for n, c_n in zip(tails, c.tolist())
+                               for part in (out[n].rows,
+                                            inverse.cells.rows[:, c_n:])],
+                              axis=1)
+        bounds = np.cumsum(np.add([out[n].size for n in tails], sizes))
+        origin = bounds - sizes  # each tail's first column
+        nodes, starts = _ranges(i, end - i)
+        ln_f = np.log(np.repeat(integral[members], end - i)
+                      / inverse.x[nodes])
+        guards = np.maximum.reduceat(ln_f + inverse.shift[nodes], starts)
+        a, shift = pn[nodes] * ln_f + u[nodes], starts - i
+        cells, _ = _ranges(c, sizes)
+        cols = cells + np.repeat(origin - c, sizes)
+        left = inverse.left[cells] + np.repeat(shift, sizes)
+        rows[0, cols], rows[2, cols] = a[left], a[left + 1]
+        at_s, w_s, at_t, w_t = inverse.corners
+        for row, corner, w in ((0, at_s, w_s), (2, at_t, w_t)):
+            m, k = (corner >= c[:, None]).nonzero()
+            left = inverse.left[corner[k]] + shift[m]
+            rows[row, origin[m] + corner[k] - c[m]] = _lerp(
+                a[left], a[left + 1], w[k])
+        for n, b, e, guard in zip(tails, [0, *bounds.tolist()],
+                                  bounds.tolist(), guards.tolist()):
+            out[n] = _Cells(rows[:, b:e], max(out[n].guard, guard),
+                            out[n].sup, [])
+        yield from out
 
 
 def _cut(p: GridExponent, batch: list) -> list[_Cells]:
@@ -324,29 +401,20 @@ def _cells(layout: PieceLayout, f: np.ndarray, counts: list, outside,
     pl = pn * ln_f  # -inf where f = 0, on cells that are replaced below
     a = pl + u
     # each piece's first and last cell, with [s, t] clipped into it: the
-    # lerps of E's node values, in Python floats, where a lerp of ln 0 =
-    # -inf is a silent nan or -inf, on a cell dropped or replaced below
-    corners = np.array([i for j, k in zip(layout.first, layout.last)
-                        for i in (j, j + 1, k, k + 1)])
-    u_c, a_c, p_c = (v[corners].tolist() for v in (u, a, pn))
-    clipped = []
-    for k, (ln_s, ln_t) in enumerate(zip(layout.ln_s, layout.ln_t)):
-        u_0, u_1, u_m, u_n = u_c[4 * k:4 * k + 4]
-        a_0, a_1, a_m, a_n = a_c[4 * k:4 * k + 4]
-        p_0, p_1, p_m, p_n = p_c[4 * k:4 * k + 4]
-        s_0 = min(max(ln_s, u_0), u_1)
-        t_n = min(max(ln_t, u_m), u_n)
-        w_s, w_t = (s_0 - u_0) / (u_1 - u_0), (t_n - u_m) / (u_n - u_m)
-        # ``_lerp``, written out: these lines run once per piece
-        v_s, v_t = 1.0 - w_s, 1.0 - w_t
-        clipped.append((s_0, t_n, a_0 * v_s + a_1 * w_s, p_0 * v_s + p_1 * w_s,
-                        a_m * v_t + a_n * w_t, p_m * v_t + p_n * w_t))
-    clipped = np.array(clipped).T
+    # lerps of E's node values, where a lerp of ln 0 = -inf is a silent nan
+    # or -inf, on a cell dropped or replaced below
+    s_0, w_s = _clip(layout.ln_s, u[i_0], u[i_0 + 1])
+    t_n, w_t = _clip(layout.ln_t, u[i_1], u[i_1 + 1])
+    with np.errstate(invalid="ignore"):
+        a_s, a_t = _lerp(a[i_0], a[i_0 + 1], w_s), _lerp(a[i_1], a[i_1 + 1],
+                                                       w_t)
+    p_s, p_t = _lerp(pn[i_0], pn[i_0 + 1], w_s), _lerp(pn[i_1], pn[i_1 + 1],
+                                                     w_t)
     if outside:
         abs_f[outside] = 0.0
     sups = np.maximum.reduceat(abs_f, i_0).tolist()
     cs, ct = u[:-1].copy(), u[1:].copy()
-    cs[i_0], ct[i_1] = clipped[0], clipped[1]
+    cs[i_0], ct[i_1] = s_0, t_n
     # the cells kept: the pairs of nodes within a piece where f is not 0
     # at both ends, less the one-zero-end cells of zero width
     nz_s, nz_t = nz[:-1], nz[1:]
@@ -376,8 +444,8 @@ def _cells(layout: PieceLayout, f: np.ndarray, counts: list, outside,
     rows[0], rows[1], rows[2], rows[3] = a[left], pn[left], a[right], pn[right]
     np.subtract(ct[cells], cs[cells], out=rows[4])
     rows[5] = 0.5 * (rows[1] + rows[3])
-    rows[0:2, col_0[at_0]] = clipped[2:4, at_0]
-    rows[2:4, col_1[at_1] - 1] = clipped[4:6, at_1]
+    rows[0, col_0[at_0]], rows[1, col_0[at_0]] = a_s[at_0], p_s[at_0]
+    rows[2, col_1[at_1] - 1], rows[3, col_1[at_1] - 1] = a_t[at_1], p_t[at_1]
     if one.size:
         e = np.where(left_nz, pl[one], pl[one + 1]) + np.log(c)
         q = np.where(left_nz, pn[one], pn[one + 1])
@@ -401,6 +469,12 @@ def _cells(layout: PieceLayout, f: np.ndarray, counts: list, outside,
                           [weights[i] for i in range(k, j) if i in weights]))
         k = j
     return out
+
+
+def _clip(ln, u_0, u_1):
+    """ln clipped into each cell [u_0, u_1], and its lerp weight there."""
+    c = np.minimum(np.maximum(ln, u_0), u_1)
+    return c, (c - u_0) / (u_1 - u_0)
 
 
 def _integrals(rows: np.ndarray, sigma) -> np.ndarray:
@@ -433,21 +507,13 @@ def modular(f: FunctionLike, p: ExponentLike) -> ModularValue:
     return _modular(cells, segs[0].grid)
 
 
-def _modular_at(cells: _Cells, sigma: float) -> float:
-    """I(f/e^sigma) of prepared cells: inf below their guard."""
-    if sigma < cells.guard:
-        return math.inf
-    if not cells.size:
-        return 0.0
-    # ``_evaluate``'s summation, without its slope
-    return float(np.add.reduceat(_integrals(cells.rows, sigma), [0])[0])
-
-
 def _modular(cells: _Cells, grid) -> ModularValue:
     """The modular of prepared cells, with its truncation bias."""
     if cells.guard > 0.0:
         return ModularValue(math.inf)
-    value = _modular_at(cells, 0.0)
+    # ``_evaluate``'s summation, without its slope
+    value = (float(np.add.reduceat(_integrals(cells.rows, 0.0), [0])[0])
+             if cells.size else 0.0)
     bias = 0.0
     for w_0, w_1 in cells.heads:
         try:
@@ -792,39 +858,85 @@ def bracket_check(f: FunctionLike, p: ExponentLike) -> BracketReport:
                          slack_lower, slack_upper)
 
 
-def _inverse_x_jobs(grid, a_list, delta: float) -> list:
-    """x -> 1/x on (a, delta) for each a."""
-    if not all(grid.x_min <= a < delta <= 1.0 for a in a_list):
-        raise ValueError("need x_min <= a < delta <= 1")
-    inverse = 1.0 / grid.points
-    return [SampledFunction(grid, inverse, support=(a, delta))
-            for a in a_list]
-
-
 def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,
                      delta: float = 1.0, tol: float = NORM_TOL,
                      solve: bool = True) -> list:
     """(integral_a^delta phi dx/x, I(f_a/e^sigma), ||f_a||) for f_a = x^-1
-    on (a, delta), for each a of ``a_list`` and its sigma, from one
-    preparation of f_a; raises the first UnboundedNormError.
+    on (a, delta), for each a of ``a_list`` and its sigma; raises the
+    first UnboundedNormError.
 
     f_a > 0, so each cell of f_a has two ends, with a = p ln(1/x) + ln x
     and q = p, one-sided at p's jumps: a/q is ln phi, and at sigma = ln
     phi(a) the cell exponent a - sigma q is p (ln phi(x) - ln phi(a)).
-    The integral and the modular are read from each scale's cells as
-    they stream into the solver, which runs only with ``solve``: else
-    ||f_a|| is None."""
+    f_a's cells are x^-1's (``_InverseX``) on the run ``_locate`` gives,
+    the first and last clipped as in ``_cells``, with the run's largest
+    guard term and 1/x, less piece ends outside [a, delta].  Each
+    ``_batches`` batch of scales has its integrals and modulars read in
+    one pass as it streams into the solver, which runs only with
+    ``solve``: else ||f_a|| is None."""
+    if not all(grid.x_min <= a < delta <= 1.0 for a in a_list):
+        raise ValueError("need x_min <= a < delta <= 1")
+    if not a_list:
+        return []
+    p = on_grid(p, grid)
+    layout, inverse = p.layout, p.inverse_x
+    u, pn, x = layout.u, layout.p, inverse.x
+    runs = []
+    for a in a_list:
+        k0, k1, cut, ln_a, ln_d = _locate(p, a, delta)
+        i = layout.first[k0] + cut.start - layout.start[k0]
+        j = layout.first[k1] + cut.stop - layout.start[k1]
+        # the first cell's s and t and the last cell's, and the piece ends
+        # inside [a, delta], which count toward sup|f|
+        runs.append((i, j - 2, ln_a, layout.ln_s[k1] if k0 < k1 else ln_a,
+                     layout.ln_t[k0] if k0 < k1 else ln_d, ln_d,
+                     [n for n in [i, *layout.first[k0 + 1:k1 + 1]]
+                      if x[n] >= a]
+                     + [n for n in [*np.add(layout.last[k0:k1], 1), j - 1]
+                        if x[n] <= delta]))
+    i, j, s_first, s_last, t_first, t_last, ends = zip(*runs)
+    i, j = np.array(i), np.array(j)
+    # maxima over each run's positions from i on, which all end at j + 1:
+    # of the guard terms, and of 1/x off every piece end
+    top, ln_f, inner = j[0] + 1, np.log(1.0 / x), 1.0 / x
+    inner[layout.first] = inner[np.add(layout.last, 1)] = inner[top] = 0.0
+    guards, inner = (np.maximum.accumulate(v[top::-1])
+                     for v in (ln_f + inverse.shift, inner))
+    guards = guards[top - i].tolist()
+    sups = [max([inner[top - n - 1].item(), *(1.0 / x[e]).tolist()])
+            for n, e in zip(i.tolist(), ends)]
+    # the first and last cells' rows 0 to 4, clipped as ``_cells`` does
+    c0, c1 = inverse.left.searchsorted(i), inverse.left.searchsorted(j) + 1
+    left, a = np.concatenate((i, j)), pn * ln_f + u
+    (s, w_s), (t, w_t) = (_clip(np.concatenate(v), u[left], u[left + 1])
+                          for v in ((s_first, s_last), (t_first, t_last)))
+    clipped = np.array([_lerp(v[left], v[left + 1], w)
+                        for w in (w_s, w_t) for v in (a, pn)] + [t - s])
     integrals, modulars = [], []
 
     def read():
-        prepared = _prepare(_inverse_x_jobs(grid, a_list, delta), p)
-        for cells, sigma in zip(prepared, sigmas):
-            a_s, q_s, a_t, q_t, dt, _ = cells.rows
-            integrals.append(float(_exp_cells(
-                np.minimum(a_s / q_s, EXP_GUARD),
-                np.minimum(a_t / q_t, EXP_GUARD), dt).sum()))
-            modulars.append(_modular_at(cells, sigma))
-            yield cells
+        for batch in _batches(range(len(a_list)), lambda k: c1[k] - c0[k]):
+            sizes = c1[batch] - c0[batch]
+            cells, at = _ranges(c0[batch], sizes)
+            rows = inverse.cells.rows[:, cells]
+            rows[:5, np.concatenate((at, at + sizes - 1))] = clipped[
+                :, np.add(batch, [[0], [len(a_list)]]).ravel()]
+            a_s, q_s, a_t, q_t, dt, _ = rows
+            values = _exp_cells(np.minimum(a_s / q_s, EXP_GUARD),
+                                np.minimum(a_t / q_t, EXP_GUARD), dt)
+            bounds = [*at.tolist(), cells.size]
+            integrals.extend(float(values[b:e].sum())
+                             for b, e in zip(bounds, bounds[1:]))
+            # the modulars, inf unevaluated where sigma lies below the guard
+            inside = [sigmas[k] >= guards[k] for k in batch]
+            take = np.repeat(inside, sizes)
+            values[~take] = 0.0
+            values[take] = _integrals(rows[:, take], np.repeat(
+                [sigmas[k] for k in batch], sizes)[take])
+            modulars.extend(m if ok else math.inf for ok, m in zip(
+                inside, np.add.reduceat(values, at).tolist()))
+            for k, b, e in zip(batch, bounds, bounds[1:]):
+                yield _Cells(rows[:, b:e], guards[k], sups[k], [])
 
     norms = _solve(read(), tol) if solve else [None for _ in read()]
     for result in norms:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hardyvx import config
 from hardyvx.config import ConfigError, load_schema, parse_config
+from hardyvx.report import report_json, run_scenario
 
 SCHEMA = load_schema()
 ORACLE = jsonschema.Draft202012Validator(SCHEMA)
@@ -250,3 +251,45 @@ def test_exponent_branch_chosen_by_its_key():
         "exponent.alpha: -1 is less than or equal to the minimum of 0.0",
         "exponent.c: 0 is less than or equal to the minimum of 0.0",
         "exponent.sign: 'x' is not one of ['+', '-']"]
+
+
+# grids on which an audit takes milliseconds
+CHEAP_GRIDS = st.fixed_dictionaries({"x_min": st.sampled_from([1e-3, 1e-6]),
+                                     "n": st.sampled_from([32, 64])})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_valid(SCHEMA), CHEAP_GRIDS)
+@example({"exponent": {"family": "tabulated", "xs": [5e-324, 1.0],
+                       "ps": [1.0, 1.0]}}, {"x_min": 1e-3, "n": 32})
+@example({"exponent": {"family": "log-perturbed", "p0": 297,
+                       "c": 447.2036440863224, "alpha": 350, "sign": "-"}},
+         {"x_min": 1e-3, "n": 32})
+@example({"exponent": {"family": "log-perturbed", "p0": 928, "c": 5e-324,
+                       "alpha": 385.4704670888932, "sign": "+"}},
+         {"x_min": 1e-3, "n": 32})
+def test_valid_configs_end_in_a_report(cfg, grid):
+    # every schema-valid config, on a cheap grid, is refused with a
+    # ConfigError or audited into a report, with no other exception and
+    # no RuntimeWarning, which the suite turns into an error; the examples
+    # once took ln 0 at the germ, and overflowed c/eta**alpha, and the
+    # last has p_plus = inf
+    text = json.dumps({**cfg, "grid": grid})
+    try:
+        parsed = parse_config(text)
+    except ConfigError:
+        return
+    assert json.loads(report_json(run_scenario(parsed)))["report"]
+
+
+@pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason=(
+    "ROADMAP item 7: p_plus = 4.4e307 overflows p ln|f| and sigma p in "
+    "the prepared cells"))
+def test_a_huge_finite_p_plus_ends_in_a_report():
+    # p is p0 = 224 wherever eta**alpha passes the largest double, which
+    # no longer warns (tests/test_exponent.py), but p_plus, a finite
+    # double, still overflows the modular's products
+    cfg = {"exponent": {"family": "log-perturbed", "p0": 224, "c": 999,
+                        "alpha": 337.2025318135346, "sign": "+"},
+           "grid": {"x_min": 1e-3, "n": 32}}
+    run_scenario(parse_config(json.dumps(cfg)))

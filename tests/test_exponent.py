@@ -52,6 +52,24 @@ class TestEvaluation:
         assert p.eval(0.9) == 1.0
         assert p.eval(1e-9) > 2.7
 
+    def test_extreme_parameters_take_their_limits_silently(self):
+        # eta**alpha past the largest double makes c/eta**alpha its limit
+        # 0, and the germ of samples from the smallest double takes no
+        # ln 0; a RuntimeWarning would fail the suite
+        x = np.array([1e-300, 1e-12, 0.5, 0.9, 1.0])
+        minus = LogPerturbed(297.0, 447.2036440863224, 350.0, "-").eval(x)
+        assert minus.tolist() == [297.0, 297.0, 1.0, 1.0, 1.0]
+        plus = LogPerturbed(224.0, 999.0, 337.2025318135346, "+").eval(x)
+        assert plus[:2].tolist() == [224.0, 224.0]
+        assert np.all(np.isfinite(plus))
+        germ = Tabulated((5e-324, 1.0), (1.0, 1.0)).germ()
+        assert (germ.p0, germ.constant_below) == (1.0, 1.0)
+
+    def test_log_perturbed_plus_needs_a_finite_p_plus(self):
+        # ETA_FLOOR**alpha underflows to 0: p_plus would be inf
+        with pytest.raises(ValueError, match="p_plus"):
+            LogPerturbed(928.0, 5e-324, 385.4704670888932, "+")
+
     def test_loglog_perturbed_limit(self):
         p = LogLogPerturbed(2.0, 1.0)
         assert p.limit_at_origin() == 2.0

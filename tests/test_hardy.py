@@ -15,7 +15,7 @@ from hardyvx import (
     operator_norm_lower_bound,
     rayleigh_quotient,
 )
-from hardyvx import hardy, lpnorm
+from hardyvx import grids, hardy, lpnorm
 from hardyvx.exponent import PiecewiseConstant
 from hardyvx.grids import (DivergentHeadError, _cumulative_integrals,
                            as_segments)
@@ -68,12 +68,27 @@ class TestBatchedAverages:
                 + [m.f for m in step_family(grid)[:2]])
 
     def test_batch_matches_single_functions(self, coarse_grid):
-        # the numerators divide one pass's running totals by x
-        fs = self._functions(coarse_grid)
-        totals, _, errors = _cumulative_integrals(fs)
+        # one pass's running totals cover each function's own node range,
+        # from its lowest segment's first node to its highest's last, and
+        # past it keep its last value; padded so, each divided by x is the
+        # function's Hardy average
+        grid = coarse_grid
+        fs = self._functions(grid)
+        totals, firsts, lengths, errors = _cumulative_integrals(fs)
         assert errors == [None] * len(fs)
-        for f, h in zip(fs, totals / coarse_grid.points):
-            assert np.array_equal(h, hardy_average(f).values)
+        assert totals.shape == (len(fs), max(lengths))
+        for f, row, first, length in zip(fs, totals, firsts, lengths):
+            slices = [grid.node_slice(max(lo, grid.x_min), min(hi, 1.0))
+                      for lo, hi in (seg.effective_support()
+                                     for seg in as_segments(f))]
+            assert first == min(s.start for s in slices)
+            assert first + length == max(s.stop for s in slices)
+            assert np.all(row[length:] == row[length - 1])
+            padded = np.concatenate((np.zeros(first), row[:length],
+                                     np.full(grid.n - first - length,
+                                             row[length - 1])))
+            assert np.array_equal(padded / grid.points,
+                                  hardy_average(f).values)
 
     @pytest.mark.parametrize("budget", [1, 3 * 401, 10 ** 12])
     def test_chunks_do_not_change_quotients(self, coarse_grid, monkeypatch,
@@ -173,15 +188,18 @@ class TestOperatorNorm:
     @staticmethod
     def _count_preparation(monkeypatch):
         """Record, as C1 runs, each function that enters ``_prepare``, each
-        running total ``_cumulative_integrals`` takes, each numerator row
-        ``_average_cells`` cuts and each job the solver takes.  Jobs are
-        cut from p's layout many per call, so they are counted where they
-        enter, not calls; a job cut once ``_average_cells`` has started is
-        a numerator row, since every denominator enters the solver first."""
-        seen = {"prepared": [], "integrated": [], "rows": [], "solved": []}
+        running total ``_cumulative_integrals`` takes with the nodes its
+        cells are integrated over, each row ``_average_cells`` cuts and each
+        job the solver takes.  Jobs are cut from p's layout many per call,
+        so they are counted where they enter, not calls; a job cut once
+        ``_average_cells`` has started is a numerator's own part or the
+        x^-1 its tail is read from, since every denominator enters the
+        solver first."""
+        seen = {"prepared": [], "integrated": [], "nodes": [], "rows": [],
+                "solved": []}
         prepare, cut, solve = lpnorm._prepare, lpnorm._cut, lpnorm._solve
-        average = lpnorm._average_cells
-        averaging = []
+        average, cell_integrals = lpnorm._average_cells, grids._cell_integrals
+        averaging, totalling = [], []
 
         def counted(jobs, p):
             def each():
@@ -190,9 +208,18 @@ class TestOperatorNorm:
                     yield job
             return prepare(each(), p)
 
+        def integrated(u, *args, **kwargs):
+            if totalling:
+                seen["nodes"].append(u)
+            return cell_integrals(u, *args, **kwargs)
+
         def totals(fs):
             seen["integrated"].extend(fs)
-            return _cumulative_integrals(fs)
+            totalling.append(True)
+            try:
+                return _cumulative_integrals(fs)
+            finally:
+                totalling.pop()
 
         def averages(fs, p):
             averaging.append(True)
@@ -215,22 +242,32 @@ class TestOperatorNorm:
         monkeypatch.setattr(lpnorm, "_cut", cut_rows)
         monkeypatch.setattr(lpnorm, "_solve", solved)
         monkeypatch.setattr(lpnorm, "_cumulative_integrals", totals)
+        monkeypatch.setattr(grids, "_cell_integrals", integrated)
         return seen
 
     def test_each_member_prepared_once(self, grid, monkeypatch):
         # one prepared job per member serves its modular check, truncation
-        # bias and denominator, and one numerator row per member is cut
-        # from its running totals
+        # bias and denominator; each numerator is one row cut from its
+        # running totals over its own node range, and a tail read from the
+        # one x^-1 prepared for p on the grid
         seen = self._count_preparation(monkeypatch)
         p = LogPerturbed(2.0, 0.5, 1.0)
         members = necessity_family(p, grid) + dyadic_indicator_family(grid)
         res = operator_norm_lower_bound(p, members)
         assert not res.skipped and len(res.quotients) == len(members)
-        assert len(seen["prepared"]) + len(seen["rows"]) == 2 * len(members)
+        assert len(seen["prepared"]) == len(members)
+        assert len(seen["rows"]) == len(members) + 1
         assert len(seen["integrated"]) == len(members)
         for member in members:
             assert sum(f is member.f for f in seen["prepared"]) == 1
             assert sum(f is member.f for f in seen["integrated"]) == 1
+        # the cumulative pass integrates each segment's node slice, which
+        # lies in its member's own node range, and no node past it
+        slices = [grid.node_slice(*seg.effective_support())
+                  for m in members for seg in as_segments(m.f)]
+        (u,) = seen["nodes"]
+        assert np.array_equal(u, np.concatenate([grid.u[s] for s in slices]))
+        assert u.size < len(slices) * grid.n // 10
 
     def test_power_member_takes_its_modular_alone(self, grid, monkeypatch):
         # a power member's quotient is 1/(1 - beta): its one prepared job

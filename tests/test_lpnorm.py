@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hardyvx import (
     Constant,
+    DyadicJump,
     LogPerturbed,
     PiecewiseConstant,
     SampledFunction,
@@ -20,7 +21,7 @@ from hardyvx import (
 )
 from hardyvx import lpnorm
 from hardyvx.config import parse_config
-from hardyvx.exponent import ExponentFunction, log_phi, on_grid
+from hardyvx.exponent import EXP_GUARD, ExponentFunction, log_phi, on_grid
 from hardyvx.grids import integrate
 from hardyvx.hardy import (
     FamilyMember,
@@ -35,6 +36,12 @@ from hardyvx.report import run_scenario
 
 from conftest import (power_function, random_piecewise_power, scaled,
                       step_family)
+
+
+def inverse_x(grid, a_list, delta):
+    """x -> 1/x on (a, delta) for each a, as C2, C4 and C5 read it."""
+    return [SampledFunction(grid, 1.0 / grid.points, support=(a, delta))
+            for a in a_list]
 
 
 class TestModular:
@@ -306,8 +313,8 @@ class TestBatchedPreparation:
         a_list = [grid.x_min, 2.0 ** -20, 2.0 ** -9] + lows[:3]
         jobs = (members
                 + [hardy_average(f) for f in members[::5]]
-                + lpnorm._inverse_x_jobs(grid, a_list, 1.0)
-                + lpnorm._inverse_x_jobs(grid, a_list, 0.3)
+                + inverse_x(grid, a_list, 1.0)
+                + inverse_x(grid, a_list, 0.3)
                 + [power_function(grid, -0.3,
                                   support=(grid.x_min * (1 - 1e-12), b))
                    for b in (0.0123, 1.0)]
@@ -644,6 +651,64 @@ class TestNormOfInverseX:
                                          rel=1e-9)
 
 
+class TestInverseXScales:
+    """C2, C4 and C5 read each scale (a, delta) as a slice of p's one
+    prepared x^-1, clipped at both ends (``inverse_x_scales``)."""
+
+    @pytest.mark.parametrize("case", ["smooth", "dyadic jump at a",
+                                      "jump on a node", "delta < 1"])
+    def test_slices_are_the_prepared_scales(self, monkeypatch, case):
+        # each scale's rows, guard and sup are bit for bit those of x^-1
+        # prepared alone on (a, delta), and so are its integral and its
+        # modular; the dyadic jumps at 2^-2^k fall exactly on scales a
+        grid = make_log_grid(1e-8, 241)
+        node = float(grid.points[150])
+        p, delta = {
+            "smooth": (LogPerturbed(2.0, 0.5, 1.0), 1.0),
+            "dyadic jump at a": (DyadicJump(
+                2.0, (0.5, 0.4, 0.3, 0.2), tuple(2.0 ** -(2 ** k)
+                                                 for k in range(1, 5))), 1.0),
+            "jump on a node": (PiecewiseConstant((node, 0.3), (2.5, 1.5, 3.0)),
+                               1.0),
+            "delta < 1": (PiecewiseConstant((0.0123,), (2.2, 1.8)), 0.3),
+        }[case]
+        p = on_grid(p, grid)
+        a_list = [2.0 ** -j for j in range(1, 26) if 2.0 ** -j < delta]
+        a_list += [node, float(grid.points[40]), float(grid.points[200])]
+        a_list = [a for a in a_list if a < delta]
+        sigmas = log_phi(p.p.eval(a_list), -np.log(a_list)).tolist()
+        solved, solve = [], lpnorm._solve
+
+        def recorded(prepared, tol):
+            prepared = list(prepared)
+            solved.extend(prepared)
+            return solve(prepared, tol)
+
+        monkeypatch.setattr(lpnorm, "_solve", recorded)
+        scales = lpnorm.inverse_x_scales(p, grid, a_list, sigmas, delta)
+        monkeypatch.undo()
+        below = 0
+        for a, sigma, cells, (integral, mod, _) in zip(
+                a_list, sigmas, solved, scales):
+            (alone,) = lpnorm._prepare(inverse_x(grid, [a], delta), p)
+            assert np.array_equal(cells.rows, alone.rows)
+            assert (cells.guard, cells.sup) == (alone.guard, alone.sup)
+            a_s, q_s, a_t, q_t, dt, _ = alone.rows
+            assert integral == float(lpnorm._exp_cells(
+                np.minimum(a_s / q_s, EXP_GUARD),
+                np.minimum(a_t / q_t, EXP_GUARD), dt).sum())
+            assert mod == (math.inf if sigma < alone.guard else float(
+                np.add.reduceat(lpnorm._integrals(alone.rows, sigma), [0])[0]))
+            # the guard counts the node below a, where that is not a
+            nodes = grid.node_slice(a, delta)
+            x = grid.points[nodes.start]
+            if x < a:
+                below += 1
+                assert cells.guard >= (math.log(1.0 / x) + (
+                    math.log(x) - EXP_GUARD) / p.p.eval(x)) - 1e-12
+        assert below and len(solved) == len(a_list)
+
+
 class TestCollapsedRuns:
     """The solver replaces each run of cells of one exponent q by one
     cell (``lpnorm._collapse``)."""
@@ -663,7 +728,7 @@ class TestCollapsedRuns:
                        power_function(grid, -0.3, coeff=1e250),
                        power_function(grid, 0.2, coeff=1e-3,
                                       support=(1e-5, 0.3))]
-                    + lpnorm._inverse_x_jobs(grid, [2.0 ** -20, 0.0123], 1.0))
+                    + inverse_x(grid, [2.0 ** -20, 0.0123], 1.0))
             out.append((on_grid(p, grid), jobs))
         return out
 
