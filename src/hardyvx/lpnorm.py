@@ -929,10 +929,13 @@ def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,
                              for b, e in zip(bounds, bounds[1:]))
             # the modulars, inf unevaluated where sigma lies below the guard
             inside = [sigmas[k] >= guards[k] for k in batch]
-            take = np.repeat(inside, sizes)
-            values[~take] = 0.0
-            values[take] = _integrals(rows[:, take], np.repeat(
-                [sigmas[k] for k in batch], sizes)[take])
+            sigma = np.repeat([sigmas[k] for k in batch], sizes)
+            if all(inside):  # as for every p short of 1e300, rows uncopied
+                values = _integrals(rows, sigma)
+            else:
+                take = np.repeat(inside, sizes)
+                values[~take] = 0.0
+                values[take] = _integrals(rows[:, take], sigma[take])
             modulars.extend(m if ok else math.inf for ok, m in zip(
                 inside, np.add.reduceat(values, at).tolist()))
             for k, b, e in zip(batch, bounds, bounds[1:]):

@@ -167,6 +167,19 @@ class TestCumulativeIntegral:
         assert np.array_equal(whole, _cumulative_integrals(
             [segs[1], segs, segs[:2]])[0][1])
 
+    def test_refuses_negative_values_it_integrates(self, grid):
+        # only the nodes of the support's node slice are integrated, so a
+        # negative value elsewhere is never read
+        values = np.ones(grid.n)
+        values[0] = -1.0
+        F = cumulative_integral(SampledFunction(grid, values,
+                                                support=(0.25, 0.5)))
+        assert F.values[-1] == pytest.approx(0.25, rel=1e-9)
+        values[grid.node_slice(0.3, 0.4)] = -1.0
+        with pytest.raises(ValueError, match="g >= 0"):
+            cumulative_integral(SampledFunction(grid, values,
+                                                support=(0.25, 0.5)))
+
     def test_monotone(self, grid):
         f = power_function(grid, -0.5)
         F = cumulative_integral(f)

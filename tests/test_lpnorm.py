@@ -677,6 +677,7 @@ class TestInverseXScales:
         a_list += [node, float(grid.points[40]), float(grid.points[200])]
         a_list = [a for a in a_list if a < delta]
         sigmas = log_phi(p.p.eval(a_list), -np.log(a_list)).tolist()
+        sigmas[1] = -1e3  # below its guard: the modular is inf, unevaluated
         solved, solve = [], lpnorm._solve
 
         def recorded(prepared, tol):
@@ -707,6 +708,7 @@ class TestInverseXScales:
                 assert cells.guard >= (math.log(1.0 / x) + (
                     math.log(x) - EXP_GUARD) / p.p.eval(x)) - 1e-12
         assert below and len(solved) == len(a_list)
+        assert scales[1][1] == math.inf
 
 
 class TestCollapsedRuns:
