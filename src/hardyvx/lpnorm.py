@@ -878,6 +878,15 @@ def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,
         raise ValueError("need x_min <= a < delta <= 1")
     if not a_list:
         return []
+    # where ln a rounds to ln delta, (a, delta) has no width in u and f_a
+    # no cells: its integral, modular and norm are 0
+    empty = [math.log(a) >= math.log(delta) for a in a_list]
+    if any(empty):
+        rest = iter(inverse_x_scales(
+            p, grid, [a for a, e in zip(a_list, empty) if not e],
+            [s for s, e in zip(sigmas, empty) if not e], delta, tol, solve))
+        zero = NormValue(0.0, 0.0, (0.0, 0.0)) if solve else None
+        return [(0.0, 0.0, zero) if e else next(rest) for e in empty]
     p = on_grid(p, grid)
     layout, inverse = p.layout, p.inverse_x
     u, pn, x = layout.u, layout.p, inverse.x
@@ -885,26 +894,24 @@ def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,
     for a in a_list:
         k0, k1, cut, ln_a, ln_d = _locate(p, a, delta)
         i = layout.first[k0] + cut.start - layout.start[k0]
-        j = layout.first[k1] + cut.stop - layout.start[k1]
-        # the first cell's s and t and the last cell's, and the piece ends
-        # inside [a, delta], which count toward sup|f|
-        runs.append((i, j - 2, ln_a, layout.ln_s[k1] if k0 < k1 else ln_a,
-                     layout.ln_t[k0] if k0 < k1 else ln_d, ln_d,
-                     [n for n in [i, *layout.first[k0 + 1:k1 + 1]]
-                      if x[n] >= a]
-                     + [n for n in [*np.add(layout.last[k0:k1], 1), j - 1]
-                        if x[n] <= delta]))
-    i, j, s_first, s_last, t_first, t_last, ends = zip(*runs)
+        j = layout.first[k1] + cut.stop - layout.start[k1] - 2
+        # sup|f| is 1/x at the run's lowest node that counts: i unless it
+        # lies below a, else i + 1 unless it ends the run's first piece
+        # past delta, where nothing counts (a piece end outside [a, delta]
+        # is left out; every later node lies higher or is such an end)
+        end = layout.last[k0] + 1 if k0 < k1 else j + 1
+        sup = (1.0 / x[i] if x[i] >= a else 1.0 / x[i + 1]
+               if i + 1 < end or x[i + 1] <= delta else 0.0)
+        # the first cell's s and t and the last cell's
+        runs.append((i, j, ln_a, layout.ln_s[k1] if k0 < k1 else ln_a,
+                     layout.ln_t[k0] if k0 < k1 else ln_d, ln_d, float(sup)))
+    i, j, s_first, s_last, t_first, t_last, sups = zip(*runs)
     i, j = np.array(i), np.array(j)
-    # maxima over each run's positions from i on, which all end at j + 1:
-    # of the guard terms, and of 1/x off every piece end
-    top, ln_f, inner = j[0] + 1, np.log(1.0 / x), 1.0 / x
-    inner[layout.first] = inner[np.add(layout.last, 1)] = inner[top] = 0.0
-    guards, inner = (np.maximum.accumulate(v[top::-1])
-                     for v in (ln_f + inverse.shift, inner))
-    guards = guards[top - i].tolist()
-    sups = [max([inner[top - n - 1].item(), *(1.0 / x[e]).tolist()])
-            for n, e in zip(i.tolist(), ends)]
+    # each guard is a maximum over the run's positions, which all end at
+    # j + 1, of the guard terms
+    top, ln_f = j[0] + 1, np.log(1.0 / x)
+    guards = np.maximum.accumulate((ln_f + inverse.shift)[top::-1])[
+        top - i].tolist()
     # the first and last cells' rows 0 to 4, clipped as ``_cells`` does
     c0, c1 = inverse.left.searchsorted(i), inverse.left.searchsorted(j) + 1
     left, a = np.concatenate((i, j)), pn * ln_f + u

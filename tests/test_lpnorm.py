@@ -710,6 +710,23 @@ class TestInverseXScales:
         assert below and len(solved) == len(a_list)
         assert scales[1][1] == math.inf
 
+    def test_a_scale_of_no_width_has_no_cells(self):
+        # ln a rounds to ln delta: f_a prepared alone has no cells, so its
+        # integral, modular and norm are 0, and the other scales are as
+        # they are without it
+        grid = make_log_grid(1e-8, 241)
+        p = on_grid(LogPerturbed(2.0, 0.5, 1.0), grid)
+        delta = 0.12500000000000003
+        assert math.log(0.125) == math.log(delta)
+        (alone,) = lpnorm._prepare(inverse_x(grid, [0.125], delta), p)
+        assert alone.size == 0 and alone.sup == 0.0
+        a_list = [0.125, 2.0 ** -10]
+        sigmas = log_phi(p.p.eval(a_list), -np.log(a_list)).tolist()
+        empty, scale = lpnorm.inverse_x_scales(p, grid, a_list, sigmas, delta)
+        assert empty == (0.0, 0.0, lpnorm.NormValue(0.0, 0.0, (0.0, 0.0)))
+        assert [scale] == lpnorm.inverse_x_scales(p, grid, a_list[1:],
+                                                  sigmas[1:], delta)
+
 
 class TestCollapsedRuns:
     """The solver replaces each run of cells of one exponent q by one
