@@ -870,7 +870,8 @@ def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,
     phi(a) the cell exponent a - sigma q is p (ln phi(x) - ln phi(a)).
     f_a's cells are x^-1's (``_InverseX``) on the run ``_locate`` gives,
     the first and last clipped as in ``_cells``, with the run's largest
-    guard term and 1/x, less piece ends outside [a, delta].  Each
+    guard term, and 1/x at its lowest node that counts toward sup|f|;
+    where ln a rounds to ln delta, f_a has no cells.  Each
     ``_batches`` batch of scales has its integrals and modulars read in
     one pass as it streams into the solver, which runs only with
     ``solve``: else ||f_a|| is None."""
@@ -895,10 +896,11 @@ def inverse_x_scales(p: ExponentLike, grid, a_list, sigmas,
         k0, k1, cut, ln_a, ln_d = _locate(p, a, delta)
         i = layout.first[k0] + cut.start - layout.start[k0]
         j = layout.first[k1] + cut.stop - layout.start[k1] - 2
-        # sup|f| is 1/x at the run's lowest node that counts: i unless it
-        # lies below a, else i + 1 unless it ends the run's first piece
-        # past delta, where nothing counts (a piece end outside [a, delta]
-        # is left out; every later node lies higher or is such an end)
+        # sup|f| is 1/x at the run's lowest node that counts, a piece end
+        # outside [a, delta] being left out: i unless it lies below a, else
+        # i + 1 unless it ends the run's first piece past delta, when no
+        # node counts; every later position holds a higher node, or i's
+        # node as the first of a piece
         end = layout.last[k0] + 1 if k0 < k1 else j + 1
         sup = (1.0 / x[i] if x[i] >= a else 1.0 / x[i + 1]
                if i + 1 < end or x[i + 1] <= delta else 0.0)
