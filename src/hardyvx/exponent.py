@@ -338,10 +338,12 @@ class Tabulated(_Knotted):
             raise ValueError("all sampled values must be >= 1")
 
     def _eval(self, x):
-        # clamped below xs[0], as np.interp clamps: so _Knotted.germ's
-        # xs[0]/2, 0 where xs[0] is the smallest double, takes no ln 0
-        return np.interp(np.log(np.maximum(x, self.xs[0])), np.log(self.xs),
-                         self.ps)
+        # _Knotted.germ's xs[0]/2 is 0 where xs[0] is the smallest double:
+        # its ln is -inf, which np.interp clamps to ps[0] as it clamps every
+        # x below xs[0] (clamping x itself to xs[0] would read the last ps
+        # whose xs share ln xs[0])
+        with np.errstate(divide="ignore"):
+            return np.interp(np.log(x), np.log(self.xs), self.ps)
 
     def knots(self):
         return self.xs
@@ -397,7 +399,10 @@ class GridExponent:
         """Split (lo, hi) at the jumps of p: the (s, t) of each piece."""
         edges = [lo, *self.jumps[bisect.bisect_right(self.jumps, lo):
                                  bisect.bisect_left(self.jumps, hi)], hi]
-        return list(zip(edges, edges[1:]))
+        # a piece between two jumps whose logs round to one double has no
+        # width in u, and no cell of it is integrated
+        return [(s, t) for s, t in zip(edges, edges[1:])
+                if math.log(s) < math.log(t)]
 
     def p_at(self, nodes: slice, s: float, t: float) -> np.ndarray:
         """p at the grid nodes ``nodes`` (a slice with a start) for the

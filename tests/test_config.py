@@ -271,13 +271,18 @@ CHEAP_GRIDS = st.fixed_dictionaries({"x_min": st.sampled_from([1e-3, 1e-6]),
 @example({"exponent": {"family": "piecewise-constant",
                        "breakpoints": [0.03125, 0.12500000000000003],
                        "values": [1.5, 2.5, 2.0]}}, {"x_min": 1e-3, "n": 32})
+@example({"exponent": {"family": "piecewise-constant",
+                       "breakpoints": [0.009284145445194743,
+                                       0.009284145445194745],
+                       "values": [2.0, 3.0, 2.5]}}, {"x_min": 1e-3, "n": 32})
 def test_valid_configs_end_in_a_report(cfg, grid):
     # every schema-valid config, on a cheap grid, is refused with a
     # ConfigError or audited into a report, with no other exception and
     # no RuntimeWarning, which the suite turns into an error; the examples
     # once took ln 0 at the germ, and overflowed c/eta**alpha, the third
-    # has p_plus = inf, and the last cuts C2, C4 and C5 at a delta whose
-    # log is that of the scale a = 1/8
+    # has p_plus = inf, the fourth cuts C2, C4 and C5 at a delta whose log
+    # is that of the scale a = 1/8, and the last has a piece of no width
+    # in u between two jumps at a node
     text = json.dumps({**cfg, "grid": grid})
     try:
         parsed = parse_config(text)

@@ -70,6 +70,15 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="p_plus"):
             LogPerturbed(928.0, 5e-324, 385.4704670888932, "+")
 
+    def test_tabulated_is_its_first_value_below_its_first_knot(self):
+        # also where the second knot shares the first's log, and at the
+        # germ, which reads p below the first knot
+        xs = (0.005779692884153314, 0.005779692884153315, 1.0)
+        assert math.log(xs[0]) == math.log(xs[1])
+        p = Tabulated(xs, (1.091, 2.462, 2.719))
+        assert p.eval(np.array([1e-3, 0.005])).tolist() == [1.091, 1.091]
+        assert p.germ().p0 == 1.091
+
     def test_loglog_perturbed_limit(self):
         p = LogLogPerturbed(2.0, 1.0)
         assert p.limit_at_origin() == 2.0
